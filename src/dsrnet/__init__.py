@@ -60,9 +60,7 @@ from .harness import (
 from .topology import (
     NetworkTopology,
     build_lattice,
-    compute_neighbors,
     min_neighbor_count,
-    radius_adjacency,
     sample_disc,
 )
 

@@ -41,6 +41,14 @@ class MetricsReport:
     overshoot: float | None
 
 
+def _row_max(values: np.ndarray, transform) -> np.ndarray:
+    """Per-row max of ``transform(values)``, evaluated in blocks of about
+    2**18 values so that no temporary grows as large as the trajectory."""
+    step = max(1, (1 << 18) // max(1, values.shape[1]))
+    blocks = (values[i : i + step] for i in range(0, len(values), step))
+    return np.concatenate([transform(block).max(axis=1) for block in blocks])
+
+
 def settling_time(
     traj: Trajectory,
     final_value: float,
@@ -56,7 +64,7 @@ def settling_time(
         raise ValueError("band must be positive")
     if traj.diverged:
         return None
-    deviation = np.abs(traj.values - final_value).max(axis=1)
+    deviation = _row_max(traj.values, lambda block: np.abs(block - final_value))
     inside = deviation <= band * abs(final_value)
     if not inside[-1]:
         return None
@@ -76,7 +84,7 @@ def overshoot(traj: Trajectory, final_value: float) -> float | None:
     if traj.diverged or final_value == 0:
         return None
     sign = 1.0 if final_value > 0 else -1.0
-    excess = (sign * traj.values - abs(final_value)).max()
+    excess = _row_max(traj.values, lambda block: sign * block - abs(final_value)).max()
     return max(0.0, float(excess)) / abs(final_value)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dsr_core import (
     DiscrepancyOperator,
-    IsolatedAgentError,
     StepSource,
     Trajectory,
     _values_diverged,
@@ -151,14 +150,6 @@ def diffusion_step(
     return DiffusionState(values=new_values, step=state.step + 1)
 
 
-def _require_connected(op: DiscrepancyOperator):
-    if op.isolated.any():
-        first = int(np.flatnonzero(op.isolated)[0])
-        raise IsolatedAgentError(
-            f"agent {first} has no neighbors and no source access"
-        )
-
-
 def _record_run(step_fn, state_values, n_steps, step_seconds, record_every,
                 diverged_check, params, topology, leader_ids):
     """Shared stride-recording loop for both continuum integrators."""
@@ -205,7 +196,7 @@ def simulate_second_order(
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     op = DiscrepancyOperator(topology)
-    _require_connected(op)
+    op.require_connected()
     state = SecondOrderState.from_initial(initial)
     if state.value.shape != (topology.n_agents,):
         raise ValueError("initial values must provide one entry per agent")
@@ -241,7 +232,7 @@ def simulate_diffusion(
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     op = DiscrepancyOperator(topology)
-    _require_connected(op)
+    op.require_connected()
     values = np.array(initial, dtype=float)
     if values.shape != (topology.n_agents,):
         raise ValueError("initial values must provide one entry per agent")

@@ -144,17 +144,19 @@ class DiscrepancyOperator:
         counts = topology.degrees + leader
         self.isolated = counts == 0.0
         safe_counts = np.where(self.isolated, 1.0, counts)
-        rows = np.repeat(np.arange(n), topology.degrees)
-        cols = (
-            np.concatenate(topology.neighbors)
-            if n and topology.degrees.sum()
-            else np.empty(0, dtype=int)
-        )
-        weights = 1.0 / safe_counts[rows]
+        weights = np.repeat(1.0 / safe_counts, topology.degrees)
         self._neighbor_mean = sparse.csr_matrix(
-            (weights, (rows, cols)), shape=(n, n)
+            (weights, topology.indices, topology.indptr), shape=(n, n)
         )
         self._source_weight = leader / safe_counts
+
+    def require_connected(self):
+        """Raise IsolatedAgentError naming the first isolated agent, if any."""
+        if self.isolated.any():
+            first = int(np.flatnonzero(self.isolated)[0])
+            raise IsolatedAgentError(
+                f"agent {first} has no neighbors and no source access"
+            )
 
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
         delta = values - self._neighbor_mean @ values
@@ -176,7 +178,7 @@ def neighbor_discrepancy(
     agent is a leader. Raises IsolatedAgentError for a non-leader with an
     empty neighborhood, where the mean is undefined.
     """
-    neighbor_ids = topology.neighbors[agent]
+    neighbor_ids = topology.indices[topology.indptr[agent] : topology.indptr[agent + 1]]
     is_leader = agent in topology.leader_ids
     count = len(neighbor_ids) + (1 if is_leader else 0)
     if count == 0:
@@ -219,11 +221,7 @@ def dsr_step(
     """
     op = operator if operator is not None else DiscrepancyOperator(topology)
     if isolated == "error":
-        if op.isolated.any():
-            first = int(np.flatnonzero(op.isolated)[0])
-            raise IsolatedAgentError(
-                f"agent {first} has no neighbors and no source access"
-            )
+        op.require_connected()
     elif isolated != "coast":
         raise ValueError("isolated must be 'error' or 'coast'")
 
@@ -274,11 +272,7 @@ def simulate(
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     op = DiscrepancyOperator(topology)
-    if op.isolated.any():
-        first = int(np.flatnonzero(op.isolated)[0])
-        raise IsolatedAgentError(
-            f"agent {first} has no neighbors and no source access"
-        )
+    op.require_connected()
     state = InfoState.from_initial(initial)
     if state.current.shape != (topology.n_agents,):
         raise ValueError("initial values must provide one entry per agent")

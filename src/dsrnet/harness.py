@@ -90,40 +90,25 @@ def _parse_ks_values(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+# A field's declared type fixes how its value is parsed.
+_TYPE_CASTERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "tuple[float, ...]": _parse_ks_values,
+}
 _CASTERS = {
-    "experiment": str,
-    "topology": str,
-    "rows": int,
-    "cols": int,
-    "spacing": float,
-    "n_agents": int,
-    "disc_radius": float,
-    "disc_sampling": str,
-    "sensing_radius": float,
-    "leader": str,
-    "ks": float,
-    "beta": float,
-    "dt": float,
-    "noise": float,
-    "source_initial": float,
-    "source_final": float,
-    "switch_step": int,
-    "speed": float,
-    "initial_heading": float,
-    "target_heading": float,
-    "integrator_dt": float,
-    "record_every": int,
-    "n_steps": int,
-    "max_steps": int,
-    "csv_stride": int,
-    "seed": int,
-    "ks_values": _parse_ks_values,
-    "near_fraction": float,
+    f.name: _TYPE_CASTERS[f.type.removesuffix(" | None")]
+    for f in fields(ExperimentConfig)
 }
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
     bad = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "float" in f.type and value is not None and not np.isfinite(value).all():
+            bad.append(f"{f.name}: must be finite")
     if cfg.experiment not in EXPERIMENT_KINDS:
         bad.append(
             f"experiment: unknown kind {cfg.experiment!r}; expected one of "
@@ -135,8 +120,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append("rows/cols: must be at least 1")
     if cfg.spacing <= 0:
         bad.append("spacing: must be positive")
-    if cfg.n_agents < 0:
-        bad.append("n_agents: must be nonnegative")
+    if cfg.n_agents < 1:
+        bad.append("n_agents: must be at least 1")
     if cfg.disc_radius <= 0:
         bad.append("disc_radius: must be positive")
     if cfg.disc_sampling not in ("area", "literal"):
@@ -163,9 +148,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
         bad.append("switch_step: must be nonnegative")
     if cfg.speed <= 0:
         bad.append("speed: must be positive")
-    for key in ("source_initial", "source_final", "initial_heading", "target_heading"):
-        if not math.isfinite(getattr(cfg, key)):
-            bad.append(f"{key}: must be finite")
     if cfg.integrator_dt is not None and cfg.integrator_dt <= 0:
         bad.append("integrator_dt: must be positive")
     if cfg.record_every < 1:
@@ -379,15 +361,9 @@ def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
     )
 
 
-def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory) -> MetricsReport:
-    heading_traj = Trajectory(
-        times=flock.times,
-        values=flock.headings,
-        params=flock.params,
-        leader_ids=flock.leader_ids,
-        diverged=flock.diverged,
-        diverged_step=flock.diverged_step,
-    )
+def _flock_metrics(
+    cfg, topology, leader, flock: FlockTrajectory, heading_traj: Trajectory
+) -> MetricsReport:
     settled = analysis.settling_time(heading_traj, cfg.target_heading)
     distances = _distances_from(topology.positions, leader)
     pairs = []
@@ -482,8 +458,12 @@ def run_config(cfg: ExperimentConfig, out_dir):
     result is a MetricsReport (or a list of SweepResult for sweeps). The
     manifest echoes every resolved parameter, including the horizon the run
     actually used, so re-running from the manifest reproduces every output
-    byte.
+    byte. Raises ConfigError first if the config breaks any invariant that
+    parse_config checks (CLI overrides such as ``--ks`` bypass parsing).
     """
+    violations = _validate(cfg)
+    if violations:
+        raise ConfigError(violations)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     topology, leader = _resolve_topology(cfg)
@@ -521,7 +501,6 @@ def run_config(cfg: ExperimentConfig, out_dir):
             n_steps=steps,
         )
         flock = run_maneuver(topology.positions, params, {leader}, cfg.seed)
-        report = _flock_metrics(cfg, topology, leader, flock)
         traj = Trajectory(
             times=flock.times,
             values=flock.headings,
@@ -530,6 +509,7 @@ def run_config(cfg: ExperimentConfig, out_dir):
             diverged=flock.diverged,
             diverged_step=flock.diverged_step,
         )
+        report = _flock_metrics(cfg, topology, leader, flock, traj)
         steps_used = steps
         if flock.positions.shape[0] >= 3 and not flock.diverged:
             radial = analysis.radial_acceleration(flock)

@@ -1,10 +1,11 @@
 """Agent placement and metric-radius neighborhoods.
 
-Agents are points in the plane. Connectivity is metric: two agents are
-neighbors when their Euclidean separation is positive and at most the
-sensing radius (closed disc, self excluded). Leaders are ordinary agents
-flagged as having direct access to the external information source; the
-source itself is never a node of the network.
+Agents are points in the plane. Connectivity is metric: two distinct
+agents are neighbors when their Euclidean separation is at most the
+sensing radius (closed disc, self excluded), so agents at the same point
+are neighbors too. Leaders are ordinary agents flagged as having direct
+access to the external information source; the source itself is never a
+node of the network.
 
 Positions are stored as an ``(n, 2)`` float array whose rows are the
 per-agent ``(x, y)`` coordinates in meters.
@@ -67,42 +68,67 @@ def sample_disc(
     return positions
 
 
-def radius_adjacency(positions: np.ndarray, radius: float) -> np.ndarray:
-    """Boolean adjacency matrix: True where ``0 < distance <= radius``.
+# The cell side exceeds the radius by this margin and the grid is capped
+# at this many cells per axis, so the rounding error of a cell coordinate
+# stays below the margin (every pair within the radius lands in adjacent
+# cells) and the int64 cell keys cannot overflow.
+_CELL_MARGIN = 2.0**-20
+_MAX_CELLS_PER_AXIS = 2**30
 
-    Comparison is on squared distances, so ties at exactly the radius are
-    included and the relation is symmetric by construction.
+
+def _radius_csr(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the closed-disc graph, each row ascending.
+
+    Agents are binned into square cells at least one radius wide, so an
+    agent's neighbors lie in the 3 x 3 block of cells around its own. A
+    candidate pair is kept when ``dx*dx + dy*dy <= radius*radius`` and
+    ``i != j``. Memory is O(n + candidate pairs); no n x n array is formed.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    pos = np.asarray(positions, dtype=float)
-    deltas = pos[:, None, :] - pos[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-    adjacency = dist2 <= radius * radius
-    np.fill_diagonal(adjacency, False)
-    return adjacency
-
-
-def compute_neighbors(positions: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Per-agent neighbor index sets under the closed sensing disc."""
-    adjacency = radius_adjacency(positions, radius)
-    return [np.flatnonzero(row) for row in adjacency]
+    n = len(pos)
+    if n == 0:
+        return np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
+    side = radius * (1.0 + _CELL_MARGIN)
+    lo = pos.min(axis=0)
+    if not (pos.max(axis=0) - lo < side * _MAX_CELLS_PER_AXIS).all():
+        raise ValueError("sensing_radius is too small for the spread of positions")
+    cells = ((pos - lo) / side).astype(np.int64)
+    # A spare row per column keeps cy - 1 and cy + 1 inside the column, so
+    # cells (cx + dx, cy - 1 .. cy + 1) have consecutive keys.
+    height = int(cells[:, 1].max()) + 2
+    keys = cells[:, 0] * height + cells[:, 1]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    low = keys[:, None] + (np.arange(-1, 2) * height - 1)
+    starts = np.searchsorted(sorted_keys, low).ravel()
+    counts = np.searchsorted(sorted_keys, low + 2, side="right").ravel() - starts
+    rows = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    cols = order[np.arange(len(rows)) + offsets]
+    x, y = pos[:, 0].copy(), pos[:, 1].copy()
+    dx, dy = x[rows] - x[cols], y[rows] - y[cols]
+    with np.errstate(over="ignore"):  # an inf square compares as in the dense formula
+        keep = (dx * dx + dy * dy <= radius * radius) & (rows != cols)
+    rows = rows[keep]
+    # Rows are grouped in order, so sorting row * n + col sorts each row.
+    indices = np.sort(rows * n + cols[keep]) - rows * n
+    return np.searchsorted(rows, np.arange(n + 1)), indices
 
 
 @dataclass
 class NetworkTopology:
     """Static snapshot of agent placements and their sensing graph.
 
-    ``neighbors[i]`` holds the indices within the sensing radius of agent
-    ``i`` (self excluded, symmetric). ``leader_ids`` marks the agents wired
-    to the external source.
+    The graph is derived from the placements and stored once, in CSR form:
+    the neighbors of agent ``i`` are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending (self excluded, symmetric). ``leader_ids`` marks the agents
+    wired to the external source.
     """
 
     positions: np.ndarray
-    neighbors: list[np.ndarray]
     sensing_radius: float
-    leader_ids: frozenset[int]
-    degrees: np.ndarray = field(init=False)
+    leader_ids: frozenset[int] = frozenset()
+    indptr: np.ndarray = field(init=False)
+    indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -110,17 +136,27 @@ class NetworkTopology:
             raise ValueError("positions must be an (n, 2) array")
         if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
-        n = self.positions.shape[0]
-        if len(self.neighbors) != n:
-            raise ValueError("one neighbor set per agent required")
+        self.sensing_radius = float(self.sensing_radius)
+        if not 0.0 < self.sensing_radius < np.inf:
+            raise ValueError("sensing_radius must be positive and finite")
         self.leader_ids = frozenset(int(i) for i in self.leader_ids)
-        if any(i < 0 or i >= n for i in self.leader_ids):
+        if any(i < 0 or i >= self.n_agents for i in self.leader_ids):
             raise ValueError("leader_ids must index existing agents")
-        self.degrees = np.array([len(ids) for ids in self.neighbors], dtype=int)
+        self.indptr, self.indices = _radius_csr(self.positions, self.sensing_radius)
+        self.indices.flags.writeable = False
 
     @property
     def n_agents(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def neighbors(self) -> list[np.ndarray]:
+        """Per-agent neighbor indices: read-only views into ``indices``."""
+        return np.split(self.indices, self.indptr[1:-1])
 
     @classmethod
     def build(
@@ -130,14 +166,7 @@ class NetworkTopology:
         leader_ids=(),
     ) -> "NetworkTopology":
         """Construct the sensing graph for the given placements."""
-        positions = np.asarray(positions, dtype=float)
-        neighbors = compute_neighbors(positions, sensing_radius)
-        return cls(
-            positions=positions,
-            neighbors=neighbors,
-            sensing_radius=float(sensing_radius),
-            leader_ids=frozenset(leader_ids),
-        )
+        return cls(positions, sensing_radius, frozenset(leader_ids))
 
 
 def min_neighbor_count(topology: NetworkTopology) -> int:

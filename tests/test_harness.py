@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ ks = 100
 beta = 0.96
 dt = 0.01
 """
+
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if "float" in str(f.type)]
 
 
 class TestParseConfig:
@@ -282,3 +285,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ks=100: stable" in out
         assert "ks=101: diverged" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_nonfinite_float_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"experiment = lattice-info\nn_steps = 10\n{key} = {value}\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_disc_without_agents_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("experiment = lattice-info\ntopology = disc\nseed = 1\nn_agents = 0\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: n_agents: " in capsys.readouterr().err
+
+    def test_sweep_override_is_validated(self, tmp_path, capsys):
+        code = main(["sweep", "--preset", "fig1b", "--ks", "100,nan", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "config error: ks_values: " in capsys.readouterr().err
