@@ -43,7 +43,6 @@ from .dsr_core import (
     Trajectory,
     detect_divergence,
     dsr_step,
-    neighbor_discrepancy,
     simulate,
 )
 from .flocking import FlockParams, FlockTrajectory, kinematic_step, run_maneuver

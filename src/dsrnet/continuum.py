@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsr_core import (
-    DiscrepancyOperator,
-    StepSource,
-    Trajectory,
-    _values_diverged,
-)
+from .dsr_core import DiscrepancyOperator, StepSource, Trajectory, _run_blocks
 from .topology import NetworkTopology
 
 
@@ -150,35 +145,6 @@ def diffusion_step(
     return DiffusionState(values=new_values, step=state.step + 1)
 
 
-def _record_run(step_fn, state_values, n_steps, step_seconds, record_every,
-                diverged_check, params, topology, leader_ids):
-    """Shared stride-recording loop for both continuum integrators."""
-    recorded = [np.array(state_values(), dtype=float)]
-    recorded_steps = [0]
-    diverged = False
-    diverged_step = None
-    for _ in range(n_steps):
-        step = step_fn()
-        if step % record_every == 0 or step == n_steps:
-            recorded.append(state_values().copy())
-            recorded_steps.append(step)
-        if diverged_check():
-            if recorded_steps[-1] != step:
-                recorded.append(state_values().copy())
-                recorded_steps.append(step)
-            diverged = True
-            diverged_step = step
-            break
-    return Trajectory(
-        times=np.asarray(recorded_steps, dtype=float) * step_seconds,
-        values=np.vstack(recorded),
-        params=params,
-        leader_ids=tuple(sorted(leader_ids)),
-        diverged=diverged,
-        diverged_step=diverged_step,
-    )
-
-
 def simulate_second_order(
     topology: NetworkTopology,
     params: ContinuumParams,
@@ -189,33 +155,26 @@ def simulate_second_order(
     """Integrate the wave-like model, recording every ``record_every`` steps.
 
     The rate starts at zero. Stops early with the divergence flag as soon
-    as either the value or the rate blows up.
+    as either the value or the rate blows up. Same arithmetic, in the same
+    order, as :func:`second_order_step`.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    op = DiscrepancyOperator(topology)
-    op.require_connected()
-    state = SecondOrderState.from_initial(initial)
-    if state.value.shape != (topology.n_agents,):
-        raise ValueError("initial values must provide one entry per agent")
-    box = {"state": state}
+    h = params.integrator_step
+    scale = params.dsr_gain * params.update_interval
+    damping = ((1.0 - params.dsr_gain) / scale) * h
+    drive = (params.alignment_strength / scale) * h
+    scratch = np.empty(topology.n_agents)
 
-    def advance():
-        box["state"] = second_order_step(box["state"], topology, params, operator=op)
-        return box["state"].step
+    def update(k, delta, prev, cur, nxt):
+        (value, rate), (new_value, new_rate) = cur, nxt
+        np.multiply(h, rate, out=scratch)
+        np.add(value, scratch, out=new_value)
+        np.multiply(damping, rate, out=scratch)
+        np.subtract(rate, scratch, out=new_rate)
+        np.multiply(drive, delta, out=delta)
+        np.subtract(new_rate, delta, out=new_rate)
 
-    return _record_run(
-        step_fn=advance,
-        state_values=lambda: box["state"].value,
-        n_steps=n_steps,
-        step_seconds=params.integrator_step,
-        record_every=record_every,
-        diverged_check=lambda: _values_diverged(box["state"].value, box["state"].rate),
-        params=params,
-        topology=topology,
-        leader_ids=topology.leader_ids,
+    return _run_blocks(
+        topology, params, initial, n_steps, record_every, h, update, state_width=2
     )
 
 
@@ -226,30 +185,18 @@ def simulate_diffusion(
     n_steps: int,
     record_every: int = 1,
 ) -> Trajectory:
-    """Integrate the overdamped model, recording every ``record_every`` steps."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    op = DiscrepancyOperator(topology)
-    op.require_connected()
-    values = np.array(initial, dtype=float)
-    if values.shape != (topology.n_agents,):
-        raise ValueError("initial values must provide one entry per agent")
-    box = {"state": DiffusionState(values=values, step=0)}
+    """Integrate the overdamped model, recording every ``record_every`` steps.
 
-    def advance():
-        box["state"] = diffusion_step(box["state"], topology, params, operator=op)
-        return box["state"].step
+    Same arithmetic as :func:`diffusion_step`, with no ``0 * (cur - prev)``
+    term: a zero-gain DSR update would turn -0.0 into +0.0 and inf into nan.
+    """
+    ksdt = params.alignment_strength * params.update_interval
+    step_seconds = params.update_interval
 
-    return _record_run(
-        step_fn=advance,
-        state_values=lambda: box["state"].values,
-        n_steps=n_steps,
-        step_seconds=params.update_interval,
-        record_every=record_every,
-        diverged_check=lambda: _values_diverged(box["state"].values),
-        params=params,
-        topology=topology,
-        leader_ids=topology.leader_ids,
+    def update(k, delta, prev, cur, nxt):
+        np.multiply(ksdt, delta, out=delta)
+        np.subtract(cur[0], delta, out=nxt[0])
+
+    return _run_blocks(
+        topology, params, initial, n_steps, record_every, step_seconds, update
     )

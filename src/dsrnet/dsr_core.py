@@ -131,9 +131,11 @@ class DiscrepancyOperator:
 
     For agent i the discrepancy is the mean of I_i - I_j over its
     neighborhood; for leaders the external source joins the average as one
-    additional member. Rows of non-leader agents with empty neighborhoods
-    are reported in ``isolated`` and return a discrepancy of zero, leaving
-    the caller to decide between raising and coasting.
+    additional member, so the discrepancy is ``values - matrix @ values -
+    pull(source_value)``. Rows of non-leader agents with empty neighborhoods
+    are reported in ``isolated`` (``has_isolated`` tells whether there are
+    any) and return a discrepancy of zero, leaving the caller to decide
+    between raising and coasting.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -143,53 +145,32 @@ class DiscrepancyOperator:
             leader[sorted(topology.leader_ids)] = 1.0
         counts = topology.degrees + leader
         self.isolated = counts == 0.0
+        self.has_isolated = bool(self.isolated.any())
         safe_counts = np.where(self.isolated, 1.0, counts)
         weights = np.repeat(1.0 / safe_counts, topology.degrees)
-        self._neighbor_mean = sparse.csr_matrix(
+        self.matrix = sparse.csr_array(
             (weights, topology.indices, topology.indptr), shape=(n, n)
         )
         self._source_weight = leader / safe_counts
 
+    def pull(self, source_value: float) -> np.ndarray:
+        """The source's share of every agent's discrepancy."""
+        return self._source_weight * source_value
+
     def require_connected(self):
         """Raise IsolatedAgentError naming the first isolated agent, if any."""
-        if self.isolated.any():
+        if self.has_isolated:
             first = int(np.flatnonzero(self.isolated)[0])
             raise IsolatedAgentError(
                 f"agent {first} has no neighbors and no source access"
             )
 
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
-        delta = values - self._neighbor_mean @ values
-        delta -= self._source_weight * source_value
-        if self.isolated.any():
+        delta = values - self.matrix @ values
+        delta -= self.pull(source_value)
+        if self.has_isolated:
             delta[self.isolated] = 0.0
         return delta
-
-
-def neighbor_discrepancy(
-    agent: int,
-    state: InfoState,
-    topology: NetworkTopology,
-    source_value: float,
-) -> float:
-    """Mean difference between an agent's value and each of its influences.
-
-    Influences are the agent's neighbors, plus the external source when the
-    agent is a leader. Raises IsolatedAgentError for a non-leader with an
-    empty neighborhood, where the mean is undefined.
-    """
-    neighbor_ids = topology.indices[topology.indptr[agent] : topology.indptr[agent + 1]]
-    is_leader = agent in topology.leader_ids
-    count = len(neighbor_ids) + (1 if is_leader else 0)
-    if count == 0:
-        raise IsolatedAgentError(
-            f"agent {agent} has no neighbors and no source access"
-        )
-    value = state.current[agent]
-    total = float(np.sum(value - state.current[neighbor_ids]))
-    if is_leader:
-        total += value - source_value
-    return total / count
 
 
 def _step_noise(seed: int, step: int, n: int, amplitude: float) -> np.ndarray:
@@ -200,6 +181,22 @@ def _step_noise(seed: int, step: int, n: int, amplitude: float) -> np.ndarray:
     """
     bits = np.random.Philox(seed=seed, counter=(step + 1) << 64)
     return np.random.Generator(bits).uniform(-amplitude, amplitude, size=n)
+
+
+def _dsr_update(cur, prev, delta, out, momentum, ksdt, beta, coast=None):
+    """Write ``(cur - ksdt * delta) + beta * (cur - prev)`` into ``out``.
+
+    Overwrites ``delta`` and ``momentum``. Reads ``prev`` before writing
+    ``out``, so the two may share memory. Agents in the ``coast`` mask get
+    no alignment term.
+    """
+    np.subtract(cur, prev, out=momentum)
+    np.multiply(beta, momentum, out=momentum)
+    np.multiply(ksdt, delta, out=delta)
+    if coast is not None:
+        delta[coast] = 0.0
+    np.subtract(cur, delta, out=out)
+    np.add(out, momentum, out=out)
 
 
 def dsr_step(
@@ -229,31 +226,101 @@ def dsr_step(
     if params.noise_amplitude > 0.0:
         if seed is None:
             raise ValueError("a seed is required when noise_amplitude > 0")
-        delta = delta + _step_noise(
+        delta += _step_noise(
             seed, state.step, state.current.size, params.noise_amplitude
         )
-    drive = (params.alignment_strength * params.update_interval) * delta
-    if op.isolated.any():
-        drive[op.isolated] = 0.0
-    new_values = (
-        state.current
-        - drive
-        + params.dsr_gain * (state.current - state.previous)
+    new_values = np.empty(state.current.shape)
+    ksdt = params.alignment_strength * params.update_interval
+    coast = op.isolated if op.has_isolated else None
+    _dsr_update(
+        state.current, state.previous, delta, new_values, np.empty_like(delta),
+        ksdt, params.dsr_gain, coast,
     )
     return InfoState(current=new_values, previous=state.current, step=state.step + 1)
 
 
-def _values_diverged(*arrays: np.ndarray) -> bool:
-    for array in arrays:
-        peak = np.abs(array).max() if array.size else 0.0
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            return True
-    return False
-
-
 def detect_divergence(state: InfoState) -> bool:
     """True when any value is non-finite or beyond DIVERGENCE_LIMIT."""
-    return _values_diverged(state.current)
+    return not np.abs(state.current).max(initial=0.0) <= DIVERGENCE_LIMIT
+
+
+# Steps run between divergence checks: at most 64, and fewer for large
+# states, so that one check scans no more than about 2**18 values.
+_MAX_BLOCK_STEPS = 64
+_BLOCK_VALUES = 1 << 18
+
+
+def _run_blocks(
+    topology, params, initial, n_steps, record_every, step_seconds, update,
+    state_width=1,
+) -> Trajectory:
+    """Block-stepped engine behind ``simulate`` and the continuum models.
+
+    The state of step k is kept in slot ``k % (B + 1)`` of a ring buffer, as
+    ``state_width`` arrays of n: the values, then (second-order model) the
+    rates, which start at zero. Every slot starts as the initial state, so
+    step -1 reads as an at-rest history. ``update(k, delta, prev, cur, nxt)``
+    writes slot ``nxt`` (step k + 1) from slots ``cur`` and ``prev`` and the
+    discrepancy ``delta`` of step k, which it may overwrite.
+
+    After each block of B steps, one reduction finds the first step whose
+    state is non-finite or beyond DIVERGENCE_LIMIT, and the run ends there,
+    as if checked after every step. The record keeps step 0, every
+    ``record_every``-th step and the last (or diverged) step.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    op = DiscrepancyOperator(topology)
+    op.require_connected()
+    n = topology.n_agents
+    start = np.array(initial, dtype=float)
+    if start.shape != (n,):
+        raise ValueError("initial values must provide one entry per agent")
+
+    block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n)))
+    ring = np.zeros((block + 1, state_width * n))
+    ring[:, :n] = start
+    slots = [tuple(row.reshape(state_width, n)) for row in ring]
+    size = len(slots)
+    matrix, switch = op.matrix, params.source.switch_step
+    pulls = (op.pull(params.source.initial), op.pull(params.source.final))
+    delta = np.empty(n)
+    kept = np.zeros(1 + -(-n_steps // record_every), dtype=np.int64)
+    values = np.empty((kept.size, n))
+    values[0] = start
+    filled, k0, diverged_step = 1, 0, None
+    # steps after the diverged one may overflow; their rows are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k0 < n_steps and diverged_step is None:
+            k1 = min(k0 + block, n_steps)
+            for k in range(k0, k1):
+                cur = slots[k % size]
+                np.subtract(cur[0], matrix @ cur[0], out=delta)
+                np.subtract(delta, pulls[k >= switch], out=delta)
+                update(k, delta, slots[(k - 1) % size], cur, slots[(k + 1) % size])
+            steps = np.arange(k0 + 1, k1 + 1)
+            peaks = np.abs(ring).max(axis=1, initial=0.0)[steps % size]
+            bad = ~(peaks <= DIVERGENCE_LIMIT)
+            if bad.any():
+                steps = steps[: bad.argmax() + 1]
+                diverged_step = int(steps[-1])
+            keep = steps % record_every == 0
+            keep[-1] |= diverged_step is not None or k1 == n_steps
+            steps = steps[keep]
+            kept[filled : filled + steps.size] = steps
+            values[filled : filled + steps.size] = ring[steps % size, :n]
+            filled += steps.size
+            k0 = k1
+    return Trajectory(
+        times=kept[:filled] * step_seconds,
+        values=values if filled == kept.size else values[:filled].copy(),
+        params=params,
+        leader_ids=tuple(sorted(topology.leader_ids)),
+        diverged=diverged_step is not None,
+        diverged_step=diverged_step,
+    )
 
 
 def simulate(
@@ -269,33 +336,17 @@ def simulate(
     soon as any value diverges. Identical seeds and parameters produce
     bitwise-identical trajectories.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    op = DiscrepancyOperator(topology)
-    op.require_connected()
-    state = InfoState.from_initial(initial)
-    if state.current.shape != (topology.n_agents,):
-        raise ValueError("initial values must provide one entry per agent")
+    noise = params.noise_amplitude
+    if noise > 0.0 and seed is None:
+        raise ValueError("a seed is required when noise_amplitude > 0")
+    ksdt = params.alignment_strength * params.update_interval
+    momentum = np.empty(topology.n_agents)
 
-    values = np.empty((n_steps + 1, topology.n_agents))
-    values[0] = state.current
-    diverged = False
-    diverged_step = None
-    last_row = n_steps
-    for k in range(n_steps):
-        state = dsr_step(state, topology, params, seed, operator=op)
-        values[k + 1] = state.current
-        if detect_divergence(state):
-            diverged = True
-            diverged_step = state.step
-            last_row = k + 1
-            break
-    rows = last_row + 1
-    return Trajectory(
-        times=np.arange(rows) * params.update_interval,
-        values=values[:rows] if rows == n_steps + 1 else values[:rows].copy(),
-        params=params,
-        leader_ids=tuple(sorted(topology.leader_ids)),
-        diverged=diverged,
-        diverged_step=diverged_step,
+    def update(k, delta, prev, cur, nxt):
+        if noise > 0.0:
+            np.add(delta, _step_noise(seed, k, delta.size, noise), out=delta)
+        _dsr_update(cur[0], prev[0], delta, nxt[0], momentum, ksdt, params.dsr_gain)
+
+    return _run_blocks(
+        topology, params, initial, n_steps, 1, params.update_interval, update
     )

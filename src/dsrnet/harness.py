@@ -362,13 +362,14 @@ def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
 
 
 def _flock_metrics(
-    cfg, topology, leader, flock: FlockTrajectory, heading_traj: Trajectory
+    cfg, topology, leader, flock: FlockTrajectory, heading_traj: Trajectory, radial
 ) -> MetricsReport:
+    """``radial`` is the run's radial acceleration, or None when it has
+    fewer than 3 rows or diverged."""
     settled = analysis.settling_time(heading_traj, cfg.target_heading)
     distances = _distances_from(topology.positions, leader)
     pairs = []
-    if flock.positions.shape[0] >= 3 and not flock.diverged:
-        radial = analysis.radial_acceleration(flock)
+    if radial is not None:
         reference = radial[:, leader]
         for agent in range(flock.n_agents):
             try:
@@ -392,17 +393,17 @@ def _write_text(path: Path, text: str):
         handle.write(text)
 
 
-def _format_value(value: float) -> str:
-    return format(value, ".9g")
+# Every number in a CSV is written as "%.9g", which gives the same text as
+# format(value, ".9g").
 
 
 def _write_matrix_csv(times: np.ndarray, matrix: np.ndarray, path: Path):
     columns = ["t"] + [f"agent_{i}" for i in range(matrix.shape[1])]
+    row_text = "%.9g," + ",".join(["%.9g"] * matrix.shape[1])
     lines = [",".join(columns)]
-    for t, row in zip(times, matrix):
-        lines.append(
-            _format_value(t) + "," + ",".join(_format_value(v) for v in row)
-        )
+    lines.extend(
+        row_text % (t, *row.tolist()) for t, row in zip(times.tolist(), matrix)
+    )
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -417,8 +418,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def _write_delays_csv(pairs, path: Path):
     lines = ["agent,distance_m,delay_s"]
     for agent, (distance, delay) in enumerate(pairs):
-        delay_text = _format_value(delay) if np.isfinite(delay) else ""
-        lines.append(f"{agent},{_format_value(distance)},{delay_text}")
+        delay_text = "%.9g" % delay if np.isfinite(delay) else ""
+        lines.append("%d,%.9g,%s" % (agent, distance, delay_text))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -438,12 +439,10 @@ def _write_sweep_csv(results: list[SweepResult], path: Path):
     lines = ["ks,verdict,settling_time_s"]
     for entry in results:
         settle = (
-            _format_value(entry.settling_time)
-            if entry.settling_time is not None
-            else ""
+            "%.9g" % entry.settling_time if entry.settling_time is not None else ""
         )
         verdict = "diverged" if entry.diverged else "stable"
-        lines.append(f"{_format_value(entry.alignment_strength)},{verdict},{settle}")
+        lines.append("%.9g,%s,%s" % (entry.alignment_strength, verdict, settle))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -509,10 +508,12 @@ def run_config(cfg: ExperimentConfig, out_dir):
             diverged=flock.diverged,
             diverged_step=flock.diverged_step,
         )
-        report = _flock_metrics(cfg, topology, leader, flock, traj)
-        steps_used = steps
+        radial = None
         if flock.positions.shape[0] >= 3 and not flock.diverged:
             radial = analysis.radial_acceleration(flock)
+        report = _flock_metrics(cfg, topology, leader, flock, traj, radial)
+        steps_used = steps
+        if radial is not None:
             paths["radial_acceleration"] = out / "radial_acceleration.csv"
             _write_matrix_csv(
                 flock.times[1:-1], radial, paths["radial_acceleration"]

@@ -13,7 +13,15 @@ from dsrnet.continuum import (
     simulate_diffusion,
     simulate_second_order,
 )
-from dsrnet.dsr_core import DsrParams, InfoState, StepSource, dsr_step
+from dsrnet.dsr_core import (
+    _MAX_BLOCK_STEPS,
+    DIVERGENCE_LIMIT,
+    DiscrepancyOperator,
+    DsrParams,
+    InfoState,
+    StepSource,
+    dsr_step,
+)
 from dsrnet.topology import NetworkTopology, build_lattice
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
@@ -171,3 +179,159 @@ class TestSimulators:
             simulate_second_order(topo, params, np.zeros(9), 10, record_every=0)
         with pytest.raises(ValueError):
             simulate_diffusion(topo, params, np.zeros(4), 10)
+
+
+B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
+
+
+def stepped_run(advance, state, arrays, n_steps, record_every, step_seconds):
+    """Reference run: ``advance`` in a plain loop, checked after every step.
+
+    ``arrays(state)`` gives the recorded values first, then any other state
+    the divergence check covers.
+    """
+    steps, rows, diverged_step = [0], [arrays(state)[0]], None
+    # the reference itself may overflow on the diverging step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            state = advance(state)
+            if not np.abs(np.concatenate(arrays(state))).max() <= DIVERGENCE_LIMIT:
+                diverged_step = step
+            if step % record_every == 0 or step == n_steps or diverged_step:
+                steps.append(step)
+                rows.append(arrays(state)[0])
+            if diverged_step:
+                break
+    return np.array(steps) * step_seconds, np.array(rows), diverged_step
+
+
+def second_order_reference(topo, params, initial, n_steps, record_every):
+    op = DiscrepancyOperator(topo)
+    return stepped_run(
+        lambda s: second_order_step(s, topo, params, operator=op),
+        SecondOrderState.from_initial(initial),
+        lambda s: (s.value, s.rate),
+        n_steps,
+        record_every,
+        params.integrator_step,
+    )
+
+
+def diffusion_reference(topo, params, initial, n_steps, record_every):
+    op = DiscrepancyOperator(topo)
+    return stepped_run(
+        lambda s: diffusion_step(s, topo, params, operator=op),
+        DiffusionState(values=np.array(initial, dtype=float)),
+        lambda s: (s.values,),
+        n_steps,
+        record_every,
+        params.update_interval,
+    )
+
+
+def assert_same_run(traj, expected):
+    times, rows, diverged_step = expected
+    assert traj.diverged == (diverged_step is not None)
+    assert traj.diverged_step == diverged_step
+    assert traj.values.shape == rows.shape
+    assert traj.values.tobytes() == rows.tobytes()
+    assert traj.times.tobytes() == times.tobytes()
+
+
+STEP_COUNTS = [0, 1, B - 1, B, B + 1, 2 * B + 3]
+STRIDES = [1, 3, B, 80]
+
+
+class TestEngineMatchesStepLoop:
+    """Both continuum simulators against their single-step functions, bit
+    for bit, including the recorded steps and the divergence step."""
+
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
+    @pytest.mark.parametrize("record_every", STRIDES)
+    def test_second_order_step_counts(self, n_steps, record_every):
+        topo = lattice_topology(3, 3, {0})
+        params = ContinuumParams(
+            100.0, 0.96, 0.01, 1e-3, StepSource(0.2, 1.0, B + 6)
+        )
+        initial = np.linspace(-0.5, 0.5, 9)
+        expected = second_order_reference(topo, params, initial, n_steps, record_every)
+        traj = simulate_second_order(topo, params, initial, n_steps, record_every)
+        assert_same_run(traj, expected)
+
+    @pytest.mark.parametrize("n_steps", STEP_COUNTS)
+    @pytest.mark.parametrize("record_every", STRIDES)
+    def test_diffusion_step_counts(self, n_steps, record_every):
+        topo = lattice_topology(3, 3, {0})
+        params = ContinuumParams(
+            100.0, 0.5, 0.01, 0.01, StepSource(0.2, 1.0, B + 6)
+        )
+        initial = np.linspace(-0.5, 0.5, 9)
+        expected = diffusion_reference(topo, params, initial, n_steps, record_every)
+        traj = simulate_diffusion(topo, params, initial, n_steps, record_every)
+        assert_same_run(traj, expected)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize(
+        "ks, step_size, source_final, scale, step",
+        [
+            (1e9, 1e-3, 1.0, 0.0, 1),  # the rate alone crosses the limit
+            (100.0, 0.00835, 1.0, 0.0, 30),
+            (100.0, 0.003, 0.0, 1470.0, 64),  # last step of the first block
+            (100.0, 0.003, 0.0, 1190.0, 65),  # first step of the second block
+            (1e300, 1e-3, 1e20, 0.0, 1),  # overflows to inf within one step
+        ],
+    )
+    def test_second_order_divergence_step(
+        self, ks, step_size, source_final, scale, step, record_every
+    ):
+        topo = lattice_topology(3, 3, {0})
+        params = ContinuumParams(
+            ks, 0.96, 0.01, step_size, StepSource(0.0, source_final, 0)
+        )
+        initial = scale * np.linspace(-1.0, 1.0, 9)
+        expected = second_order_reference(topo, params, initial, 300, record_every)
+        assert expected[2] == step
+        traj = simulate_second_order(topo, params, initial, 300, record_every)
+        assert_same_run(traj, expected)
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize(
+        "ks, source_final, step",
+        [
+            (1e9, 1.0, 1),
+            (144.045, 1.0, 30),
+            (117.955, 1.0, 64),  # last step of the first block
+            (117.66, 1.0, 65),  # first step of the second block
+            (1e300, 1e20, 1),  # overflows to inf within one step
+        ],
+    )
+    def test_diffusion_divergence_step(self, ks, source_final, step, record_every):
+        topo = lattice_topology(3, 3, {0})
+        params = ContinuumParams(ks, 0.5, 0.01, 0.01, StepSource(0.0, source_final, 0))
+        expected = diffusion_reference(topo, params, np.zeros(9), 300, record_every)
+        assert expected[2] == step
+        traj = simulate_diffusion(topo, params, np.zeros(9), 300, record_every)
+        assert_same_run(traj, expected)
+
+    def test_diffusion_keeps_negative_zero(self):
+        # v - 0 * delta keeps a -0.0 that a zero-gain DSR update, which adds
+        # 0 * (cur - prev), would turn into +0.0
+        topo = lattice_topology(3, 3, {0})
+        params = ContinuumParams(0.0, 0.5, 0.01, 0.01, STEP_TO_ONE)
+        initial = np.array([-1.0] * 4 + [-0.0] + [-1.0] * 4)
+        expected = diffusion_reference(topo, params, initial, 5, 1)
+        assert np.signbit(expected[1][-1, 4])
+        assert_same_run(simulate_diffusion(topo, params, initial, 5), expected)
+
+    def test_one_agent_leader_graph(self):
+        topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
+        params = ContinuumParams(50.0, 0.9, 0.01, 1e-3, StepSource(0.0, 1.0, 3))
+        n_steps = 2 * B + 3
+        assert_same_run(
+            simulate_second_order(topo, params, np.zeros(1), n_steps, 3),
+            second_order_reference(topo, params, np.zeros(1), n_steps, 3),
+        )
+        assert_same_run(
+            simulate_diffusion(topo, params, np.zeros(1), n_steps, 3),
+            diffusion_reference(topo, params, np.zeros(1), n_steps, 3),
+        )

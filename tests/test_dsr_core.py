@@ -5,6 +5,7 @@ import pytest
 
 from dsrnet.analysis import settling_time
 from dsrnet.dsr_core import (
+    _MAX_BLOCK_STEPS,
     DsrParams,
     DiscrepancyOperator,
     InfoState,
@@ -12,7 +13,6 @@ from dsrnet.dsr_core import (
     StepSource,
     detect_divergence,
     dsr_step,
-    neighbor_discrepancy,
     simulate,
 )
 from dsrnet.topology import NetworkTopology, build_lattice
@@ -27,6 +27,24 @@ def lattice_topology(rows, cols, leaders=()):
 def chain_topology(n, leaders=()):
     positions = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
     return NetworkTopology.build(positions, 1.2, leaders)
+
+
+def neighbor_discrepancy(agent, state, topology, source_value):
+    """Scalar oracle: mean of the agent's value minus each influence's.
+
+    Influences are the agent's neighbors, plus the source for a leader.
+    Raises IsolatedAgentError for a non-leader with no neighbors.
+    """
+    neighbor_ids = topology.neighbors[agent]
+    is_leader = agent in topology.leader_ids
+    count = len(neighbor_ids) + (1 if is_leader else 0)
+    if count == 0:
+        raise IsolatedAgentError(f"agent {agent} has no neighbors and no source access")
+    value = state.current[agent]
+    total = float(np.sum(value - state.current[neighbor_ids]))
+    if is_leader:
+        total += value - source_value
+    return total / count
 
 
 class TestNeighborDiscrepancy:
@@ -265,3 +283,71 @@ class TestSimulate:
         fast = settling_time(simulate(topo, reinforced, np.zeros(81), 600), 1.0)
         assert slow is not None and fast is not None
         assert fast < slow
+
+
+B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
+
+
+def stepped(topology, params, initial, n_steps, seed=None):
+    """Reference run: dsr_step in a plain loop, checked after every step."""
+    op = DiscrepancyOperator(topology)
+    state = InfoState.from_initial(initial)
+    rows = [state.current]
+    # the reference itself may overflow on the diverging step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            state = dsr_step(state, topology, params, seed, operator=op)
+            rows.append(state.current)
+            if detect_divergence(state):
+                return np.array(rows), state.step
+    return np.array(rows), None
+
+
+def assert_same_run(traj, rows, diverged_step, dt):
+    assert traj.diverged == (diverged_step is not None)
+    assert traj.diverged_step == diverged_step
+    assert traj.values.shape == rows.shape
+    assert traj.values.tobytes() == rows.tobytes()
+    assert traj.times.tobytes() == (np.arange(len(rows)) * dt).tobytes()
+
+
+class TestSimulateMatchesStepLoop:
+    """The block-stepped engine against dsr_step, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_step_counts(self, n_steps, noise):
+        topo = lattice_topology(3, 3, {0})
+        # the source switches inside the second block
+        params = DsrParams(
+            100.0, 0.9, 0.01, StepSource(0.2, 1.0, B + 6), noise_amplitude=noise
+        )
+        initial = np.linspace(-0.5, 0.5, 9)
+        rows, diverged = stepped(topo, params, initial, n_steps, seed=5)
+        traj = simulate(topo, params, initial, n_steps, seed=5)
+        assert_same_run(traj, rows, diverged, 0.01)
+
+    @pytest.mark.parametrize(
+        "ks, source_final, step",
+        [
+            (1e9, 1.0, 1),
+            (182.02, 1.0, 30),
+            (161.84, 1.0, 64),  # last step of the first block
+            (161.635, 1.0, 65),  # first step of the second block
+            (1e300, 1e20, 1),  # overflows to inf within the first step
+        ],
+    )
+    def test_divergence_step(self, ks, source_final, step):
+        topo = lattice_topology(3, 3, {0})
+        params = DsrParams(ks, 0.5, 0.01, StepSource(0.0, source_final, 0))
+        rows, diverged = stepped(topo, params, np.zeros(9), 300)
+        assert diverged == step
+        assert_same_run(simulate(topo, params, np.zeros(9), 300), rows, diverged, 0.01)
+
+    def test_one_agent_leader_graph(self):
+        topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
+        params = DsrParams(50.0, 0.9, 0.01, StepSource(0.0, 1.0, 3))
+        rows, diverged = stepped(topo, params, np.zeros(1), 2 * B + 3)
+        traj = simulate(topo, params, np.zeros(1), 2 * B + 3)
+        assert_same_run(traj, rows, diverged, 0.01)
+

@@ -150,6 +150,30 @@ class TestTrajectoryCsv:
         assert b"\r" not in raw
         assert raw == b.read_bytes()
 
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # the writer's "%.9g" row template must give exactly the text of
+        # format(v, ".9g"), which the delays and sweep writers also rely on
+        rng = np.random.default_rng(23)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
+        magnitudes = 10.0 ** rng.uniform(-12, 12, 4000)
+        signs = rng.choice([-1.0, 1.0], magnitudes.size)
+        flat = np.concatenate([special, magnitudes * signs, np.round(magnitudes)])
+        flat = np.resize(flat, 10 * (flat.size // 10 + 1))
+        values = flat.reshape(-1, 10)
+        traj = Trajectory(
+            times=values[:, 0].copy(), values=values, params=None, leader_ids=(0,)
+        )
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, path)
+        header = ",".join(["t"] + [f"agent_{i}" for i in range(10)])
+        rows = [
+            format(t, ".9g") + "," + ",".join(format(v, ".9g") for v in row)
+            for t, row in zip(traj.times, traj.values)
+        ]
+        assert path.read_text() == "\n".join([header] + rows) + "\n"
+        assert all("%.9g" % v == format(v, ".9g") for v in flat.tolist())
+
     def test_decimate_keeps_first_and_last_rows(self):
         traj = self.make_trajectory(11, 2)
         thin = traj.decimate(4)
