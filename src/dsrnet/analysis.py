@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import DsrParams, Trajectory, simulate
+from .dsr_core import DsrParams, Trajectory, dsr_run
+from .dsr_core import simulate  # noqa: F401  (perfbench/tracer.py wraps analysis.simulate)
 from .flocking import FlockTrajectory
 from .topology import NetworkTopology
 
@@ -221,18 +222,27 @@ def settling_horizon(
 ) -> int:
     """Steps needed for the run to settle, found by growing the horizon.
 
-    Falls back to twice the divergence step for unstable parameters and to
+    The horizon doubles from 1000 steps (capped at ``max_steps``) until the
+    run has settled and runs on for half as long again. One run is
+    continued from checkpoint to checkpoint, keeping no record. Falls back
+    to twice the divergence step for unstable parameters and to
     ``max_steps`` if the run never settles within it.
     """
     if initial is None:
         initial = np.zeros(topology.n_agents)
+    run = dsr_run(
+        topology, [params], initial, seed, record_every=None,
+        band=(params.source.final, band),
+    )
     steps = 1000
     while True:
-        traj = simulate(topology, params, initial, steps, seed)
-        if traj.diverged:
-            return max(2 * int(traj.diverged_step or steps), 1000)
-        settled = settling_time(traj, params.source.final, band)
-        if settled is not None and traj.times[-1] >= 1.5 * settled:
+        diverged_step = run.advance(steps).diverged_steps[0]
+        if diverged_step is not None:
+            return max(2 * diverged_step, 1000)
+        if band <= 0:
+            raise ValueError("band must be positive")
+        settled = run.settling_times()[0]
+        if settled is not None and steps * params.update_interval >= 1.5 * settled:
             return int(np.ceil(settled / params.update_interval))
         if steps >= max_steps:
             return steps
@@ -252,6 +262,8 @@ def stability_sweep(
 
     The default horizon is twice the settling horizon of the zero-gain
     variant of ``base_params``, so the verdicts cover the whole transient.
+    Every alignment strength is one column of a single run, and each
+    column's verdict and settling time are reduced as it steps.
     """
     ks_list = [float(k) for k in ks_values]
     if not ks_list:
@@ -261,15 +273,14 @@ def stability_sweep(
     if horizon_steps is None:
         probe = replace(base_params, dsr_gain=0.0)
         horizon_steps = 2 * settling_horizon(topology, probe, initial, seed, band)
-    results = []
-    for ks in ks_list:
-        params = replace(base_params, alignment_strength=ks)
-        traj = simulate(topology, params, initial, horizon_steps, seed)
-        results.append(
-            SweepResult(
-                alignment_strength=ks,
-                diverged=traj.diverged,
-                settling_time=settling_time(traj, params.source.final, band),
-            )
-        )
-    return results
+    columns = [replace(base_params, alignment_strength=ks) for ks in ks_list]
+    if band <= 0:
+        raise ValueError("band must be positive")
+    run = dsr_run(
+        topology, columns, initial, seed, record_every=None,
+        band=(base_params.source.final, band),
+    ).advance(horizon_steps)
+    return [
+        SweepResult(alignment_strength=ks, diverged=step is not None, settling_time=settled)
+        for ks, step, settled in zip(ks_list, run.diverged_steps, run.settling_times())
+    ]

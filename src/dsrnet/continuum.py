@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsr_core import DiscrepancyOperator, StepSource, Trajectory, _run_blocks
+from .dsr_core import BlockRun, DiscrepancyOperator, StepSource, Trajectory
 from .topology import NetworkTopology
 
 
@@ -58,16 +58,10 @@ class SecondOrderState:
     step: int = 0
 
     @classmethod
-    def from_initial(cls, values, rates=None) -> "SecondOrderState":
+    def from_initial(cls, values) -> "SecondOrderState":
+        """State at step 0 with every rate at zero."""
         value = np.array(values, dtype=float)
-        rate = (
-            np.zeros_like(value)
-            if rates is None
-            else np.array(rates, dtype=float)
-        )
-        if rate.shape != value.shape:
-            raise ValueError("values and rates must have matching shapes")
-        return cls(value=value, rate=rate, step=0)
+        return cls(value=value, rate=np.zeros_like(value), step=0)
 
 
 @dataclass
@@ -145,6 +139,60 @@ def diffusion_step(
     return DiffusionState(values=new_values, step=state.step + 1)
 
 
+def second_order_run(
+    topology: NetworkTopology,
+    params: ContinuumParams,
+    initial,
+    record_every: int = 1,
+) -> BlockRun:
+    """A resumable run of the wave-like model on the block-stepped engine.
+
+    The rate starts at zero. Same arithmetic, in the same order, as
+    :func:`second_order_step`.
+    """
+    h = params.integrator_step
+    scale = params.dsr_gain * params.update_interval
+    damping = ((1.0 - params.dsr_gain) / scale) * h
+
+    def update(k, delta, scratch, gain, prev, cur, nxt):
+        (value, rate), (new_value, new_rate) = cur, nxt
+        np.multiply(h, rate, out=scratch)
+        np.add(value, scratch, out=new_value)
+        np.multiply(damping, rate, out=scratch)
+        np.subtract(rate, scratch, out=new_rate)
+        np.multiply(gain, delta, out=delta)
+        np.subtract(new_rate, delta, out=new_rate)
+
+    drive = (params.alignment_strength / scale) * h
+    return BlockRun(
+        topology, params.source, initial, update, [drive], params=params,
+        step_seconds=h, state_width=2, record_every=record_every,
+    )
+
+
+def diffusion_run(
+    topology: NetworkTopology,
+    params: ContinuumParams,
+    initial,
+    record_every: int = 1,
+) -> BlockRun:
+    """A resumable run of the overdamped model on the block-stepped engine.
+
+    Same arithmetic as :func:`diffusion_step`, with no ``0 * (cur - prev)``
+    term: a zero-gain DSR update would turn -0.0 into +0.0 and inf into nan.
+    """
+
+    def update(k, delta, scratch, gain, prev, cur, nxt):
+        np.multiply(gain, delta, out=delta)
+        np.subtract(cur[0], delta, out=nxt[0])
+
+    ksdt = params.alignment_strength * params.update_interval
+    return BlockRun(
+        topology, params.source, initial, update, [ksdt], params=params,
+        step_seconds=params.update_interval, record_every=record_every,
+    )
+
+
 def simulate_second_order(
     topology: NetworkTopology,
     params: ContinuumParams,
@@ -154,28 +202,11 @@ def simulate_second_order(
 ) -> Trajectory:
     """Integrate the wave-like model, recording every ``record_every`` steps.
 
-    The rate starts at zero. Stops early with the divergence flag as soon
-    as either the value or the rate blows up. Same arithmetic, in the same
-    order, as :func:`second_order_step`.
+    Stops early with the divergence flag as soon as either the value or the
+    rate blows up.
     """
-    h = params.integrator_step
-    scale = params.dsr_gain * params.update_interval
-    damping = ((1.0 - params.dsr_gain) / scale) * h
-    drive = (params.alignment_strength / scale) * h
-    scratch = np.empty(topology.n_agents)
-
-    def update(k, delta, prev, cur, nxt):
-        (value, rate), (new_value, new_rate) = cur, nxt
-        np.multiply(h, rate, out=scratch)
-        np.add(value, scratch, out=new_value)
-        np.multiply(damping, rate, out=scratch)
-        np.subtract(rate, scratch, out=new_rate)
-        np.multiply(drive, delta, out=delta)
-        np.subtract(new_rate, delta, out=new_rate)
-
-    return _run_blocks(
-        topology, params, initial, n_steps, record_every, h, update, state_width=2
-    )
+    run = second_order_run(topology, params, initial, record_every)
+    return run.advance(n_steps).trajectory()
 
 
 def simulate_diffusion(
@@ -185,18 +216,6 @@ def simulate_diffusion(
     n_steps: int,
     record_every: int = 1,
 ) -> Trajectory:
-    """Integrate the overdamped model, recording every ``record_every`` steps.
-
-    Same arithmetic as :func:`diffusion_step`, with no ``0 * (cur - prev)``
-    term: a zero-gain DSR update would turn -0.0 into +0.0 and inf into nan.
-    """
-    ksdt = params.alignment_strength * params.update_interval
-    step_seconds = params.update_interval
-
-    def update(k, delta, prev, cur, nxt):
-        np.multiply(ksdt, delta, out=delta)
-        np.subtract(cur[0], delta, out=nxt[0])
-
-    return _run_blocks(
-        topology, params, initial, n_steps, record_every, step_seconds, update
-    )
+    """Integrate the overdamped model, recording every ``record_every`` steps."""
+    run = diffusion_run(topology, params, initial, record_every)
+    return run.advance(n_steps).trajectory()

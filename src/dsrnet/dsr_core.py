@@ -17,7 +17,7 @@ evaluation order as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -173,14 +173,32 @@ class DiscrepancyOperator:
         return delta
 
 
-def _step_noise(seed: int, step: int, n: int, amplitude: float) -> np.ndarray:
-    """Uniform(-amplitude, +amplitude) noise for one step.
+class _StepNoise:
+    """Uniform(-amplitude, +amplitude) update noise, one Philox stream per step.
 
-    Drawn from a Philox stream whose counter is derived from the step, so
-    agent i's draw at step k is a pure function of (seed, k, i).
+    Step k draws from the stream keyed by the seed with counter (k + 1) << 64,
+    so agent i's draw at step k is a pure function of (seed, k, i). The key
+    is derived on the first draw only; later draws reset one bit generator
+    to the step's counter with an empty buffer.
     """
-    bits = np.random.Philox(seed=seed, counter=(step + 1) << 64)
-    return np.random.Generator(bits).uniform(-amplitude, amplitude, size=n)
+
+    def __init__(self, seed: int, amplitude: float):
+        self._seed, self._amplitude = seed, amplitude
+        self._generator = None
+        self._state = None
+
+    def __call__(self, step: int, n: int) -> np.ndarray:
+        if self._generator is None:
+            bits = np.random.Philox(self._seed, counter=(step + 1) << 64)
+            self._generator = np.random.Generator(bits)
+        else:
+            bits = self._generator.bit_generator
+            if self._state is None:
+                self._state = bits.state
+                self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+            self._state["state"]["counter"] = np.array([0, step + 1, 0, 0], dtype=np.uint64)
+            bits.state = self._state
+        return self._generator.uniform(-self._amplitude, self._amplitude, size=n)
 
 
 def _dsr_update(cur, prev, delta, out, momentum, ksdt, beta, coast=None):
@@ -226,8 +244,8 @@ def dsr_step(
     if params.noise_amplitude > 0.0:
         if seed is None:
             raise ValueError("a seed is required when noise_amplitude > 0")
-        delta += _step_noise(
-            seed, state.step, state.current.size, params.noise_amplitude
+        delta += _StepNoise(seed, params.noise_amplitude)(
+            state.step, state.current.size
         )
     new_values = np.empty(state.current.shape)
     ksdt = params.alignment_strength * params.update_interval
@@ -250,76 +268,208 @@ _MAX_BLOCK_STEPS = 64
 _BLOCK_VALUES = 1 << 18
 
 
-def _run_blocks(
-    topology, params, initial, n_steps, record_every, step_seconds, update,
-    state_width=1,
-) -> Trajectory:
-    """Block-stepped engine behind ``simulate`` and the continuum models.
+class BlockRun:
+    """A fixed-graph run of m columns, stepped in blocks and resumable.
 
-    The state of step k is kept in slot ``k % (B + 1)`` of a ring buffer, as
-    ``state_width`` arrays of n: the values, then (second-order model) the
-    rates, which start at zero. Every slot starts as the initial state, so
-    step -1 reads as an at-rest history. ``update(k, delta, prev, cur, nxt)``
-    writes slot ``nxt`` (step k + 1) from slots ``cur`` and ``prev`` and the
-    discrepancy ``delta`` of step k, which it may overwrite.
+    Column j is an independent run whose discrepancy is scaled by
+    ``gains[j]``. The state of step k, shape ``(state_width, n, m)`` (the
+    values, then any second-order rates, which start at zero), lives in slot
+    k % (B + 1) of a ring buffer whose slots all start as the initial state,
+    so step -1 reads as an at-rest history. ``update(k, delta, scratch,
+    gain, prev, cur, nxt)`` writes slot ``nxt`` (step k + 1) from the others
+    and the discrepancy ``delta`` of step k; it may overwrite ``delta`` and
+    ``scratch``, and ``gain`` holds the gains of the live columns.
 
-    After each block of B steps, one reduction finds the first step whose
-    state is non-finite or beyond DIVERGENCE_LIMIT, and the run ends there,
-    as if checked after every step. The record keeps step 0, every
-    ``record_every``-th step and the last (or diverged) step.
+    After each block of up to B steps, one max and one min per step and
+    column find the first step that is non-finite or beyond
+    DIVERGENCE_LIMIT, exactly as a check after every step would; that
+    column's run ends there and it leaves the state. With ``record_every``
+    (one column only) the run records step 0, every ``record_every``-th step
+    and the last or diverged step. With ``band = (target, fraction)`` it
+    tracks, per column, the last step at which a value lies further than
+    ``fraction * |target|`` from the target.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    op = DiscrepancyOperator(topology)
-    op.require_connected()
-    n = topology.n_agents
-    start = np.array(initial, dtype=float)
-    if start.shape != (n,):
-        raise ValueError("initial values must provide one entry per agent")
 
-    block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n)))
-    ring = np.zeros((block + 1, state_width * n))
-    ring[:, :n] = start
-    slots = [tuple(row.reshape(state_width, n)) for row in ring]
-    size = len(slots)
-    matrix, switch = op.matrix, params.source.switch_step
-    pulls = (op.pull(params.source.initial), op.pull(params.source.final))
-    delta = np.empty(n)
-    kept = np.zeros(1 + -(-n_steps // record_every), dtype=np.int64)
-    values = np.empty((kept.size, n))
-    values[0] = start
-    filled, k0, diverged_step = 1, 0, None
-    # steps after the diverged one may overflow; their rows are dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k0 < n_steps and diverged_step is None:
-            k1 = min(k0 + block, n_steps)
-            for k in range(k0, k1):
-                cur = slots[k % size]
-                np.subtract(cur[0], matrix @ cur[0], out=delta)
-                np.subtract(delta, pulls[k >= switch], out=delta)
-                update(k, delta, slots[(k - 1) % size], cur, slots[(k + 1) % size])
-            steps = np.arange(k0 + 1, k1 + 1)
-            peaks = np.abs(ring).max(axis=1, initial=0.0)[steps % size]
-            bad = ~(peaks <= DIVERGENCE_LIMIT)
-            if bad.any():
-                steps = steps[: bad.argmax() + 1]
-                diverged_step = int(steps[-1])
-            keep = steps % record_every == 0
-            keep[-1] |= diverged_step is not None or k1 == n_steps
-            steps = steps[keep]
-            kept[filled : filled + steps.size] = steps
-            values[filled : filled + steps.size] = ring[steps % size, :n]
-            filled += steps.size
-            k0 = k1
-    return Trajectory(
-        times=kept[:filled] * step_seconds,
-        values=values if filled == kept.size else values[:filled].copy(),
-        params=params,
-        leader_ids=tuple(sorted(topology.leader_ids)),
-        diverged=diverged_step is not None,
-        diverged_step=diverged_step,
+    def __init__(
+        self, topology, source, initial, update, gains, *, params,
+        step_seconds, state_width=1, record_every=None, band=None,
+    ):
+        if record_every is not None and record_every < 1:
+            raise ValueError("record_every must be at least 1")
+        if record_every is not None and len(gains) != 1:
+            raise ValueError("only a single-column run can be recorded")
+        op = DiscrepancyOperator(topology)
+        op.require_connected()
+        n, m = topology.n_agents, len(gains)
+        start = np.array(initial, dtype=float)
+        if start.shape != (n,):
+            raise ValueError("initial values must provide one entry per agent")
+        self.step, self.diverged_steps = 0, [None] * m
+        self._n, self._update, self._band = n, update, band
+        self._params, self.step_seconds = params, step_seconds
+        self._leader_ids = tuple(sorted(topology.leader_ids))
+        self._matrix, self._switch = op.matrix, source.switch_step
+        self._pulls = (op.pull(source.initial)[:, None], op.pull(source.final)[:, None])
+        block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
+        ring = np.zeros((block + 1, state_width, n, m))
+        ring[:, 0] = start[:, None]
+        self._set_columns(ring, np.arange(m), np.array(gains, dtype=float))
+        if band is not None:
+            self._tolerance = band[1] * abs(band[0])
+            outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
+            self._last_outside = np.full(m, 0 if outside else -1)
+        self._record_every, self._filled = record_every, 1
+        self._values, self._kept = start[None, :], np.zeros(1, dtype=np.int64)
+
+    def _set_columns(self, ring, columns, gain):
+        self._ring, self.columns, self._gain = ring, columns, gain
+        self._slots = [tuple(slot) for slot in ring]
+        self._delta, self._scratch = np.empty(ring.shape[2:]), np.empty(ring.shape[2:])
+
+    @property
+    def current(self) -> np.ndarray:
+        """Values at the current step, one column per entry of ``columns``
+        (the indices of the columns that have not diverged)."""
+        return self._slots[self.step % len(self._slots)][0]
+
+    def _outside(self, hi, lo):
+        # rounding is monotone and symmetric: this is max |value - target|
+        target = self._band[0]
+        return ~(np.maximum(hi - target, target - lo) <= self._tolerance)
+
+    def advance(self, n_steps: int) -> "BlockRun":
+        """Continue every live column to step ``n_steps``; returns the run."""
+        if n_steps < 0:
+            raise ValueError("n_steps must be nonnegative")
+        if n_steps < self.step:
+            raise ValueError("a run cannot go back to an earlier step")
+        if n_steps == self.step or not self.columns.size:
+            return self
+        if self._record_every is not None:
+            self._reserve(n_steps)
+        matrix, pulls, switch, update = self._matrix, self._pulls, self._switch, self._update
+        # steps after a diverged one may overflow; they are never kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            while self.step < n_steps and self.columns.size:
+                k0, slots = self.step, self._slots
+                k1, size = min(k0 + len(slots) - 1, n_steps), len(slots)
+                delta, scratch, gain = self._delta, self._scratch, self._gain
+                for k in range(k0, k1):
+                    cur = slots[k % size]
+                    np.subtract(cur[0], matrix @ cur[0], out=delta)
+                    np.subtract(delta, pulls[k >= switch], out=delta)
+                    update(k, delta, scratch, gain, slots[(k - 1) % size], cur,
+                           slots[(k + 1) % size])
+                self.step = k1
+                self._check(np.arange(k0 + 1, k1 + 1), k1 == n_steps)
+        return self
+
+    def _check(self, steps, last):
+        """Divergence, band and record bookkeeping after one block."""
+        ring = self._ring
+        size, width, m = len(ring), ring.shape[1], self.columns.size
+        rows = steps % size
+        # one contiguous (column, state) row per slot for fast reductions
+        flat = np.ascontiguousarray(
+            ring.reshape(size, width * self._n, m).transpose(0, 2, 1)
+        )
+        hi = flat.max(axis=2, initial=-np.inf)[rows]
+        lo = flat.min(axis=2, initial=np.inf)[rows]
+        bad = ~(np.maximum(hi, -lo) <= DIVERGENCE_LIMIT)
+        diverged, first = bad.any(axis=0), bad.argmax(axis=0)
+        if self._band is not None:
+            if width > 1:
+                hi = flat[:, :, : self._n].max(axis=2, initial=-np.inf)[rows]
+                lo = flat[:, :, : self._n].min(axis=2, initial=np.inf)[rows]
+            outside = self._outside(hi, lo)
+            seen = outside.any(axis=0)
+            latest = steps[len(steps) - 1 - outside[::-1].argmax(axis=0)]
+            self._last_outside[self.columns[seen]] = latest[seen]
+        if self._record_every is not None:
+            kept = steps[: first[0] + 1] if diverged[0] else steps
+            keep = kept % self._record_every == 0
+            keep[-1] |= diverged[0] or last
+            kept = kept[keep]
+            filled = self._filled
+            self._kept[filled : filled + kept.size] = kept
+            self._values[filled : filled + kept.size] = ring[kept % size, 0, :, 0]
+            self._filled += kept.size
+        if diverged.any():
+            for j in np.flatnonzero(diverged):
+                self.diverged_steps[self.columns[j]] = int(steps[first[j]])
+            live = ~diverged
+            self._set_columns(
+                np.ascontiguousarray(ring[..., live]), self.columns[live], self._gain[live]
+            )
+
+    def _reserve(self, n_steps):
+        """Fresh record arrays up to ``n_steps``, so that a trajectory handed
+        out earlier is never written again."""
+        if self.step % self._record_every:
+            self._filled -= 1  # the forced last row is off the stride
+        rows, filled = 1 + -(-n_steps // self._record_every), self._filled
+        values, kept = np.empty((rows, self._n)), np.zeros(rows, dtype=np.int64)
+        values[:filled], kept[:filled] = self._values[:filled], self._kept[:filled]
+        self._values, self._kept = values, kept
+
+    def trajectory(self) -> Trajectory:
+        """The record so far of a run made with ``record_every``."""
+        filled, values = self._filled, self._values
+        if filled != len(values):
+            values = values[:filled].copy()
+        first_bad = self.diverged_steps[0]
+        return Trajectory(
+            self._kept[:filled] * self.step_seconds, values, self._params,
+            self._leader_ids, first_bad is not None, first_bad,
+        )
+
+    def settling_times(self) -> list[float | None]:
+        """Per column, the first time from which every value stays inside
+        the band through the current step; None for a column that diverged
+        or is outside the band now."""
+        return [
+            None if bad is not None or last == self.step
+            else (int(last) + 1) * self.step_seconds
+            for bad, last in zip(self.diverged_steps, self._last_outside)
+        ]
+
+
+def dsr_run(
+    topology: NetworkTopology,
+    column_params,
+    initial,
+    seed: int | None = None,
+    record_every: int | None = 1,
+    band=None,
+) -> BlockRun:
+    """A DSR run with one column per entry of ``column_params``, a list of
+    DsrParams that may differ only in alignment strength.
+
+    Each step's noise is drawn once and shared by every column, so each
+    column is bitwise equal to the single run of its parameters.
+    """
+    params = column_params[0]
+    for other in column_params:
+        if replace(other, alignment_strength=params.alignment_strength) != params:
+            raise ValueError("columns may differ only in alignment strength")
+    if params.noise_amplitude > 0.0 and seed is None:
+        raise ValueError("a seed is required when noise_amplitude > 0")
+    noise = (
+        _StepNoise(seed, params.noise_amplitude)
+        if params.noise_amplitude > 0.0 else None
+    )
+    beta = params.dsr_gain
+
+    def update(k, delta, scratch, gain, prev, cur, nxt):
+        if noise is not None:
+            np.add(delta, noise(k, delta.shape[0])[:, None], out=delta)
+        _dsr_update(cur[0], prev[0], delta, nxt[0], scratch, gain, beta)
+
+    return BlockRun(
+        topology, params.source, initial, update,
+        [p.alignment_strength * p.update_interval for p in column_params],
+        params=params, step_seconds=params.update_interval,
+        record_every=record_every, band=band,
     )
 
 
@@ -336,17 +486,4 @@ def simulate(
     soon as any value diverges. Identical seeds and parameters produce
     bitwise-identical trajectories.
     """
-    noise = params.noise_amplitude
-    if noise > 0.0 and seed is None:
-        raise ValueError("a seed is required when noise_amplitude > 0")
-    ksdt = params.alignment_strength * params.update_interval
-    momentum = np.empty(topology.n_agents)
-
-    def update(k, delta, prev, cur, nxt):
-        if noise > 0.0:
-            np.add(delta, _step_noise(seed, k, delta.size, noise), out=delta)
-        _dsr_update(cur[0], prev[0], delta, nxt[0], momentum, ksdt, params.dsr_gain)
-
-    return _run_blocks(
-        topology, params, initial, n_steps, 1, params.update_interval, update
-    )
+    return dsr_run(topology, [params], initial, seed).advance(n_steps).trajectory()

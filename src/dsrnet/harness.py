@@ -18,12 +18,12 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, SweepResult
-from .continuum import (
-    ContinuumParams,
-    simulate_diffusion,
-    simulate_second_order,
-)
-from .dsr_core import DsrParams, StepSource, Trajectory, simulate
+from .continuum import ContinuumParams, diffusion_run, second_order_run
+from .dsr_core import BlockRun, DsrParams, StepSource, Trajectory, dsr_run
+
+# perfbench/tracer.py wraps these names on this module.
+from .continuum import simulate_diffusion, simulate_second_order  # noqa: F401
+from .dsr_core import simulate  # noqa: F401
 from .flocking import FlockParams, FlockTrajectory, run_maneuver
 from .topology import NetworkTopology, build_lattice, sample_disc
 
@@ -42,6 +42,11 @@ CONFIRM_FACTOR = 1.5
 
 # Rows targeted by the automatic trajectory-CSV decimation.
 MAX_CSV_ROWS = 1200
+
+# Nonzero floats must lie within this factor of 1, so that the products and
+# quotients the models form from them (Ks*dt, Ks/(beta*dt)*h, speed*dt,
+# position differences over dt**2) stay finite.
+FLOAT_MAGNITUDE = 1e30
 
 
 class ConfigError(ValueError):
@@ -103,63 +108,55 @@ _CASTERS = {
 }
 
 
+# Numeric keys that must pass a test when set, with the message that names it.
+_BOUNDS = (
+    (("spacing", "disc_radius", "sensing_radius", "dt", "speed", "integrator_dt"),
+     lambda v: v > 0, "must be positive"),
+    (("ks", "noise", "switch_step", "n_steps", "seed"), lambda v: v >= 0, "must be nonnegative"),
+    (("n_agents", "record_every", "max_steps", "csv_stride"), lambda v: v >= 1,
+     "must be at least 1"),
+)
+_CHOICES = {
+    "experiment": EXPERIMENT_KINDS,
+    "topology": ("lattice", "disc"),
+    "disc_sampling": ("area", "literal"),
+}
+
+
 def _validate(cfg: ExperimentConfig) -> list[str]:
     bad = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if "float" in f.type and value is not None and not np.isfinite(value).all():
+        if "float" not in f.type or value is None:
+            continue
+        size = np.abs(np.array(value, dtype=float))
+        if not np.isfinite(size).all():
             bad.append(f"{f.name}: must be finite")
-    if cfg.experiment not in EXPERIMENT_KINDS:
-        bad.append(
-            f"experiment: unknown kind {cfg.experiment!r}; expected one of "
-            + ", ".join(EXPERIMENT_KINDS)
-        )
-    if cfg.topology not in ("lattice", "disc"):
-        bad.append("topology: must be 'lattice' or 'disc'")
+        elif ((size > FLOAT_MAGNITUDE) | ((size > 0) & (size < 1 / FLOAT_MAGNITUDE))).any():
+            bad.append(f"{f.name}: must be 0 or of magnitude 1e-30 to 1e30")
+    for key, choices in _CHOICES.items():
+        if getattr(cfg, key) not in choices:
+            bad.append(f"{key}: must be one of " + ", ".join(choices))
+    for keys, allowed, message in _BOUNDS:
+        for key in keys:
+            value = getattr(cfg, key)
+            if value is not None and not allowed(value):
+                bad.append(f"{key}: {message}")
     if cfg.rows < 1 or cfg.cols < 1:
         bad.append("rows/cols: must be at least 1")
-    if cfg.spacing <= 0:
-        bad.append("spacing: must be positive")
-    if cfg.n_agents < 1:
-        bad.append("n_agents: must be at least 1")
-    if cfg.disc_radius <= 0:
-        bad.append("disc_radius: must be positive")
-    if cfg.disc_sampling not in ("area", "literal"):
-        bad.append("disc_sampling: must be 'area' or 'literal'")
-    if cfg.sensing_radius <= 0:
-        bad.append("sensing_radius: must be positive")
+    if cfg.topology == "disc" and cfg.leader in ("corner", "edge-midpoint"):
+        bad.append("leader: disc topologies support 'center' or an agent index")
     if cfg.leader not in NAMED_LEADERS:
+        agents = cfg.rows * cfg.cols if cfg.topology == "lattice" else cfg.n_agents
         try:
-            if int(cfg.leader) < 0:
-                bad.append("leader: agent index must be nonnegative")
+            if not 0 <= int(cfg.leader) < agents:
+                bad.append(f"leader: agent index must lie in [0, {agents})")
         except ValueError:
             bad.append(
                 "leader: must be corner, edge-midpoint, center, or an agent index"
             )
-    if cfg.ks < 0:
-        bad.append("ks: must be nonnegative")
     if not 0.0 <= cfg.beta < 1.0:
         bad.append("beta: must lie in [0, 1); gains >= 1 leave the update undamped")
-    if cfg.dt <= 0:
-        bad.append("dt: must be positive")
-    if cfg.noise < 0:
-        bad.append("noise: must be nonnegative")
-    if cfg.switch_step < 0:
-        bad.append("switch_step: must be nonnegative")
-    if cfg.speed <= 0:
-        bad.append("speed: must be positive")
-    if cfg.integrator_dt is not None and cfg.integrator_dt <= 0:
-        bad.append("integrator_dt: must be positive")
-    if cfg.record_every < 1:
-        bad.append("record_every: must be at least 1")
-    if cfg.n_steps is not None and cfg.n_steps < 0:
-        bad.append("n_steps: must be nonnegative")
-    if cfg.max_steps is not None and cfg.max_steps < 1:
-        bad.append("max_steps: must be at least 1")
-    if cfg.csv_stride is not None and cfg.csv_stride < 1:
-        bad.append("csv_stride: must be at least 1")
-    if cfg.seed is not None and cfg.seed < 0:
-        bad.append("seed: must be nonnegative")
     if not 0.0 < cfg.near_fraction <= 1.0:
         bad.append("near_fraction: must lie in (0, 1]")
     if any(k < 0 for k in cfg.ks_values):
@@ -235,15 +232,8 @@ def config_text(cfg: ExperimentConfig) -> str:
 
 def _leader_index(cfg: ExperimentConfig, positions: np.ndarray) -> int:
     if cfg.leader not in NAMED_LEADERS:
-        index = int(cfg.leader)
-        if index >= len(positions):
-            raise ConfigError([f"leader: index {index} out of range"])
-        return index
+        return int(cfg.leader)
     if cfg.topology == "disc":
-        if cfg.leader != "center":
-            raise ConfigError(
-                ["leader: disc topologies support 'center' or an agent index"]
-            )
         return int(np.argmin(np.hypot(positions[:, 0], positions[:, 1])))
     if cfg.leader == "corner":
         return 0
@@ -288,17 +278,26 @@ def _default_steps(cfg: ExperimentConfig) -> int:
     return 1000 if cfg.n_steps is None else cfg.n_steps
 
 
-def _confirmed_run(run_fn, initial_steps: int, max_steps: int,
-                   step_seconds: float, final_value: float):
-    """Run with growing horizon until any settling is confirmed.
+def _fixed_graph_run(cfg: ExperimentConfig, topology: NetworkTopology) -> BlockRun:
+    """The resumable run of a lattice-info or continuum experiment."""
+    initial = np.zeros(topology.n_agents)
+    if cfg.experiment == "lattice-info":
+        return dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed)
+    if cfg.experiment == "continuum-second-order":
+        return second_order_run(topology, _continuum_params(cfg), initial, cfg.record_every)
+    return diffusion_run(topology, _continuum_params(cfg), initial, cfg.record_every)
+
+
+def _confirmed_run(run: BlockRun, initial_steps: int, max_steps: int, final_value: float):
+    """Extend a recorded run until any settling is confirmed.
 
     Settling counts as confirmed once the record extends to at least
     CONFIRM_FACTOR times the settling time; otherwise the horizon grows
-    (bounded by max_steps) and the run is repeated.
+    (bounded by max_steps) and the run continues from where it stopped.
     """
     steps = min(initial_steps, max_steps)
     while True:
-        traj = run_fn(steps)
+        traj = run.advance(steps).trajectory()
         if traj.diverged:
             return traj, None, steps
         settled = analysis.settling_time(traj, final_value)
@@ -307,9 +306,9 @@ def _confirmed_run(run_fn, initial_steps: int, max_steps: int,
         if steps >= max_steps:
             return traj, None if settled is None else settled, steps
         if settled is None:
-            steps = min(2 * steps, max_steps)
+            steps = min(max(2 * steps, 1), max_steps)
         else:
-            needed = int(math.ceil(CONFIRM_FACTOR * settled / step_seconds)) + 1
+            needed = int(math.ceil(CONFIRM_FACTOR * settled / run.step_seconds)) + 1
             steps = min(max(needed, steps + 1), max_steps)
 
 
@@ -519,36 +518,11 @@ def run_config(cfg: ExperimentConfig, out_dir):
                 flock.times[1:-1], radial, paths["radial_acceleration"]
             )
     else:
-        initial = np.zeros(topology.n_agents)
         steps = _default_steps(cfg)
         max_steps = cfg.max_steps if cfg.max_steps is not None else 8 * steps
-        if cfg.experiment == "lattice-info":
-            params = _dsr_params(cfg)
-            step_seconds = cfg.dt
-
-            def run_fn(n):
-                return simulate(topology, params, initial, n, cfg.seed)
-
-        else:
-            params = _continuum_params(cfg)
-            if cfg.experiment == "continuum-second-order":
-                step_seconds = params.integrator_step
-
-                def run_fn(n):
-                    return simulate_second_order(
-                        topology, params, initial, n, cfg.record_every
-                    )
-
-            else:
-                step_seconds = params.update_interval
-
-                def run_fn(n):
-                    return simulate_diffusion(
-                        topology, params, initial, n, cfg.record_every
-                    )
-
+        # the run is freed on return, before the artifacts are written
         traj, settled, steps_used = _confirmed_run(
-            run_fn, steps, max_steps, step_seconds, cfg.source_final
+            _fixed_graph_run(cfg, topology), steps, max_steps, cfg.source_final
         )
         report = _info_metrics(cfg, topology, leader, traj, settled)
 

@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from dsrnet.analysis import (
     InfiniteSpeedError,
+    SweepResult,
     UndefinedCorrelationError,
     correlation_delay,
     fit_scaling_exponent,
     overshoot,
     radial_acceleration,
+    settling_horizon,
     settling_time,
     stability_sweep,
     threshold_delay,
     transfer_speed,
 )
-from dsrnet.dsr_core import DsrParams, StepSource, Trajectory
+from dsrnet.dsr_core import _MAX_BLOCK_STEPS, DsrParams, StepSource, Trajectory, simulate
 from dsrnet.flocking import FlockParams, FlockTrajectory
 from dsrnet.topology import NetworkTopology, build_lattice
 
@@ -306,3 +310,128 @@ class TestStabilitySweep:
         base = DsrParams(10.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
         with pytest.raises(ValueError):
             stability_sweep(topo, base, [])
+
+
+def oracle_settling_horizon(
+    topology, params, initial=None, seed=None, band=0.02, max_steps=200_000
+):
+    """Reference: a recorded run from step 0 for every horizon it tries."""
+    if initial is None:
+        initial = np.zeros(topology.n_agents)
+    steps = 1000
+    while True:
+        traj = simulate(topology, params, initial, steps, seed)
+        if traj.diverged:
+            return max(2 * int(traj.diverged_step or steps), 1000)
+        settled = settling_time(traj, params.source.final, band)
+        if settled is not None and traj.times[-1] >= 1.5 * settled:
+            return int(np.ceil(settled / params.update_interval))
+        if steps >= max_steps:
+            return steps
+        steps = min(2 * steps, max_steps)
+
+
+def oracle_stability_sweep(
+    topology, base_params, ks_values, initial=None, horizon_steps=None, seed=None,
+    band=0.02,
+):
+    """Reference: one recorded run per alignment strength."""
+    ks_list = [float(k) for k in ks_values]
+    if initial is None:
+        initial = np.zeros(topology.n_agents)
+    if horizon_steps is None:
+        probe = replace(base_params, dsr_gain=0.0)
+        horizon_steps = 2 * oracle_settling_horizon(topology, probe, initial, seed, band)
+    results = []
+    for ks in ks_list:
+        params = replace(base_params, alignment_strength=ks)
+        traj = simulate(topology, params, initial, horizon_steps, seed)
+        results.append(
+            SweepResult(ks, traj.diverged, settling_time(traj, params.source.final, band))
+        )
+    return results
+
+
+B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
+CLIFF_KS = [0.0, 60.0, 100.0, 101.0, 150.0, 1e300]
+
+
+def lattice_with_leader(side, leader=0):
+    return NetworkTopology.build(build_lattice(side, side, 1.0), 1.2, {leader})
+
+
+class TestSweepMatchesOracle:
+    """The batched, streaming sweep against one recorded run per Ks."""
+
+    @pytest.mark.parametrize(
+        "base, initial, seed",
+        [
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), None, 3),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.3, -1.0, 37)), "random", None),
+            (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None, None),
+        ],
+        ids=["stable", "noisy", "switch-and-initial", "reinforced"],
+    )
+    @pytest.mark.parametrize("horizon", [0, 1, B, B + 1, 900])
+    def test_verdicts_and_settling_times(self, base, initial, seed, horizon):
+        topo = lattice_with_leader(5, 6)
+        if initial == "random":
+            initial = np.random.default_rng(4).uniform(-1.0, 1.0, 25)
+        got = stability_sweep(topo, base, CLIFF_KS, initial, horizon, seed)
+        assert got == oracle_stability_sweep(topo, base, CLIFF_KS, initial, horizon, seed)
+
+    def test_default_horizon_and_band(self):
+        topo = lattice_with_leader(5)
+        base = DsrParams(100.0, 0.5, 0.01, StepSource(0.0, 2.0, 5))
+        ks = [20.0, 90.0, 100.0, 101.0]
+        got = stability_sweep(topo, base, ks, band=0.05)
+        assert got == oracle_stability_sweep(topo, base, ks, band=0.05)
+
+    def test_rejects_nonpositive_band(self):
+        topo = lattice_with_leader(3)
+        base = DsrParams(10.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
+        with pytest.raises(ValueError, match="band"):
+            stability_sweep(topo, base, [10.0, 1e9], horizon_steps=10, band=0.0)
+
+    def test_keeps_per_ks_parameter_checks(self):
+        topo = lattice_with_leader(3)
+        base = DsrParams(10.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
+        with pytest.raises(ValueError, match="alignment_strength"):
+            stability_sweep(topo, base, [10.0, -1.0], horizon_steps=10)
+
+
+class TestSettlingHorizonMatchesOracle:
+    """The resumable probe against a fresh recorded run per checkpoint."""
+
+    @pytest.mark.parametrize(
+        "params, initial, seed, max_steps",
+        [
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
+            (DsrParams(20.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
+            (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
+            (DsrParams(150.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), None, 9, 8000),
+            (DsrParams(60.0, 0.0, 0.01, StepSource(0.5, -1.0, 300)), "random", None, 200_000),
+            (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 3000),
+            (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
+        ],
+        ids=["stable", "slow", "reinforced", "diverging", "noisy",
+             "switch-and-initial", "never-settles", "max-below-first-checkpoint"],
+    )
+    def test_same_horizon(self, params, initial, seed, max_steps):
+        topo = lattice_with_leader(7, 8)
+        if initial == "random":
+            initial = np.random.default_rng(2).uniform(-1.0, 1.0, 49)
+        expected = oracle_settling_horizon(topo, params, initial, seed, max_steps=max_steps)
+        assert settling_horizon(topo, params, initial, seed, max_steps=max_steps) == expected
+
+    def test_rejects_nonpositive_band_once_a_checkpoint_is_stable(self):
+        topo = lattice_with_leader(3)
+        stable = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
+        with pytest.raises(ValueError, match="band"):
+            settling_horizon(topo, stable, band=0.0)
+        diverging = replace(stable, alignment_strength=1e9)
+        assert settling_horizon(topo, diverging, band=0.0) == oracle_settling_horizon(
+            topo, diverging, band=0.0
+        )

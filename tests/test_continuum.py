@@ -7,8 +7,10 @@ from dsrnet.continuum import (
     ContinuumParams,
     DiffusionState,
     SecondOrderState,
+    diffusion_run,
     diffusion_step,
     predicted_wave_speed,
+    second_order_run,
     second_order_step,
     simulate_diffusion,
     simulate_second_order,
@@ -82,7 +84,7 @@ class TestSecondOrderStep:
     def test_value_advances_with_pre_update_rate(self):
         topo = lattice_topology(3, 3, {0})
         params = ContinuumParams(100.0, 0.96, 0.01, 1e-3, STEP_TO_ONE)
-        state = SecondOrderState.from_initial(np.zeros(9), np.full(9, 2.0))
+        state = SecondOrderState(value=np.zeros(9), rate=np.full(9, 2.0))
         out = second_order_step(state, topo, params)
         assert out.value == pytest.approx(np.full(9, 2e-3))
 
@@ -335,3 +337,44 @@ class TestEngineMatchesStepLoop:
             simulate_diffusion(topo, params, np.zeros(1), n_steps, 3),
             diffusion_reference(topo, params, np.zeros(1), n_steps, 3),
         )
+
+
+class TestExtendedRun:
+    """A recorded run continued to later steps against a fresh run of the
+    final length, with strides that do not divide the first horizon."""
+
+    MODELS = {
+        "second-order": (second_order_run, simulate_second_order),
+        "diffusion": (diffusion_run, simulate_diffusion),
+    }
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("record_every", [1, 3, 7, B])
+    @pytest.mark.parametrize("horizons", [(10, 11), (10, 25, 26, 27), (5, B + 2, 3 * B)])
+    @pytest.mark.parametrize("diverges", [False, True])
+    def test_extension_equals_fresh_run(self, model, record_every, horizons, diverges):
+        make_run, simulate_fresh = self.MODELS[model]
+        topo = lattice_topology(3, 3, {0})
+        # the diverging runs blow up at step 91 (second-order) and 46 (diffusion)
+        ks = {"second-order": 20000.0, "diffusion": 130.0}[model] if diverges else 100.0
+        params = ContinuumParams(ks, 0.96, 0.01, 2.6e-4, StepSource(0.0, 1.0, 4))
+        initial = np.linspace(0.0, 0.3, 9)
+        run = make_run(topo, params, initial, record_every)
+        for n_steps in horizons:
+            traj = run.advance(n_steps).trajectory()
+            fresh = simulate_fresh(topo, params, initial, n_steps, record_every)
+            assert traj.diverged_step == fresh.diverged_step
+            assert traj.values.tobytes() == fresh.values.tobytes()
+            assert traj.times.tobytes() == fresh.times.tobytes()
+
+    def test_handed_out_trajectory_is_not_overwritten(self):
+        # steps 0, 5, 10 and the forced 11, then 0, 5, 10, 12: the same
+        # number of rows, so step 12 must not go into the array of step 11
+        topo = lattice_topology(3, 3, {0})
+        params = ContinuumParams(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
+        run = diffusion_run(topo, params, np.zeros(9), record_every=5)
+        first = run.advance(11).trajectory()
+        kept = first.values.copy()
+        second = run.advance(12).trajectory()
+        assert first.values.tobytes() == kept.tobytes()
+        assert second.times.tolist() == pytest.approx([0.0, 0.05, 0.1, 0.12])

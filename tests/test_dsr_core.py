@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dsrnet.analysis import settling_time
 from dsrnet.dsr_core import (
     _MAX_BLOCK_STEPS,
+    _StepNoise,
     DsrParams,
     DiscrepancyOperator,
     InfoState,
     IsolatedAgentError,
     StepSource,
     detect_divergence,
+    dsr_run,
     dsr_step,
     simulate,
 )
@@ -331,6 +335,7 @@ class TestSimulateMatchesStepLoop:
         "ks, source_final, step",
         [
             (1e9, 1.0, 1),
+            (1e9, -1.0, 1),  # below -DIVERGENCE_LIMIT while every value is <= 0
             (182.02, 1.0, 30),
             (161.84, 1.0, 64),  # last step of the first block
             (161.635, 1.0, 65),  # first step of the second block
@@ -351,3 +356,89 @@ class TestSimulateMatchesStepLoop:
         traj = simulate(topo, params, np.zeros(1), 2 * B + 3)
         assert_same_run(traj, rows, diverged, 0.01)
 
+
+
+def fresh_stream_noise(seed, step, n, amplitude):
+    """Reference: a new Philox stream and Generator for every step."""
+    bits = np.random.Philox(seed=seed, counter=(step + 1) << 64)
+    return np.random.Generator(bits).uniform(-amplitude, amplitude, size=n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_step_noise_matches_a_fresh_stream_per_step(seed):
+    noise = _StepNoise(seed, 0.025)
+    # out of order and repeated, with draw sizes that leave the buffer part-used
+    for step in [3, 0, 1, 399, 2**40, 1, 0]:
+        for n in (9, 225, 1):
+            expected = fresh_stream_noise(seed, step, n, 0.025)
+            assert noise(step, n).tobytes() == expected.tobytes()
+
+
+# without noise, columns 1, 3, 4 and 5 diverge at steps 31, 64 (end of the
+# first block), 1 and 65
+BATCH_KS = [50.0, 182.02, 100.0, 162.35, 1e300, 162.14, 0.0]
+
+
+class TestBatchedColumns:
+    """Each column of a batched run against the single run of its Ks."""
+
+    @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3, 300])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_each_column_equals_its_single_run(self, n_steps, noise):
+        topo = lattice_topology(3, 3, {0})
+        base = DsrParams(
+            100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6), noise_amplitude=noise
+        )
+        initial = np.linspace(-0.5, 0.5, 9)
+        columns = [replace(base, alignment_strength=ks) for ks in BATCH_KS]
+        run = dsr_run(topo, columns, initial, seed=5, record_every=None)
+        run.advance(n_steps)
+        for j, params in enumerate(columns):
+            single = simulate(topo, params, initial, n_steps, seed=5)
+            assert run.diverged_steps[j] == single.diverged_step
+            if single.diverged:
+                assert j not in run.columns
+            else:
+                live = list(run.columns).index(j)
+                assert run.current[:, live].tobytes() == single.values[-1].tobytes()
+
+    def test_columns_may_differ_only_in_alignment_strength(self):
+        topo = lattice_topology(3, 3, {0})
+        base = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
+        with pytest.raises(ValueError, match="only in alignment strength"):
+            dsr_run(topo, [base, replace(base, dsr_gain=0.4)], np.zeros(9))
+        with pytest.raises(ValueError, match="single-column"):
+            dsr_run(topo, [base, replace(base, alignment_strength=9.0)], np.zeros(9))
+
+
+class TestExtendedRun:
+    """A run continued to a later step against a fresh run of that length."""
+
+    @pytest.mark.parametrize("horizons", [(10, 11), (5, B, B + 1, 3 * B + 2), (0, 40, 300)])
+    @pytest.mark.parametrize("ks", [100.0, 182.02])
+    def test_extension_equals_fresh_run(self, horizons, ks):
+        topo = lattice_topology(3, 3, {0})
+        params = DsrParams(ks, 0.5, 0.01, StepSource(0.2, 1.0, 7), noise_amplitude=0.01)
+        initial = np.linspace(-0.5, 0.5, 9)
+        run = dsr_run(topo, [params], initial, seed=3)
+        for n_steps in horizons:
+            traj = run.advance(n_steps).trajectory()
+            fresh = simulate(topo, params, initial, n_steps, seed=3)
+            assert traj.diverged_step == fresh.diverged_step
+            assert traj.values.tobytes() == fresh.values.tobytes()
+            assert traj.times.tobytes() == fresh.times.tobytes()
+
+    def test_handed_out_trajectory_is_not_overwritten(self):
+        topo = lattice_topology(3, 3, {0})
+        params = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
+        run = dsr_run(topo, [params], np.zeros(9))
+        first = run.advance(20).trajectory()
+        kept = first.values.copy()
+        run.advance(40)
+        assert first.values.tobytes() == kept.tobytes()
+
+    def test_cannot_go_back(self):
+        topo = lattice_topology(3, 3, {0})
+        run = dsr_run(topo, [DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)], np.zeros(9))
+        with pytest.raises(ValueError):
+            run.advance(5).advance(4)

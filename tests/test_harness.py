@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import json
+import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dsrnet.cli import main
 from dsrnet.dsr_core import Trajectory
 from dsrnet.harness import (
+    EXPERIMENT_KINDS,
+    NAMED_LEADERS,
     ConfigError,
     ExperimentConfig,
+    _validate,
     config_text,
     parse_config,
     preset_catalog,
@@ -98,6 +106,28 @@ class TestParseConfig:
         assert parse_config(MINIMAL + "leader = 16\n").leader == "16"
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "leader = northwest\n")
+
+    @pytest.mark.parametrize(
+        "extra, bad",
+        [
+            ("leader = 624\n", False),  # the default lattice is 25 x 25
+            ("leader = 625\n", True),
+            ("leader = -1\n", True),
+            ("rows = 3\ncols = 4\nleader = 12\n", True),
+            ("topology = disc\nseed = 1\nn_agents = 5\nleader = 4\n", False),
+            ("topology = disc\nseed = 1\nn_agents = 5\nleader = 5\n", True),
+            ("topology = disc\nseed = 1\nleader = corner\n", True),
+            ("topology = disc\nseed = 1\nleader = center\n", False),
+        ],
+    )
+    def test_leader_is_checked_against_the_topology(self, extra, bad):
+        text = MINIMAL + extra
+        if bad:
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert [v for v in err.value.violations if v.startswith("leader: ")]
+        else:
+            parse_config(text)
 
     def test_round_trip_through_config_text(self):
         cfg = parse_config(MINIMAL + "seed = 9\nnoise = 0.01\nn_steps = 50\n")
@@ -256,6 +286,40 @@ class TestRunPreset:
         assert verdicts == {100.0: False, 101.0: True}
 
 
+class TestConfirmedRun:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # grows to the configured max_steps without settling
+            "experiment = lattice-info\nks = 100\nbeta = 0\n",
+            # settles at step 77, then grows straight to 1.5 times that
+            "experiment = lattice-info\nks = 100\nbeta = 0.9\n",
+            # doubles until settling is confirmed at step 800
+            "experiment = continuum-diffusion\nks = 100\nbeta = 0.5\nrecord_every = 3\n"
+            "max_steps = 100000\n",
+            # diverges after its horizon has doubled six times
+            "experiment = continuum-second-order\nks = 100\nbeta = 0.96\n"
+            "integrator_dt = 0.001\nrecord_every = 7\nmax_steps = 100000\n",
+        ],
+        ids=["dsr-max-steps", "dsr-settles", "diffusion", "second-order-diverges"],
+    )
+    def test_extended_run_matches_a_fresh_run_of_its_final_length(self, tmp_path, model):
+        text = "rows = 5\ncols = 5\nleader = 6\ndt = 0.01\nn_steps = 50\n" + model
+        first, _ = run_config(parse_config(text), tmp_path / "extended")
+        manifest = parse_config(first["manifest"].read_text())
+        assert manifest.n_steps > 50  # the horizon grew past the configured one
+        second, _ = run_config(manifest, tmp_path / "fresh")
+        for name, path in first.items():
+            assert path.read_bytes() == second[name].read_bytes(), name
+
+    def test_zero_horizon_still_grows_to_max_steps(self, tmp_path):
+        # a horizon of 0 steps used to double to 0 forever
+        text = "experiment = lattice-info\nrows = 3\ncols = 3\nn_steps = 0\nmax_steps = 8\n"
+        paths, report = run_config(parse_config(text), tmp_path)
+        assert parse_config(paths["manifest"].read_text()).n_steps == 8
+        assert report.settling_time is None
+
+
 class TestCli:
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
@@ -319,6 +383,20 @@ class TestCli:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("ks", "1e31"), ("dt", "1e-31"), ("source_final", "-2e30"), ("ks_values", "1,1e40")],
+    )
+    def test_float_beyond_supported_magnitude_exits_2(self, tmp_path, capsys, key, value):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"experiment = lattice-info\nn_steps = 10\n{key} = {value}\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}: must be 0 or of magnitude" in capsys.readouterr().err
+
+    def test_float_magnitude_bounds_are_inclusive(self):
+        cfg = parse_config(MINIMAL + "source_final = 1e30\nsource_initial = -1e-30\nnoise = 0\n")
+        assert (cfg.source_final, cfg.source_initial, cfg.noise) == (1e30, -1e-30, 0.0)
+
     def test_disc_without_agents_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("experiment = lattice-info\ntopology = disc\nseed = 1\nn_agents = 0\n")
@@ -329,3 +407,86 @@ class TestCli:
         code = main(["sweep", "--preset", "fig1b", "--ks", "100,nan", "--out", str(tmp_path / "s")])
         assert code == 2
         assert "config error: ks_values: " in capsys.readouterr().err
+
+
+def _mostly(typical, wild):
+    """Draws from ``typical`` nineteen times in twenty, else from ``wild``."""
+    return st.integers(0, 19).flatmap(lambda i: wild if i == 19 else typical)
+
+
+def _config_strategy(wild, count):
+    """ExperimentConfig values drawn field by field: every float from a few
+    typical values or, now and then, from ``wild``; step counts from
+    ``count``."""
+    positive = _mostly(st.sampled_from([0.01, 0.5, 1.0, 1.2, 2.0, 100.0]), wild)
+    real = _mostly(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.57]), wild)
+    # wild step counts are invalid ones: a huge max_steps is a valid request
+    # for a run as long as it names, which no test can afford
+    maybe = _mostly(st.none() | count, st.integers(-(10**12), 0))
+    return st.builds(
+        ExperimentConfig,
+        experiment=st.sampled_from(EXPERIMENT_KINDS),
+        topology=st.sampled_from(["lattice", "disc"]),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        spacing=positive,
+        n_agents=st.integers(1, 12),
+        disc_radius=positive,
+        disc_sampling=st.sampled_from(["area", "literal"]),
+        sensing_radius=positive,
+        leader=st.sampled_from(NAMED_LEADERS) | st.integers(-1, 16).map(str),
+        ks=positive,
+        beta=_mostly(st.sampled_from([0.0, 0.5, 0.9, 0.96]), wild),
+        dt=positive,
+        noise=_mostly(st.sampled_from([0.0, 0.0, 0.02]), wild),
+        source_initial=real,
+        source_final=real,
+        switch_step=st.integers(0, 50),
+        speed=positive,
+        initial_heading=real,
+        target_heading=real,
+        integrator_dt=_mostly(positive, st.none()),
+        record_every=st.integers(1, 5),
+        n_steps=count,
+        max_steps=maybe,
+        csv_stride=maybe,
+        seed=_mostly(st.integers(0, 2**32), st.none()),
+        ks_values=st.lists(positive, max_size=3).map(tuple),
+        near_fraction=_mostly(st.sampled_from([1.0 / 3.0, 1.0]), wild),
+    )
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_config_strategy(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 10**9)))
+def test_config_text_round_trips_every_valid_config(cfg):
+    assume(not _validate(cfg))
+    assert parse_config(config_text(cfg)) == cfg
+
+
+_NON_FINITE_TEXT = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_config_strategy(st.floats(), st.integers(0, 60)))
+def test_any_config_is_rejected_or_writes_finite_artifacts(cfg):
+    # a run, not only the parser, is what must not write a non-finite value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(config_text(cfg))
+        out = Path(tmp) / "out"
+        code = main(["run", "--config", str(config), "--out", str(out)])
+        if code == 2:
+            return
+        assert code in (0, 3)
+        written = sorted(out.iterdir())
+        assert written
+        for path in written:
+            text = path.read_text()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_reject_constant)
+            else:
+                assert not _NON_FINITE_TEXT.search(text), path.name
