@@ -18,7 +18,8 @@ from .topology import NetworkTopology
 
 
 class UndefinedCorrelationError(ValueError):
-    """Cross-correlation is undefined because an input has zero variance."""
+    """Cross-correlation is undefined: a series is shorter than two samples
+    or has zero variance."""
 
 
 class InfiniteSpeedError(ValueError):
@@ -151,7 +152,7 @@ def correlation_delay(
     if s.shape != r.shape or s.ndim != 1:
         raise ValueError("series and reference must be equal-length 1-D arrays")
     if s.size < 2:
-        raise ValueError("series too short to correlate")
+        raise UndefinedCorrelationError("series too short to correlate")
     s_centered = s - s.mean()
     r_centered = r - r.mean()
     s_energy = float(s_centered @ s_centered)

@@ -10,6 +10,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     EXPECTED_DIVERGENCE,
+    _preset_config,
     parse_config,
     preset_catalog,
     PRESET_DESCRIPTIONS,
@@ -19,16 +20,9 @@ from .harness import (
 
 def _load_config(args):
     if args.preset:
-        catalog = preset_catalog()
-        if args.preset not in catalog:
-            known = ", ".join(sorted(catalog))
-            raise ConfigError([f"preset: unknown preset {args.preset!r}; known: {known}"])
-        cfg = catalog[args.preset]
-    else:
-        cfg = parse_config(Path(args.config).read_text())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+        return _preset_config(args.preset, args.seed)
+    cfg = parse_config(Path(args.config).read_text())
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _add_common(parser):

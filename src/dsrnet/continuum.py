@@ -27,9 +27,11 @@ class ContinuumParams:
     """Coefficients and stepping intervals of the continuum models.
 
     ``update_interval`` is the consensus-model interval entering the
-    damping and drive coefficients; ``integrator_step`` is the explicit
-    Euler step actually taken. The second-order model divides by
-    ``dsr_gain * update_interval``, so the gain must be strictly positive.
+    damping and drive coefficients. ``integrator_step`` is the explicit
+    Euler step of the second-order model; the diffusion model steps at
+    ``update_interval``. Gains lie in [0, 1); the second-order model
+    divides by ``dsr_gain * update_interval`` and so also needs a positive
+    gain.
     """
 
     alignment_strength: float
@@ -45,8 +47,8 @@ class ContinuumParams:
             raise ValueError("update_interval must be positive")
         if self.alignment_strength < 0:
             raise ValueError("alignment_strength must be nonnegative")
-        if not 0.0 < self.dsr_gain < 1.0:
-            raise ValueError("dsr_gain must lie in (0, 1)")
+        if not 0.0 <= self.dsr_gain < 1.0:
+            raise ValueError("dsr_gain must lie in [0, 1)")
 
 
 @dataclass
@@ -90,6 +92,13 @@ def predicted_wave_speed(
     )
 
 
+def _inertia(params: ContinuumParams) -> float:
+    """``dsr_gain * update_interval``, which the second-order model divides by."""
+    if params.dsr_gain <= 0.0:
+        raise ValueError("the second-order model needs dsr_gain > 0")
+    return params.dsr_gain * params.update_interval
+
+
 def second_order_step(
     state: SecondOrderState,
     topology: NetworkTopology,
@@ -105,9 +114,9 @@ def second_order_step(
     against the discrepancy keeps the uniform-at-source state a fixed point,
     consistent with the first-order update this model approximates.
     """
+    scale = _inertia(params)
     op = operator if operator is not None else DiscrepancyOperator(topology)
     h = params.integrator_step
-    scale = params.dsr_gain * params.update_interval
     delta = op(state.value, params.source.value(state.step))
     new_value = state.value + h * state.rate
     new_rate = (
@@ -151,7 +160,7 @@ def second_order_run(
     :func:`second_order_step`.
     """
     h = params.integrator_step
-    scale = params.dsr_gain * params.update_interval
+    scale = _inertia(params)
     damping = ((1.0 - params.dsr_gain) / scale) * h
 
     def update(k, delta, scratch, gain, prev, cur, nxt):

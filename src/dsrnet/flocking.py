@@ -10,14 +10,14 @@ would corrupt the discrepancy averages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsr_core import (
     DsrParams,
     InfoState,
-    StepSource,
+    Trajectory,
     detect_divergence,
     dsr_step,
 )
@@ -26,46 +26,33 @@ from .topology import NetworkTopology, min_neighbor_count
 
 @dataclass(frozen=True)
 class FlockParams:
-    """Maneuver definition: kinematics, heading dynamics, and source switch.
+    """Maneuver definition: fixed speed, heading dynamics and horizon.
 
-    The heading source emits ``initial_heading`` before ``switch_step`` and
-    ``target_heading`` from it onward; whatever source the nested DSR
-    parameters carry is replaced by that schedule. All agents start with
-    heading ``initial_heading``.
+    The heading schedule is ``dsr.source``: leaders see it as their source,
+    and every agent starts with heading ``dsr.source.initial``.
     """
 
     speed: float
     dsr: DsrParams
-    sensing_radius: float
-    initial_heading: float = -np.pi / 4
-    target_heading: float = np.pi / 2
-    switch_step: int = 0
     n_steps: int = 400
 
     def __post_init__(self):
         if self.speed <= 0:
             raise ValueError("speed must be positive")
-        if self.sensing_radius <= 0:
-            raise ValueError("sensing_radius must be positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
 
 
 @dataclass
-class FlockTrajectory:
-    """Recorded maneuver: positions [rows, n, 2] and headings [rows, n]."""
+class FlockTrajectory(Trajectory):
+    """Recorded maneuver: ``values`` are the headings [rows, n], and
+    ``positions`` [rows, n, 2] the agents' positions at the same times."""
 
-    times: np.ndarray
-    positions: np.ndarray
-    headings: np.ndarray
-    params: FlockParams
-    leader_ids: tuple[int, ...]
-    diverged: bool = False
-    diverged_step: int | None = None
+    positions: np.ndarray = field(kw_only=True)
 
     @property
-    def n_agents(self) -> int:
-        return self.headings.shape[1]
+    def headings(self) -> np.ndarray:
+        return self.values
 
 
 def kinematic_step(
@@ -85,69 +72,53 @@ def kinematic_step(
 
 
 def run_maneuver(
-    initial_positions: np.ndarray,
+    topology: NetworkTopology,
     params: FlockParams,
-    leader_ids,
     seed: int | None = None,
 ) -> FlockTrajectory:
-    """Simulate the full turn maneuver, recording positions and headings.
+    """Simulate the full turn maneuver from the flock's step-0 sensing graph,
+    recording positions and headings.
 
-    Neighborhoods are recomputed from current positions every step, so the
-    sensing graph may change mid-run. Agents that momentarily lose every
-    neighbor coast on their reinforcement term alone until the graph heals.
-    Requires every agent to have at least two neighbors at the start.
+    Neighborhoods are recomputed from current positions, with the same
+    sensing radius and leaders, every later step, so the sensing graph may
+    change mid-run. Agents that momentarily lose every neighbor coast on
+    their reinforcement term alone until the graph heals. Requires every
+    agent to have at least two neighbors at the start.
     """
-    positions0 = np.asarray(initial_positions, dtype=float)
-    topology = NetworkTopology.build(positions0, params.sensing_radius, leader_ids)
     if min_neighbor_count(topology) < 2:
         raise ValueError(
             "initial placement must give every agent at least two neighbors"
         )
-    dsr = replace(
-        params.dsr,
-        source=StepSource(
-            initial=params.initial_heading,
-            final=params.target_heading,
-            switch_step=params.switch_step,
-        ),
-    )
+    dsr = params.dsr
     n = topology.n_agents
     dt = dsr.update_interval
     rows = params.n_steps + 1
     positions = np.empty((rows, n, 2))
     headings = np.empty((rows, n))
-    positions[0] = positions0
-    headings[0] = params.initial_heading
+    positions[0] = topology.positions
+    headings[0] = dsr.source.initial
     state = InfoState.from_initial(headings[0])
 
-    diverged = False
     diverged_step = None
     last_row = params.n_steps
+    step_topology = topology
     for k in range(params.n_steps):
-        step_topology = (
-            topology
-            if k == 0
-            else NetworkTopology.build(
-                positions[k], params.sensing_radius, leader_ids
+        if k:
+            step_topology = NetworkTopology.build(
+                positions[k], topology.sensing_radius, topology.leader_ids
             )
-        )
         state = dsr_step(state, step_topology, dsr, seed, isolated="coast")
         headings[k + 1] = state.current
         positions[k + 1] = kinematic_step(
             positions[k], state.current, params.speed, dt
         )
         if detect_divergence(state):
-            diverged = True
             diverged_step = state.step
             last_row = k + 1
             break
     rows = last_row + 1
     return FlockTrajectory(
-        times=np.arange(rows) * dt,
-        positions=positions[:rows],
-        headings=headings[:rows],
-        params=params,
-        leader_ids=tuple(sorted(topology.leader_ids)),
-        diverged=diverged,
-        diverged_step=diverged_step,
+        np.arange(rows) * dt, headings[:rows], params,
+        tuple(sorted(topology.leader_ids)), diverged_step is not None,
+        diverged_step, positions=positions[:rows],
     )

@@ -167,6 +167,8 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             bad.append("integrator_dt: required for continuum-second-order")
         if cfg.beta == 0.0:
             bad.append("beta: must be positive for continuum-second-order")
+    elif cfg.integrator_dt is not None:
+        bad.append("integrator_dt: only continuum-second-order takes an integrator step")
     if cfg.experiment == "stability-sweep" and not cfg.ks_values:
         bad.append("ks_values: required for stability-sweep")
     if cfg.seed is None and (cfg.noise > 0 or cfg.topology == "disc"):
@@ -253,24 +255,30 @@ def _resolve_topology(cfg: ExperimentConfig) -> tuple[NetworkTopology, int]:
     return topology, leader
 
 
+def _source(cfg: ExperimentConfig) -> StepSource:
+    """The source schedule: the heading turn for flocking, else the step."""
+    if cfg.experiment == "flocking":
+        return StepSource(cfg.initial_heading, cfg.target_heading, cfg.switch_step)
+    return StepSource(cfg.source_initial, cfg.source_final, cfg.switch_step)
+
+
 def _dsr_params(cfg: ExperimentConfig) -> DsrParams:
     return DsrParams(
         alignment_strength=cfg.ks,
         dsr_gain=cfg.beta,
         update_interval=cfg.dt,
-        source=StepSource(cfg.source_initial, cfg.source_final, cfg.switch_step),
+        source=_source(cfg),
         noise_amplitude=cfg.noise,
     )
 
 
 def _continuum_params(cfg: ExperimentConfig) -> ContinuumParams:
-    integrator_dt = cfg.integrator_dt if cfg.integrator_dt is not None else cfg.dt
     return ContinuumParams(
         alignment_strength=cfg.ks,
         dsr_gain=cfg.beta,
         update_interval=cfg.dt,
-        integrator_step=integrator_dt,
-        source=StepSource(cfg.source_initial, cfg.source_final, cfg.switch_step),
+        integrator_step=cfg.dt if cfg.integrator_dt is None else cfg.integrator_dt,
+        source=_source(cfg),
     )
 
 
@@ -317,12 +325,18 @@ def _near_cutoff(cfg: ExperimentConfig, positions: np.ndarray) -> float:
     return cfg.near_fraction * float(np.hypot(spans[0], spans[1]))
 
 
-def _delay_metrics(cfg, positions, leader, delay_pairs):
-    """Transfer speed and scaling exponent over near-leader responses."""
-    cutoff = _near_cutoff(cfg, positions)
+def _distances_from(positions: np.ndarray, leader: int) -> np.ndarray:
+    deltas = positions - positions[leader]
+    return np.hypot(deltas[:, 0], deltas[:, 1])
+
+
+def _metrics_report(cfg, topology, traj, settled, pairs) -> MetricsReport:
+    """The run's report, with transfer speed and scaling exponent fitted
+    over the near-leader (distance, delay) pairs."""
+    cutoff = _near_cutoff(cfg, topology.positions)
     near = [
         (d, t)
-        for d, t in delay_pairs
+        for d, t in pairs
         if np.isfinite(t) and t > 0 and 0 < d <= cutoff
     ]
     speed = None
@@ -335,12 +349,14 @@ def _delay_metrics(cfg, positions, leader, delay_pairs):
         exponent = analysis.fit_scaling_exponent(near)
     except ValueError:
         pass
-    return speed, exponent
-
-
-def _distances_from(positions: np.ndarray, leader: int) -> np.ndarray:
-    deltas = positions - positions[leader]
-    return np.hypot(deltas[:, 0], deltas[:, 1])
+    return MetricsReport(
+        settling_time=settled,
+        per_agent_delay=pairs,
+        transfer_speed=speed,
+        scaling_exponent=exponent,
+        diverged=traj.diverged,
+        overshoot=analysis.overshoot(traj, _source(cfg).final),
+    )
 
 
 def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
@@ -349,23 +365,13 @@ def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
         distances = _distances_from(topology.positions, leader)
         delays = analysis.threshold_delay(traj, 0.1)
         pairs = list(zip(distances.tolist(), delays.tolist()))
-    speed, exponent = _delay_metrics(cfg, topology.positions, leader, pairs)
-    return MetricsReport(
-        settling_time=settled,
-        per_agent_delay=pairs,
-        transfer_speed=speed,
-        scaling_exponent=exponent,
-        diverged=traj.diverged,
-        overshoot=analysis.overshoot(traj, cfg.source_final),
-    )
+    return _metrics_report(cfg, topology, traj, settled, pairs)
 
 
-def _flock_metrics(
-    cfg, topology, leader, flock: FlockTrajectory, heading_traj: Trajectory, radial
-) -> MetricsReport:
+def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> MetricsReport:
     """``radial`` is the run's radial acceleration, or None when it has
     fewer than 3 rows or diverged."""
-    settled = analysis.settling_time(heading_traj, cfg.target_heading)
+    settled = analysis.settling_time(flock, cfg.target_heading)
     distances = _distances_from(topology.positions, leader)
     pairs = []
     if radial is not None:
@@ -376,15 +382,7 @@ def _flock_metrics(
             except analysis.UndefinedCorrelationError:
                 lag = float("nan")
             pairs.append((float(distances[agent]), lag))
-    speed, exponent = _delay_metrics(cfg, topology.positions, leader, pairs)
-    return MetricsReport(
-        settling_time=settled,
-        per_agent_delay=pairs,
-        transfer_speed=speed,
-        scaling_exponent=exponent,
-        diverged=flock.diverged,
-        overshoot=analysis.overshoot(heading_traj, cfg.target_heading),
-    )
+    return _metrics_report(cfg, topology, flock, settled, pairs)
 
 
 def _write_text(path: Path, text: str):
@@ -489,33 +487,17 @@ def run_config(cfg: ExperimentConfig, out_dir):
 
     if cfg.experiment == "flocking":
         steps = _default_steps(cfg)
-        params = FlockParams(
-            speed=cfg.speed,
-            dsr=_dsr_params(cfg),
-            sensing_radius=cfg.sensing_radius,
-            initial_heading=cfg.initial_heading,
-            target_heading=cfg.target_heading,
-            switch_step=cfg.switch_step,
-            n_steps=steps,
-        )
-        flock = run_maneuver(topology.positions, params, {leader}, cfg.seed)
-        traj = Trajectory(
-            times=flock.times,
-            values=flock.headings,
-            params=params,
-            leader_ids=flock.leader_ids,
-            diverged=flock.diverged,
-            diverged_step=flock.diverged_step,
-        )
+        params = FlockParams(speed=cfg.speed, dsr=_dsr_params(cfg), n_steps=steps)
+        traj = run_maneuver(topology, params, cfg.seed)
         radial = None
-        if flock.positions.shape[0] >= 3 and not flock.diverged:
-            radial = analysis.radial_acceleration(flock)
-        report = _flock_metrics(cfg, topology, leader, flock, traj, radial)
+        if traj.positions.shape[0] >= 3 and not traj.diverged:
+            radial = analysis.radial_acceleration(traj)
+        report = _flock_metrics(cfg, topology, leader, traj, radial)
         steps_used = steps
         if radial is not None:
             paths["radial_acceleration"] = out / "radial_acceleration.csv"
             _write_matrix_csv(
-                flock.times[1:-1], radial, paths["radial_acceleration"]
+                traj.times[1:-1], radial, paths["radial_acceleration"]
             )
     else:
         steps = _default_steps(cfg)
@@ -685,16 +667,19 @@ def preset_catalog() -> dict[str, ExperimentConfig]:
     }
 
 
+def _preset_config(name: str, seed: int | None = None) -> ExperimentConfig:
+    """A named preset's config, with its seed overridden when one is given."""
+    catalog = preset_catalog()
+    if name not in catalog:
+        known = ", ".join(sorted(catalog))
+        raise ConfigError([f"preset: unknown preset {name!r}; known presets: {known}"])
+    cfg = catalog[name]
+    return cfg if seed is None else replace(cfg, seed=seed)
+
+
 def run_preset(name: str, seed: int | None = None, out_dir="."):
     """Run a named preset, optionally overriding its seed.
 
     Returns ``(paths, result)`` exactly like run_config.
     """
-    catalog = preset_catalog()
-    if name not in catalog:
-        known = ", ".join(sorted(catalog))
-        raise ValueError(f"unknown preset {name!r}; known presets: {known}")
-    cfg = catalog[name]
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return run_config(cfg, out_dir)
+    return run_config(_preset_config(name, seed), out_dir)

@@ -105,23 +105,16 @@ def flock_runs():
             cfg.ks,
             beta,
             cfg.dt,
-            StepSource(0.0, 0.0, 0),
+            StepSource(cfg.initial_heading, cfg.target_heading, cfg.switch_step),
             noise_amplitude=noise,
         )
-        return FlockParams(
-            speed=cfg.speed,
-            dsr=dsr,
-            sensing_radius=cfg.sensing_radius,
-            initial_heading=cfg.initial_heading,
-            target_heading=cfg.target_heading,
-            n_steps=cfg.n_steps,
-        )
+        return FlockParams(speed=cfg.speed, dsr=dsr, n_steps=cfg.n_steps)
 
-    leader = {int(cfg.leader)}
+    topology = NetworkTopology.build(LATTICE, cfg.sensing_radius, {int(cfg.leader)})
     return {
-        "dsr": run_maneuver(LATTICE, params(0.96), leader),
-        "plain": run_maneuver(LATTICE, params(0.0), leader),
-        "noisy": run_maneuver(LATTICE, params(0.96, noise=0.025), leader, seed=101),
+        "dsr": run_maneuver(topology, params(0.96)),
+        "plain": run_maneuver(topology, params(0.0)),
+        "noisy": run_maneuver(topology, params(0.96, noise=0.025), seed=101),
     }
 
 
@@ -278,9 +271,7 @@ def test_criterion_8_flocking_cohesion(flock_runs):
         np.abs(flock_runs["dsr"].headings[-1] - np.pi / 2).max()
     )
     noisy = flock_runs["noisy"]
-    noisy_settle = settling_time(
-        _headings_as_trajectory(noisy), np.pi / 2, band=0.05 / (np.pi / 2)
-    )
+    noisy_settle = settling_time(noisy, np.pi / 2, band=0.05 / (np.pi / 2))
     noisy_gap = float(np.abs(noisy.headings[-1] - np.pi / 2).max())
     _report(
         8,
@@ -301,18 +292,6 @@ def test_criterion_8_flocking_cohesion(flock_runs):
                 f"settle={noisy_settle}, final max dev {noisy_gap:.3f}",
             ),
         ],
-    )
-
-
-def _headings_as_trajectory(flock):
-    from dsrnet.dsr_core import Trajectory
-
-    return Trajectory(
-        times=flock.times,
-        values=flock.headings,
-        params=flock.params,
-        leader_ids=flock.leader_ids,
-        diverged=flock.diverged,
     )
 
 

@@ -48,13 +48,13 @@ def circular_flock(radius, speed, dt, n_steps):
     )[:, None, :]
     headings = (angle + np.pi / 2)[:, None]
     dsr = DsrParams(1.0, 0.0, dt, StepSource(0.0, 0.0, 0))
-    params = FlockParams(speed=speed, dsr=dsr, sensing_radius=1.0, n_steps=n_steps)
+    params = FlockParams(speed=speed, dsr=dsr, n_steps=n_steps)
     return FlockTrajectory(
         times=t,
-        positions=positions,
-        headings=headings,
+        values=headings,
         params=params,
         leader_ids=(0,),
+        positions=positions,
     )
 
 
@@ -150,13 +150,13 @@ class TestRadialAcceleration:
         t = np.arange(50) * 0.01
         positions = np.stack([3.0 * t, 1.5 * t], axis=-1)[:, None, :]
         dsr = DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 0.0, 0))
-        params = FlockParams(speed=1.0, dsr=dsr, sensing_radius=1.0, n_steps=49)
+        params = FlockParams(speed=1.0, dsr=dsr, n_steps=49)
         flock = FlockTrajectory(
             times=t,
-            positions=positions,
-            headings=np.zeros((50, 1)),
+            values=np.zeros((50, 1)),
             params=params,
             leader_ids=(0,),
+            positions=positions,
         )
         assert np.abs(radial_acceleration(flock)).max() <= 1e-9
 

@@ -52,8 +52,19 @@ class TestPredictedWaveSpeed:
 
 class TestParams:
     def test_rejects_zero_gain(self):
+        # a zero gain is a valid diffusion model; only the second-order
+        # model, which divides by the gain, rejects it
+        params = ContinuumParams(100.0, 0.0, 0.01, 1e-4, STEP_TO_ONE)
+        topology = lattice_topology(3, 3, {0})
         with pytest.raises(ValueError):
-            ContinuumParams(100.0, 0.0, 0.01, 1e-4, STEP_TO_ONE)
+            second_order_run(topology, params, np.zeros(9))
+        with pytest.raises(ValueError):
+            second_order_step(SecondOrderState.from_initial(np.zeros(9)), topology, params)
+        diffusion_run(topology, params, np.zeros(9))
+
+    def test_rejects_negative_gain(self):
+        with pytest.raises(ValueError):
+            ContinuumParams(100.0, -0.5, 0.01, 1e-4, STEP_TO_ONE)
 
     def test_rejects_gain_of_one(self):
         with pytest.raises(ValueError):

@@ -3,18 +3,58 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dsrnet.dsr_core import DsrParams, StepSource
+from dsrnet.dsr_core import (
+    DiscrepancyOperator,
+    DsrParams,
+    InfoState,
+    StepSource,
+    Trajectory,
+    detect_divergence,
+    dsr_step,
+)
 from dsrnet.flocking import FlockParams, kinematic_step, run_maneuver
-from dsrnet.topology import build_lattice
+from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog
+from dsrnet.topology import NetworkTopology, build_lattice
 
 TURN = dict(initial_heading=-np.pi / 4, target_heading=np.pi / 2)
 
 
-def flock_params(beta, speed=5.0, noise=0.0, n_steps=300, **kwargs):
-    dsr = DsrParams(100.0, beta, 0.01, StepSource(0.0, 0.0, 0), noise_amplitude=noise)
-    return FlockParams(
-        speed=speed, dsr=dsr, sensing_radius=1.2, n_steps=n_steps, **kwargs
-    )
+def flock_params(
+    beta,
+    speed=5.0,
+    noise=0.0,
+    n_steps=300,
+    initial_heading=-np.pi / 4,
+    target_heading=np.pi / 2,
+    ks=100.0,
+):
+    source = StepSource(initial_heading, target_heading, 0)
+    dsr = DsrParams(ks, beta, 0.01, source, noise_amplitude=noise)
+    return FlockParams(speed=speed, dsr=dsr, n_steps=n_steps)
+
+
+def graph(positions, leader=0):
+    """The step-0 sensing graph of agents at ``positions``, radius 1.2."""
+    return NetworkTopology.build(positions, 1.2, {leader})
+
+
+def per_step_maneuver(positions, radius, leader_ids, params, seed=None):
+    """Oracle: the maneuver as a plain per-step loop that rebuilds the
+    graph, applies one dsr_step and one kinematic_step, then checks for
+    divergence. Returns positions, headings and the divergence step."""
+    dsr = params.dsr
+    state = InfoState.from_initial(np.full(len(positions), dsr.source.initial))
+    track, headings = [np.asarray(positions, dtype=float)], [state.current]
+    for _ in range(params.n_steps):
+        topology = NetworkTopology.build(track[-1], radius, leader_ids)
+        state = dsr_step(state, topology, dsr, seed, isolated="coast")
+        headings.append(state.current)
+        track.append(
+            kinematic_step(track[-1], state.current, params.speed, dsr.update_interval)
+        )
+        if detect_divergence(state):
+            return np.array(track), np.array(headings), state.step
+    return np.array(track), np.array(headings), None
 
 
 class TestKinematicStep:
@@ -48,7 +88,7 @@ class TestRunManeuver:
             initial_heading=0.3,
             target_heading=0.3,
         )
-        flock = run_maneuver(positions, params, {0})
+        flock = run_maneuver(graph(positions), params)
         assert np.all(flock.headings == 0.3)
         # rigid translation: pairwise distances preserved
         first = positions[:, None, :] - positions[None, :, :]
@@ -61,7 +101,7 @@ class TestRunManeuver:
     def test_every_step_moves_exactly_speed_times_dt(self):
         positions = build_lattice(6, 6, 1.0)
         params = flock_params(0.96, n_steps=150, **TURN)
-        flock = run_maneuver(positions, params, {0})
+        flock = run_maneuver(graph(positions), params)
         displacement = np.diff(flock.positions, axis=0)
         magnitude = np.hypot(displacement[..., 0], displacement[..., 1])
         step = params.speed * params.dsr.update_interval
@@ -70,12 +110,12 @@ class TestRunManeuver:
     def test_requires_two_neighbors_at_start(self):
         sparse = build_lattice(3, 3, 2.0)  # spacing beyond sensing radius
         with pytest.raises(ValueError):
-            run_maneuver(sparse, flock_params(0.96), {0})
+            run_maneuver(graph(sparse), flock_params(0.96))
 
     def test_record_shapes_and_times(self):
         positions = build_lattice(4, 4, 1.0)
         params = flock_params(0.5, n_steps=37, **TURN)
-        flock = run_maneuver(positions, params, {0})
+        flock = run_maneuver(graph(positions), params)
         assert flock.positions.shape == (38, 16, 2)
         assert flock.headings.shape == (38, 16)
         assert flock.times[-1] == pytest.approx(0.37)
@@ -85,8 +125,8 @@ class TestRunManeuver:
     def test_far_agent_reaches_target_only_with_reinforcement(self):
         positions = build_lattice(9, 9, 1.0)
         far = 80  # opposite corner from the leader
-        with_dsr = run_maneuver(positions, flock_params(0.96, **TURN), {0})
-        without = run_maneuver(positions, flock_params(0.0, **TURN), {0})
+        with_dsr = run_maneuver(graph(positions), flock_params(0.96, **TURN))
+        without = run_maneuver(graph(positions), flock_params(0.0, **TURN))
         assert abs(with_dsr.headings[-1][far] - np.pi / 2) <= 0.02
         assert abs(without.headings[-1][far] - np.pi / 2) > 0.02
 
@@ -103,8 +143,8 @@ class TestRunManeuver:
             upper = np.triu_indices(len(first), 1)
             return float(np.max(np.abs(last[upper] - first[upper]) / first[upper]))
 
-        with_dsr = run_maneuver(positions, flock_params(0.96, **TURN), {0})
-        without = run_maneuver(positions, flock_params(0.0, **TURN), {0})
+        with_dsr = run_maneuver(graph(positions), flock_params(0.96, **TURN))
+        without = run_maneuver(graph(positions), flock_params(0.0, **TURN))
         assert max_distortion(with_dsr) < max_distortion(without)
 
     def test_far_corner_correlation_delay_matches_anchor(self):
@@ -115,7 +155,7 @@ class TestRunManeuver:
 
         positions = build_lattice(15, 15, 1.0)
         params = flock_params(0.96, n_steps=400, **TURN)
-        flock = run_maneuver(positions, params, {16})
+        flock = run_maneuver(graph(positions, 16), params)
         radial = radial_acceleration(flock)
         lag = correlation_delay(radial[:, 224], radial[:, 16], 0.01)
         assert lag == pytest.approx(0.389, abs=0.021)
@@ -123,14 +163,82 @@ class TestRunManeuver:
     def test_noisy_maneuver_is_seed_deterministic(self):
         positions = build_lattice(5, 5, 1.0)
         params = flock_params(0.96, noise=0.025, n_steps=100, **TURN)
-        a = run_maneuver(positions, params, {0}, seed=9)
-        b = run_maneuver(positions, params, {0}, seed=9)
+        a = run_maneuver(graph(positions), params, seed=9)
+        b = run_maneuver(graph(positions), params, seed=9)
         assert np.array_equal(a.headings, b.headings)
         assert np.array_equal(a.positions, b.positions)
 
     def test_rejects_bad_params(self):
         dsr = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 0.0, 0))
         with pytest.raises(ValueError):
-            FlockParams(speed=0.0, dsr=dsr, sensing_radius=1.2)
+            FlockParams(speed=0.0, dsr=dsr)
         with pytest.raises(ValueError):
-            FlockParams(speed=1.0, dsr=dsr, sensing_radius=0.0)
+            FlockParams(speed=1.0, dsr=dsr, n_steps=-1)
+        # the sensing radius belongs to the graph the maneuver starts from
+        with pytest.raises(ValueError):
+            NetworkTopology.build(build_lattice(3, 3, 1.0), 0.0, {0})
+
+    def test_heading_schedule_is_the_dsr_source(self):
+        positions = build_lattice(4, 4, 1.0)
+        source = StepSource(0.2, 0.7, 5)
+        params = FlockParams(5.0, DsrParams(100.0, 0.5, 0.01, source), n_steps=20)
+        flock = run_maneuver(graph(positions), params)
+        assert np.all(flock.headings[:6] == 0.2)  # step k reads step k's source
+        assert np.all(flock.headings[6:, 0] > 0.2)
+
+    def test_trajectory_is_a_trajectory_of_headings(self):
+        params = flock_params(0.96, n_steps=12)
+        flock = run_maneuver(graph(build_lattice(4, 4, 1.0)), params)
+        assert isinstance(flock, Trajectory)
+        assert flock.headings is flock.values
+        assert flock.params is params
+        assert flock.n_agents == 16
+        thin = flock.decimate(5)
+        assert np.array_equal(thin.values, flock.headings[[0, 5, 10, 12]])
+
+
+def _preset_flock(name):
+    cfg = preset_catalog()[name]
+    topology, _ = _resolve_topology(cfg)
+    return topology, FlockParams(cfg.speed, _dsr_params(cfg), cfg.n_steps), cfg.seed
+
+
+class TestManeuverMatchesPerStepLoop:
+    """run_maneuver against the per-step loop, bit for bit."""
+
+    def assert_matches(self, topology, params, seed=None):
+        flock = run_maneuver(topology, params, seed)
+        positions, headings, diverged_step = per_step_maneuver(
+            topology.positions, topology.sensing_radius, topology.leader_ids,
+            params, seed,
+        )
+        assert flock.positions.tobytes() == positions.tobytes()
+        assert flock.headings.tobytes() == headings.tobytes()
+        assert flock.diverged_step == diverged_step
+        assert flock.diverged == (diverged_step is not None)
+        assert flock.times.shape == (len(headings),)
+        return flock
+
+    def test_fig2_lattice(self):
+        self.assert_matches(*_preset_flock("fig2_lattice"))
+
+    def test_fig2_disc_noise(self):
+        topology, params, seed = _preset_flock("fig2_disc_noise")
+        assert seed == 7 and params.dsr.noise_amplitude > 0
+        self.assert_matches(topology, params, seed)
+
+    def test_flock_with_a_coasting_agent(self):
+        # at 20 m/s the turn pulls an agent out of everyone's range for a
+        # few steps mid-run; it coasts, then the run goes on
+        topology = graph(build_lattice(4, 4, 1.0), 5)
+        flock = self.assert_matches(topology, flock_params(0.0, speed=20.0, n_steps=60))
+        coasting = [
+            k for k in range(len(flock.times))
+            if DiscrepancyOperator(graph(flock.positions[k], 5)).has_isolated
+        ]
+        assert coasting and coasting[0] > 0 and coasting[-1] < 60
+
+    def test_diverging_flock(self):
+        topology = graph(build_lattice(5, 5, 1.0))
+        flock = self.assert_matches(topology, flock_params(0.0, ks=300.0, n_steps=200))
+        assert flock.diverged and 0 < flock.diverged_step < 200

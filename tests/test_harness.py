@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +403,45 @@ class TestCli:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "config error: n_agents: " in capsys.readouterr().err
 
+    def test_two_step_flocking_run_gives_undefined_lags(self, tmp_path, capsys):
+        # the radial acceleration then has a single row to correlate
+        config = tmp_path / "flock.cfg"
+        config.write_text(
+            "experiment = flocking\nrows = 5\ncols = 5\nleader = 6\nn_steps = 2\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert len((out / "radial_acceleration.csv").read_text().splitlines()) == 2
+        delays = (out / "delays.csv").read_text().splitlines()
+        assert len(delays) == 26
+        assert all(line.endswith(",") for line in delays[1:])
+        for path in out.iterdir():
+            assert not _NON_FINITE_TEXT.search(path.read_text()), path.name
+
+    def test_diffusion_runs_without_reinforcement(self, tmp_path):
+        config = tmp_path / "diffusion.cfg"
+        config.write_text(
+            "experiment = continuum-diffusion\nrows = 5\ncols = 5\nbeta = 0\nn_steps = 10\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert parse_config((out / "manifest.cfg").read_text()).beta == 0.0
+        json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize(
+        "experiment", [k for k in EXPERIMENT_KINDS if k != "continuum-second-order"]
+    )
+    def test_integrator_dt_only_for_second_order(self, tmp_path, capsys, experiment):
+        # diffusion steps at dt: an integrator_dt would be echoed, never used
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            f"experiment = {experiment}\nks_values = 100\nn_steps = 10\n"
+            "integrator_dt = 0.0001\n"
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: integrator_dt: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_override_is_validated(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "fig1b", "--ks", "100,nan", "--out", str(tmp_path / "s")])
         assert code == 2
@@ -423,7 +462,7 @@ def _config_strategy(wild, count):
     # wild step counts are invalid ones: a huge max_steps is a valid request
     # for a run as long as it names, which no test can afford
     maybe = _mostly(st.none() | count, st.integers(-(10**12), 0))
-    return st.builds(
+    configs = st.builds(
         ExperimentConfig,
         experiment=st.sampled_from(EXPERIMENT_KINDS),
         topology=st.sampled_from(["lattice", "disc"]),
@@ -445,7 +484,6 @@ def _config_strategy(wild, count):
         speed=positive,
         initial_heading=real,
         target_heading=real,
-        integrator_dt=_mostly(positive, st.none()),
         record_every=st.integers(1, 5),
         n_steps=count,
         max_steps=maybe,
@@ -453,6 +491,16 @@ def _config_strategy(wild, count):
         seed=_mostly(st.integers(0, 2**32), st.none()),
         ks_values=st.lists(positive, max_size=3).map(tuple),
         near_fraction=_mostly(st.sampled_from([1.0 / 3.0, 1.0]), wild),
+    )
+
+    def integrator_dt(experiment):
+        # only the second-order model takes an integrator step
+        if experiment == "continuum-second-order":
+            return _mostly(positive, st.none())
+        return _mostly(st.none(), positive)
+
+    return configs.flatmap(
+        lambda cfg: st.builds(replace, st.just(cfg), integrator_dt=integrator_dt(cfg.experiment))
     )
 
 
