@@ -11,9 +11,8 @@ from .harness import (
     ConfigError,
     EXPECTED_DIVERGENCE,
     _preset_config,
+    PRESETS,
     parse_config,
-    preset_catalog,
-    PRESET_DESCRIPTIONS,
     run_config,
 )
 
@@ -66,8 +65,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_list_presets(_args) -> int:
-    for name in sorted(preset_catalog()):
-        print(f"{name}: {PRESET_DESCRIPTIONS[name]}")
+    for name, (description, _) in sorted(PRESETS.items()):
+        print(f"{name}: {description}")
     return 0
 
 

@@ -285,9 +285,9 @@ class BlockRun:
     DIVERGENCE_LIMIT, exactly as a check after every step would; that
     column's run ends there and it leaves the state. With ``record_every``
     (one column only) the run records step 0, every ``record_every``-th step
-    and the last or diverged step. With ``band = (target, fraction)`` it
-    tracks, per column, the last step at which a value lies further than
-    ``fraction * |target|`` from the target.
+    and the last or diverged step. With ``band = (target, fraction)`` (one
+    state row only) it tracks, per column, the last step at which a value
+    lies further than ``fraction * |target|`` from the target.
     """
 
     def __init__(
@@ -298,6 +298,8 @@ class BlockRun:
             raise ValueError("record_every must be at least 1")
         if record_every is not None and len(gains) != 1:
             raise ValueError("only a single-column run can be recorded")
+        if band is not None and state_width > 1:
+            raise ValueError("a band can be tracked only on a one-row state")
         op = DiscrepancyOperator(topology)
         op.require_connected()
         n, m = topology.n_agents, len(gains)
@@ -378,9 +380,6 @@ class BlockRun:
         bad = ~(np.maximum(hi, -lo) <= DIVERGENCE_LIMIT)
         diverged, first = bad.any(axis=0), bad.argmax(axis=0)
         if self._band is not None:
-            if width > 1:
-                hi = flat[:, :, : self._n].max(axis=2, initial=-np.inf)[rows]
-                lo = flat[:, :, : self._n].min(axis=2, initial=np.inf)[rows]
             outside = self._outside(hi, lo)
             seen = outside.any(axis=0)
             latest = steps[len(steps) - 1 - outside[::-1].argmax(axis=0)]

@@ -122,6 +122,20 @@ _CHOICES = {
     "disc_sampling": ("area", "literal"),
 }
 
+# The run-policy keys each experiment cannot use, each with the one value it
+# may hold: its default, which the manifest echoes.
+_UNUSED_KEYS = {
+    "lattice-info": {"integrator_dt": None, "ks_values": ()},
+    # the radial acceleration differentiates positions at every step
+    "flocking": {"integrator_dt": None, "record_every": 1, "ks_values": ()},
+    "continuum-second-order": {"noise": 0.0, "ks_values": ()},
+    "continuum-diffusion": {"integrator_dt": None, "noise": 0.0, "ks_values": ()},
+    # a sweep records nothing and runs every column to one fixed horizon
+    "stability-sweep": {
+        "integrator_dt": None, "record_every": 1, "max_steps": None, "csv_stride": None,
+    },
+}
+
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
     bad = []
@@ -162,13 +176,15 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if any(k < 0 for k in cfg.ks_values):
         bad.append("ks_values: entries must be nonnegative")
 
+    for key, value in _UNUSED_KEYS.get(cfg.experiment, {}).items():
+        if getattr(cfg, key) != value:
+            held = "unset" if value in (None, ()) else f"{value:g}"
+            bad.append(f"{key}: must be {held} for {cfg.experiment}, which cannot use it")
     if cfg.experiment == "continuum-second-order":
         if cfg.integrator_dt is None:
             bad.append("integrator_dt: required for continuum-second-order")
         if cfg.beta == 0.0:
             bad.append("beta: must be positive for continuum-second-order")
-    elif cfg.integrator_dt is not None:
-        bad.append("integrator_dt: only continuum-second-order takes an integrator step")
     if cfg.experiment == "stability-sweep" and not cfg.ks_values:
         bad.append("ks_values: required for stability-sweep")
     if cfg.seed is None and (cfg.noise > 0 or cfg.topology == "disc"):
@@ -282,28 +298,24 @@ def _continuum_params(cfg: ExperimentConfig) -> ContinuumParams:
     )
 
 
-def _default_steps(cfg: ExperimentConfig) -> int:
-    return 1000 if cfg.n_steps is None else cfg.n_steps
-
-
 def _fixed_graph_run(cfg: ExperimentConfig, topology: NetworkTopology) -> BlockRun:
     """The resumable run of a lattice-info or continuum experiment."""
     initial = np.zeros(topology.n_agents)
     if cfg.experiment == "lattice-info":
-        return dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed)
+        return dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every)
     if cfg.experiment == "continuum-second-order":
         return second_order_run(topology, _continuum_params(cfg), initial, cfg.record_every)
     return diffusion_run(topology, _continuum_params(cfg), initial, cfg.record_every)
 
 
-def _confirmed_run(run: BlockRun, initial_steps: int, max_steps: int, final_value: float):
-    """Extend a recorded run until any settling is confirmed.
+def _confirmed_run(run: BlockRun, steps: int, max_steps: int, final_value: float):
+    """Extend a recorded run of ``steps`` (at most max_steps) steps until
+    any settling is confirmed.
 
     Settling counts as confirmed once the record extends to at least
     CONFIRM_FACTOR times the settling time; otherwise the horizon grows
     (bounded by max_steps) and the run continues from where it stopped.
     """
-    steps = min(initial_steps, max_steps)
     while True:
         traj = run.advance(steps).trajectory()
         if traj.diverged:
@@ -312,7 +324,7 @@ def _confirmed_run(run: BlockRun, initial_steps: int, max_steps: int, final_valu
         if settled is not None and traj.times[-1] >= CONFIRM_FACTOR * settled - 1e-12:
             return traj, settled, steps
         if steps >= max_steps:
-            return traj, None if settled is None else settled, steps
+            return traj, settled, steps
         if settled is None:
             steps = min(max(2 * steps, 1), max_steps)
         else:
@@ -485,25 +497,24 @@ def run_config(cfg: ExperimentConfig, out_dir):
         _write_text(paths["manifest"], config_text(resolved))
         return paths, results
 
+    n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
+    max_steps = 8 * n_steps if cfg.max_steps is None else cfg.max_steps
+    steps = min(n_steps, max_steps)
     if cfg.experiment == "flocking":
-        steps = _default_steps(cfg)
         params = FlockParams(speed=cfg.speed, dsr=_dsr_params(cfg), n_steps=steps)
         traj = run_maneuver(topology, params, cfg.seed)
         radial = None
         if traj.positions.shape[0] >= 3 and not traj.diverged:
             radial = analysis.radial_acceleration(traj)
         report = _flock_metrics(cfg, topology, leader, traj, radial)
-        steps_used = steps
         if radial is not None:
             paths["radial_acceleration"] = out / "radial_acceleration.csv"
             _write_matrix_csv(
                 traj.times[1:-1], radial, paths["radial_acceleration"]
             )
     else:
-        steps = _default_steps(cfg)
-        max_steps = cfg.max_steps if cfg.max_steps is not None else 8 * steps
         # the run is freed on return, before the artifacts are written
-        traj, settled, steps_used = _confirmed_run(
+        traj, settled, steps = _confirmed_run(
             _fixed_graph_run(cfg, topology), steps, max_steps, cfg.source_final
         )
         report = _info_metrics(cfg, topology, leader, traj, settled)
@@ -512,11 +523,7 @@ def run_config(cfg: ExperimentConfig, out_dir):
         traj.values.shape[0]
     )
     resolved = replace(
-        cfg,
-        leader=str(leader),
-        n_steps=steps_used,
-        max_steps=cfg.max_steps if cfg.max_steps is not None else 8 * steps,
-        csv_stride=stride,
+        cfg, leader=str(leader), n_steps=steps, max_steps=max_steps, csv_stride=stride
     )
     paths["trajectory"] = out / "trajectory.csv"
     write_trajectory_csv(traj.decimate(stride), paths["trajectory"])
@@ -556,115 +563,85 @@ _LATTICE_BASE = dict(
     dt=0.01,
 )
 
-_PRESET_DEFS = {
-    "fig1b": dict(
-        experiment="lattice-info",
-        **_LATTICE_BASE,
-        ks=100.0,
-        beta=0.0,
-        n_steps=12000,
+# Each preset: its description, then its parameters.
+PRESETS = {
+    "fig1b": (
+        "lattice step response, no reinforcement (slow settling baseline)",
+        dict(_LATTICE_BASE, experiment="lattice-info", ks=100.0, beta=0.0, n_steps=12000),
     ),
-    "fig1c": dict(
-        experiment="lattice-info",
-        **_LATTICE_BASE,
-        ks=100.0,
-        beta=0.96,
-        n_steps=600,
+    "fig1c": (
+        "lattice step response with reinforcement gain 0.96 (fast settling)",
+        dict(_LATTICE_BASE, experiment="lattice-info", ks=100.0, beta=0.96, n_steps=600),
     ),
-    "fig1d": dict(
-        experiment="lattice-info",
-        **_LATTICE_BASE,
-        ks=100.0,
-        beta=0.98,
-        n_steps=800,
+    "fig1d": (
+        "lattice step response with gain 0.98 (oscillatory, overshoots)",
+        dict(_LATTICE_BASE, experiment="lattice-info", ks=100.0, beta=0.98, n_steps=800),
     ),
-    "fig1_unstable": dict(
-        experiment="lattice-info",
-        **_LATTICE_BASE,
-        ks=101.0,
-        beta=0.0,
-        n_steps=2500,
+    "fig1_unstable": (
+        "alignment strength past the stability cliff; diverges by design",
+        dict(_LATTICE_BASE, experiment="lattice-info", ks=101.0, beta=0.0, n_steps=2500),
     ),
     # Flock speed is frozen at 5 m/s: above that, neighborhood churn during
     # the turn corrupts the near-field correlation delays and the measured
     # transfer speed drifts far from the 47 m/s wave-propagation anchor.
-    "fig2_lattice": dict(
-        experiment="flocking",
-        **_LATTICE_BASE,
-        ks=100.0,
-        beta=0.96,
-        speed=5.0,
-        n_steps=400,
+    "fig2_lattice": (
+        "constant-speed turn maneuver of a lattice flock with reinforcement",
+        dict(
+            _LATTICE_BASE, experiment="flocking", ks=100.0, beta=0.96, speed=5.0,
+            n_steps=400,
+        ),
     ),
     # The disc preset samples radii as sqrt(U(0, disc_radius)) ("literal"
     # mode): with 225 agents, uniform-area sampling at this radius leaves
     # some agent with fewer than two starting neighbors for essentially
     # every draw, violating the maneuver precondition.
-    "fig2_disc_noise": dict(
-        experiment="flocking",
-        topology="disc",
-        n_agents=225,
-        disc_radius=25.0 / 3.0,
-        disc_sampling="literal",
-        sensing_radius=1.2,
-        leader="center",
-        dt=0.01,
-        ks=100.0,
-        beta=0.96,
-        speed=5.0,
-        noise=0.025,
-        seed=7,
-        n_steps=400,
+    "fig2_disc_noise": (
+        "turn maneuver of a random-disc flock with update noise",
+        dict(
+            experiment="flocking",
+            topology="disc",
+            n_agents=225,
+            disc_radius=25.0 / 3.0,
+            disc_sampling="literal",
+            sensing_radius=1.2,
+            leader="center",
+            dt=0.01,
+            ks=100.0,
+            beta=0.96,
+            speed=5.0,
+            noise=0.025,
+            seed=7,
+            n_steps=400,
+        ),
     ),
-    "fig3a_diffusion": dict(
-        experiment="continuum-diffusion",
-        **_LATTICE_BASE,
-        ks=4011.0,
-        beta=0.96,
-        n_steps=20080,
-        record_every=40,
+    # The model interval of the diffusion preset differs from the base dt.
+    "fig3a_diffusion": (
+        "pure-diffusion model matched to the fast DSR settling time",
+        dict(
+            _LATTICE_BASE, experiment="continuum-diffusion", dt=2.49e-4, ks=4011.0,
+            beta=0.96, n_steps=20080, record_every=40,
+        ),
     ),
-    "fig3b_second_order": dict(
-        experiment="continuum-second-order",
-        **_LATTICE_BASE,
-        ks=100.0,
-        beta=0.96,
-        integrator_dt=1.246e-4,
-        n_steps=40128,
-        record_every=80,
+    "fig3b_second_order": (
+        "second-order wave-like model at its stable integrator step",
+        dict(
+            _LATTICE_BASE, experiment="continuum-second-order", ks=100.0, beta=0.96,
+            integrator_dt=1.246e-4, n_steps=40128, record_every=80,
+        ),
     ),
-    "fig3b_unstable": dict(
-        experiment="continuum-second-order",
-        **_LATTICE_BASE,
-        ks=100.0,
-        beta=0.96,
-        integrator_dt=2.493e-4,
-        n_steps=160000,
-        record_every=400,
+    "fig3b_unstable": (
+        "second-order model at twice the stable step; diverges by design",
+        dict(
+            _LATTICE_BASE, experiment="continuum-second-order", ks=100.0, beta=0.96,
+            integrator_dt=2.493e-4, n_steps=160000, record_every=400,
+        ),
     ),
-}
-
-# fig3a/fig3b presets override the base dt where the model interval differs.
-_PRESET_DEFS["fig3a_diffusion"]["dt"] = 2.49e-4
-
-PRESET_DESCRIPTIONS = {
-    "fig1b": "lattice step response, no reinforcement (slow settling baseline)",
-    "fig1c": "lattice step response with reinforcement gain 0.96 (fast settling)",
-    "fig1d": "lattice step response with gain 0.98 (oscillatory, overshoots)",
-    "fig1_unstable": "alignment strength past the stability cliff; diverges by design",
-    "fig2_lattice": "constant-speed turn maneuver of a lattice flock with reinforcement",
-    "fig2_disc_noise": "turn maneuver of a random-disc flock with update noise",
-    "fig3a_diffusion": "pure-diffusion model matched to the fast DSR settling time",
-    "fig3b_second_order": "second-order wave-like model at its stable integrator step",
-    "fig3b_unstable": "second-order model at twice the stable step; diverges by design",
 }
 
 
 def preset_catalog() -> dict[str, ExperimentConfig]:
     """Named experiment configurations with frozen parameters."""
-    return {
-        name: ExperimentConfig(**defn) for name, defn in _PRESET_DEFS.items()
-    }
+    return {name: ExperimentConfig(**defn) for name, (_, defn) in PRESETS.items()}
 
 
 def _preset_config(name: str, seed: int | None = None) -> ExperimentConfig:

@@ -47,8 +47,9 @@ def sample_disc(
     ``mode="area"`` (default) draws radii as ``disc_radius * sqrt(U(0,1))``,
     which is uniform in area and therefore uniform in agent density.
     ``mode="literal"`` draws ``sqrt(U(0, disc_radius))`` instead; it packs
-    every agent within ``sqrt(disc_radius)`` of the centre and exists only
-    as a comparison variant.
+    every agent within ``sqrt(disc_radius)`` of the centre, densely enough
+    that the ``fig2_disc_noise`` preset gives every agent the two starting
+    neighbors a maneuver needs.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -9,6 +9,7 @@ from dsrnet.analysis import settling_time
 from dsrnet.dsr_core import (
     _MAX_BLOCK_STEPS,
     _StepNoise,
+    BlockRun,
     DsrParams,
     DiscrepancyOperator,
     InfoState,
@@ -409,6 +410,14 @@ class TestBatchedColumns:
             dsr_run(topo, [base, replace(base, dsr_gain=0.4)], np.zeros(9))
         with pytest.raises(ValueError, match="single-column"):
             dsr_run(topo, [base, replace(base, alignment_strength=9.0)], np.zeros(9))
+
+    def test_band_needs_a_one_row_state(self):
+        topo = lattice_topology(3, 3, {0})
+        with pytest.raises(ValueError, match="one-row state"):
+            BlockRun(
+                topo, STEP_TO_ONE, np.zeros(9), None, [1.0], params=None,
+                step_seconds=0.01, state_width=2, band=(1.0, 0.02),
+            )
 
 
 class TestExtendedRun:

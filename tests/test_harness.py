@@ -18,6 +18,7 @@ from dsrnet.harness import (
     NAMED_LEADERS,
     ConfigError,
     ExperimentConfig,
+    _UNUSED_KEYS,
     _validate,
     config_text,
     parse_config,
@@ -300,8 +301,13 @@ class TestConfirmedRun:
             # diverges after its horizon has doubled six times
             "experiment = continuum-second-order\nks = 100\nbeta = 0.96\n"
             "integrator_dt = 0.001\nrecord_every = 7\nmax_steps = 100000\n",
+            # settles on the recorded rows, then grows to confirm it
+            "experiment = lattice-info\nks = 100\nbeta = 0.9\nrecord_every = 4\n",
         ],
-        ids=["dsr-max-steps", "dsr-settles", "diffusion", "second-order-diverges"],
+        ids=[
+            "dsr-max-steps", "dsr-settles", "diffusion", "second-order-diverges",
+            "dsr-record-every",
+        ],
     )
     def test_extended_run_matches_a_fresh_run_of_its_final_length(self, tmp_path, model):
         text = "rows = 5\ncols = 5\nleader = 6\ndt = 0.01\nn_steps = 50\n" + model
@@ -442,6 +448,61 @@ class TestCli:
         assert "config error: integrator_dt: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("lattice-info", "ks_values", "100"),
+            ("flocking", "record_every", "2"),
+            ("flocking", "ks_values", "100"),
+            ("continuum-second-order", "noise", "0.5"),
+            ("continuum-second-order", "ks_values", "100"),
+            ("continuum-diffusion", "noise", "0.5"),
+            ("continuum-diffusion", "ks_values", "100"),
+            ("stability-sweep", "record_every", "2"),
+            ("stability-sweep", "max_steps", "10"),
+            ("stability-sweep", "csv_stride", "1"),
+        ],
+    )
+    def test_key_an_experiment_cannot_use_exits_2(
+        self, tmp_path, capsys, experiment, key, value
+    ):
+        # the manifest would echo the key while the run ignored it
+        required = {
+            "continuum-second-order": "beta = 0.5\nintegrator_dt = 0.001\n",
+            "stability-sweep": "ks_values = 100\n",
+        }
+        base = f"experiment = {experiment}\nn_steps = 10\nseed = 1\n"
+        base += required.get(experiment, "")
+        parse_config(base)
+        config = tmp_path / "bad.cfg"
+        config.write_text(base + f"{key} = {value}\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_lattice_info_records_every_record_every_th_step(self, tmp_path):
+        config = tmp_path / "info.cfg"
+        config.write_text(
+            "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nn_steps = 20\n"
+            "max_steps = 20\nrecord_every = 5\ncsv_stride = 1\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "0.05", "0.1", "0.15", "0.2"]
+
+    def test_flocking_steps_at_most_max_steps(self, tmp_path):
+        config = tmp_path / "flock.cfg"
+        config.write_text(
+            "experiment = flocking\nrows = 5\ncols = 5\nleader = 6\nn_steps = 30\n"
+            "max_steps = 3\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 4
+        manifest = parse_config((out / "manifest.cfg").read_text())
+        assert (manifest.n_steps, manifest.max_steps) == (3, 3)
+
     def test_sweep_override_is_validated(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "fig1b", "--ks", "100,nan", "--out", str(tmp_path / "s")])
         assert code == 2
@@ -462,8 +523,7 @@ def _config_strategy(wild, count):
     # wild step counts are invalid ones: a huge max_steps is a valid request
     # for a run as long as it names, which no test can afford
     maybe = _mostly(st.none() | count, st.integers(-(10**12), 0))
-    configs = st.builds(
-        ExperimentConfig,
+    drawn = dict(
         experiment=st.sampled_from(EXPERIMENT_KINDS),
         topology=st.sampled_from(["lattice", "disc"]),
         rows=st.integers(1, 4),
@@ -491,16 +551,19 @@ def _config_strategy(wild, count):
         seed=_mostly(st.integers(0, 2**32), st.none()),
         ks_values=st.lists(positive, max_size=3).map(tuple),
         near_fraction=_mostly(st.sampled_from([1.0 / 3.0, 1.0]), wild),
+        integrator_dt=_mostly(positive, st.none()),
     )
+    configs = st.builds(ExperimentConfig, **drawn)
 
-    def integrator_dt(experiment):
-        # only the second-order model takes an integrator step
-        if experiment == "continuum-second-order":
-            return _mostly(positive, st.none())
-        return _mostly(st.none(), positive)
+    def unused_keys(experiment):
+        # a key the experiment cannot use mostly holds the one value it may
+        return {
+            key: _mostly(st.just(value), drawn[key])
+            for key, value in _UNUSED_KEYS[experiment].items()
+        }
 
     return configs.flatmap(
-        lambda cfg: st.builds(replace, st.just(cfg), integrator_dt=integrator_dt(cfg.experiment))
+        lambda cfg: st.builds(replace, st.just(cfg), **unused_keys(cfg.experiment))
     )
 
 
