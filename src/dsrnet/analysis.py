@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import DsrParams, Trajectory, dsr_run
+from .dsr_core import DsrParams, StepSource, Trajectory, dsr_run
 from .dsr_core import simulate  # noqa: F401  (perfbench/tracer.py wraps analysis.simulate)
 from .flocking import FlockTrajectory
 from .topology import NetworkTopology
@@ -55,19 +55,21 @@ def settling_time(
     traj: Trajectory,
     final_value: float,
     band: float = 0.02,
+    initial_value: float = 0.0,
 ) -> float | None:
     """First time after which every agent stays within the tolerance band.
 
-    The band is ``band * |final_value|`` around ``final_value`` and must be
-    held through the end of the recorded trajectory. Returns None for runs
-    that never satisfy it, including diverged runs.
+    The band is that of a step source from ``initial_value`` to
+    ``final_value`` (see ``StepSource.band``) and must be held through the
+    end of the recorded trajectory. Returns None for runs that never
+    satisfy it, including diverged runs.
     """
     if band <= 0:
         raise ValueError("band must be positive")
     if traj.diverged:
         return None
     deviation = _row_max(traj.values, lambda block: np.abs(block - final_value))
-    inside = deviation <= band * abs(final_value)
+    inside = deviation <= StepSource(initial_value, final_value).band(band)[1]
     if not inside[-1]:
         return None
     outside = np.flatnonzero(~inside)
@@ -232,8 +234,7 @@ def settling_horizon(
     if initial is None:
         initial = np.zeros(topology.n_agents)
     run = dsr_run(
-        topology, [params], initial, seed, record_every=None,
-        band=(params.source.final, band),
+        topology, [params], initial, seed, record_every=None, band=params.source.band(band)
     )
     steps = 1000
     while True:
@@ -279,7 +280,7 @@ def stability_sweep(
         raise ValueError("band must be positive")
     run = dsr_run(
         topology, columns, initial, seed, record_every=None,
-        band=(base_params.source.final, band),
+        band=base_params.source.band(band),
     ).advance(horizon_steps)
     return [
         SweepResult(alignment_strength=ks, diverged=step is not None, settling_time=settled)

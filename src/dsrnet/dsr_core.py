@@ -48,6 +48,11 @@ class StepSource:
     def value(self, step: int) -> float:
         return self.final if step >= self.switch_step else self.initial
 
+    def band(self, fraction: float) -> tuple[float, float]:
+        """Settling band ``(final, half_width)``: ``fraction`` of |final|, or of
+        |final - initial| when final is 0 and a relative band would be empty."""
+        return self.final, fraction * abs(self.final or self.final - self.initial)
+
 
 @dataclass(frozen=True)
 class DsrParams:
@@ -135,22 +140,26 @@ class DiscrepancyOperator:
     pull(source_value)``. Rows of non-leader agents with empty neighborhoods
     are reported in ``isolated`` (``has_isolated`` tells whether there are
     any) and return a discrepancy of zero, leaving the caller to decide
-    between raising and coasting.
+    between raising and coasting. With ``keep``, a mask over
+    ``topology.indices``, the graph is cut down to the pairs it marks.
     """
 
-    def __init__(self, topology: NetworkTopology):
+    def __init__(self, topology: NetworkTopology, keep: np.ndarray | None = None):
         n = topology.n_agents
+        indptr, indices = topology.indptr, topology.indices
+        if keep is not None:
+            kept = np.flatnonzero(keep)
+            indptr, indices = np.searchsorted(kept, indptr), indices[kept]
+        degrees = np.diff(indptr)
         leader = np.zeros(n)
         if topology.leader_ids:
             leader[sorted(topology.leader_ids)] = 1.0
-        counts = topology.degrees + leader
+        counts = degrees + leader
         self.isolated = counts == 0.0
         self.has_isolated = bool(self.isolated.any())
         safe_counts = np.where(self.isolated, 1.0, counts)
-        weights = np.repeat(1.0 / safe_counts, topology.degrees)
-        self.matrix = sparse.csr_array(
-            (weights, topology.indices, topology.indptr), shape=(n, n)
-        )
+        weights = np.repeat(1.0 / safe_counts, degrees)
+        self.matrix = sparse.csr_array((weights, indices, indptr), shape=(n, n))
         self._source_weight = leader / safe_counts
 
     def pull(self, source_value: float) -> np.ndarray:
@@ -285,9 +294,9 @@ class BlockRun:
     DIVERGENCE_LIMIT, exactly as a check after every step would; that
     column's run ends there and it leaves the state. With ``record_every``
     (one column only) the run records step 0, every ``record_every``-th step
-    and the last or diverged step. With ``band = (target, fraction)`` (one
+    and the last or diverged step. With ``band = (target, half_width)`` (one
     state row only) it tracks, per column, the last step at which a value
-    lies further than ``fraction * |target|`` from the target.
+    lies further than ``half_width`` from the target.
     """
 
     def __init__(
@@ -317,7 +326,7 @@ class BlockRun:
         ring[:, 0] = start[:, None]
         self._set_columns(ring, np.arange(m), np.array(gains, dtype=float))
         if band is not None:
-            self._tolerance = band[1] * abs(band[0])
+            self._tolerance = band[1]
             outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
             self._last_outside = np.full(m, 0 if outside else -1)
         self._record_every, self._filled = record_every, 1

@@ -1,7 +1,7 @@
 """Constant-speed planar flocking driven by heading consensus.
 
-The transferred information is each agent's heading. Every step recomputes
-the metric neighborhood from current positions, applies one DSR heading
+The transferred information is each agent's heading. Every step takes the
+metric neighborhood of the current positions, applies one DSR heading
 update, then moves every agent one interval at fixed speed along its new
 heading. Headings are kept as plain reals rather than wrapped angles: the
 turn maneuvers studied here stay far from any branch cut, and wrapping
@@ -14,14 +14,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Operators are built from the class bound here: perfbench/tracer.py swaps
+# dsr_core.DiscrepancyOperator for a subclass that takes one argument.
 from .dsr_core import (
+    DiscrepancyOperator,
     DsrParams,
     InfoState,
+    IsolatedAgentError,
     Trajectory,
     detect_divergence,
     dsr_step,
 )
-from .topology import NetworkTopology, min_neighbor_count
+from .topology import _CELL_MARGIN, NetworkTopology, min_neighbor_count, pairs_within
+
+# The candidate graph reaches this fraction of the sensing radius beyond it.
+_SKIN = 0.15
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,37 @@ def kinematic_step(
     return moved
 
 
+def _sensing_operators(positions, radius: float, leader_ids):
+    """Yield the DiscrepancyOperator of the sensing graph at each row of
+    ``positions``, reading a row only when its operator is requested.
+
+    Pairs are filtered from candidates within ``radius + skin`` at an anchor
+    row. With d_i an agent's displacement since then and d the mean, a pair's
+    separation has moved by |(d_i - d) - (d_j - d)| <= 2 max_k |d_k - d|, so
+    until that reaches the skin every pair within ``radius`` is a candidate.
+    Separations and displacements are differences of stored positions, so
+    their rounding is relative to themselves and to the distance travelled
+    since the anchor, which the margin covers. An operator is built only
+    when the kept pairs or the candidates change.
+    """
+    skin, anchor = _SKIN * radius, None
+    for pos in positions:
+        if anchor is not None:
+            moved = pos - anchor
+            shift = moved.mean(axis=0)
+            moved -= shift
+            drift = 2.0 * np.sqrt((moved * moved).sum(axis=1).max())
+            drift += _CELL_MARGIN * (skin + np.abs(shift).max())
+        if anchor is None or drift >= skin:
+            anchor, kept = pos.copy(), None
+            candidates = NetworkTopology.build(pos, radius + skin, leader_ids)
+            rows = np.repeat(np.arange(len(pos)), candidates.degrees)
+        keep = pairs_within(pos, rows, candidates.indices, radius)
+        if kept is None or not np.array_equal(keep, kept):
+            kept, op = keep, DiscrepancyOperator(candidates, keep)
+        yield op
+
+
 def run_maneuver(
     topology: NetworkTopology,
     params: FlockParams,
@@ -79,14 +117,14 @@ def run_maneuver(
     """Simulate the full turn maneuver from the flock's step-0 sensing graph,
     recording positions and headings.
 
-    Neighborhoods are recomputed from current positions, with the same
-    sensing radius and leaders, every later step, so the sensing graph may
-    change mid-run. Agents that momentarily lose every neighbor coast on
-    their reinforcement term alone until the graph heals. Requires every
-    agent to have at least two neighbors at the start.
+    Every later step takes the neighborhoods of the current positions, with
+    the same radius and leaders, bitwise as rebuilding the graph would.
+    Agents that momentarily lose every neighbor coast on their reinforcement
+    term alone until the graph heals. Requires every agent to have at least
+    two neighbors at the start, else raises IsolatedAgentError.
     """
     if min_neighbor_count(topology) < 2:
-        raise ValueError(
+        raise IsolatedAgentError(
             "initial placement must give every agent at least two neighbors"
         )
     dsr = params.dsr
@@ -100,23 +138,17 @@ def run_maneuver(
     state = InfoState.from_initial(headings[0])
 
     diverged_step = None
-    last_row = params.n_steps
-    step_topology = topology
-    for k in range(params.n_steps):
-        if k:
-            step_topology = NetworkTopology.build(
-                positions[k], topology.sensing_radius, topology.leader_ids
-            )
-        state = dsr_step(state, step_topology, dsr, seed, isolated="coast")
+    operators = _sensing_operators(positions, topology.sensing_radius, topology.leader_ids)
+    for k, op in zip(range(params.n_steps), operators):
+        state = dsr_step(state, topology, dsr, seed, operator=op, isolated="coast")
         headings[k + 1] = state.current
         positions[k + 1] = kinematic_step(
             positions[k], state.current, params.speed, dt
         )
         if detect_divergence(state):
             diverged_step = state.step
-            last_row = k + 1
             break
-    rows = last_row + 1
+    rows = (diverged_step or params.n_steps) + 1
     return FlockTrajectory(
         np.arange(rows) * dt, headings[:rows], params,
         tuple(sorted(topology.leader_ids)), diverged_step is not None,

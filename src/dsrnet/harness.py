@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis
 from .analysis import MetricsReport, SweepResult
 from .continuum import ContinuumParams, diffusion_run, second_order_run
-from .dsr_core import BlockRun, DsrParams, StepSource, Trajectory, dsr_run
+from .dsr_core import BlockRun, DsrParams, IsolatedAgentError, StepSource, Trajectory, dsr_run
 
 # perfbench/tracer.py wraps these names on this module.
 from .continuum import simulate_diffusion, simulate_second_order  # noqa: F401
@@ -308,7 +308,7 @@ def _fixed_graph_run(cfg: ExperimentConfig, topology: NetworkTopology) -> BlockR
     return diffusion_run(topology, _continuum_params(cfg), initial, cfg.record_every)
 
 
-def _confirmed_run(run: BlockRun, steps: int, max_steps: int, final_value: float):
+def _confirmed_run(run: BlockRun, steps: int, max_steps: int, source: StepSource):
     """Extend a recorded run of ``steps`` (at most max_steps) steps until
     any settling is confirmed.
 
@@ -320,7 +320,7 @@ def _confirmed_run(run: BlockRun, steps: int, max_steps: int, final_value: float
         traj = run.advance(steps).trajectory()
         if traj.diverged:
             return traj, None, steps
-        settled = analysis.settling_time(traj, final_value)
+        settled = analysis.settling_time(traj, source.final, initial_value=source.initial)
         if settled is not None and traj.times[-1] >= CONFIRM_FACTOR * settled - 1e-12:
             return traj, settled, steps
         if steps >= max_steps:
@@ -383,7 +383,9 @@ def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
 def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> MetricsReport:
     """``radial`` is the run's radial acceleration, or None when it has
     fewer than 3 rows or diverged."""
-    settled = analysis.settling_time(flock, cfg.target_heading)
+    settled = analysis.settling_time(
+        flock, cfg.target_heading, initial_value=cfg.initial_heading
+    )
     distances = _distances_from(topology.positions, leader)
     pairs = []
     if radial is not None:
@@ -466,13 +468,20 @@ def run_config(cfg: ExperimentConfig, out_dir):
     result is a MetricsReport (or a list of SweepResult for sweeps). The
     manifest echoes every resolved parameter, including the horizon the run
     actually used, so re-running from the manifest reproduces every output
-    byte. Raises ConfigError first if the config breaks any invariant that
-    parse_config checks (CLI overrides such as ``--ks`` bypass parsing).
+    byte. Raises ConfigError if the config breaks any invariant that
+    parse_config checks (CLI overrides such as ``--ks`` bypass parsing) or
+    its sensing radius leaves an agent short of neighbors.
     """
     violations = _validate(cfg)
     if violations:
         raise ConfigError(violations)
-    out = Path(out_dir)
+    try:
+        return _run_validated(cfg, Path(out_dir))
+    except IsolatedAgentError as err:
+        raise ConfigError([f"sensing_radius: {err}"]) from err
+
+
+def _run_validated(cfg: ExperimentConfig, out: Path):
     out.mkdir(parents=True, exist_ok=True)
     topology, leader = _resolve_topology(cfg)
     paths = {}
@@ -515,7 +524,7 @@ def run_config(cfg: ExperimentConfig, out_dir):
     else:
         # the run is freed on return, before the artifacts are written
         traj, settled, steps = _confirmed_run(
-            _fixed_graph_run(cfg, topology), steps, max_steps, cfg.source_final
+            _fixed_graph_run(cfg, topology), steps, max_steps, _source(cfg)
         )
         report = _info_metrics(cfg, topology, leader, traj, settled)
 

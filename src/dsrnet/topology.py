@@ -77,6 +77,18 @@ _CELL_MARGIN = 2.0**-20
 _MAX_CELLS_PER_AXIS = 2**30
 
 
+def pairs_within(pos: np.ndarray, rows, cols, radius: float) -> np.ndarray:
+    """Mask of the pairs ``(rows[k], cols[k])`` of agents at ``pos`` that lie
+    within ``radius``: the closed-disc test ``dx*dx + dy*dy <= radius*radius``
+    of every sensing graph."""
+    # one complex gather per end; each part of the difference rounds as a real one
+    z = np.ascontiguousarray(pos).view(np.complex128)[:, 0]
+    d = z[rows] - z[cols]
+    dx, dy = d.real, d.imag
+    with np.errstate(over="ignore"):  # an inf square compares as in the dense formula
+        return dx * dx + dy * dy <= radius * radius
+
+
 def _radius_csr(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of the closed-disc graph, each row ascending.
 
@@ -105,10 +117,7 @@ def _radius_csr(pos: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]
     rows = np.repeat(np.arange(n), counts.reshape(n, 3).sum(axis=1))
     offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     cols = order[np.arange(len(rows)) + offsets]
-    x, y = pos[:, 0].copy(), pos[:, 1].copy()
-    dx, dy = x[rows] - x[cols], y[rows] - y[cols]
-    with np.errstate(over="ignore"):  # an inf square compares as in the dense formula
-        keep = (dx * dx + dy * dy <= radius * radius) & (rows != cols)
+    keep = pairs_within(pos, rows, cols, radius) & (rows != cols)
     rows = rows[keep]
     # Rows are grouped in order, so sorting row * n + col sorts each row.
     indices = np.sort(rows * n + cols[keep]) - rows * n

@@ -99,6 +99,15 @@ class TestSettlingTime:
         with pytest.raises(ValueError):
             settling_time(traj, 1.0, band=0.0)
 
+    def test_zero_final_value_uses_a_band_of_the_step(self):
+        # exp(-t) decays from the initial value 2 into 2 % of the step from
+        # 2 to 0 at -ln(0.02) = 3.912...
+        times = np.arange(0.0, 8.0, 0.001)
+        traj = make_trajectory(times, 2.0 * np.exp(-times))
+        assert settling_time(traj, 0.0) is None
+        settled = settling_time(traj, 0.0, initial_value=2.0)
+        assert settled == pytest.approx(3.9120, abs=2e-3)
+
 
 class TestOvershoot:
     def test_monotone_approach_has_zero_overshoot(self):
@@ -323,7 +332,7 @@ def oracle_settling_horizon(
         traj = simulate(topology, params, initial, steps, seed)
         if traj.diverged:
             return max(2 * int(traj.diverged_step or steps), 1000)
-        settled = settling_time(traj, params.source.final, band)
+        settled = settling_time(traj, params.source.final, band, params.source.initial)
         if settled is not None and traj.times[-1] >= 1.5 * settled:
             return int(np.ceil(settled / params.update_interval))
         if steps >= max_steps:
@@ -346,9 +355,9 @@ def oracle_stability_sweep(
     for ks in ks_list:
         params = replace(base_params, alignment_strength=ks)
         traj = simulate(topology, params, initial, horizon_steps, seed)
-        results.append(
-            SweepResult(ks, traj.diverged, settling_time(traj, params.source.final, band))
-        )
+        source = params.source
+        settled = settling_time(traj, source.final, band, source.initial)
+        results.append(SweepResult(ks, traj.diverged, settled))
     return results
 
 
@@ -370,8 +379,9 @@ class TestSweepMatchesOracle:
             (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), None, 3),
             (DsrParams(100.0, 0.0, 0.01, StepSource(0.3, -1.0, 37)), "random", None),
             (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None, None),
+            (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None, None),
         ],
-        ids=["stable", "noisy", "switch-and-initial", "reinforced"],
+        ids=["stable", "noisy", "switch-and-initial", "reinforced", "zero-final"],
     )
     @pytest.mark.parametrize("horizon", [0, 1, B, B + 1, 900])
     def test_verdicts_and_settling_times(self, base, initial, seed, horizon):
@@ -415,9 +425,11 @@ class TestSettlingHorizonMatchesOracle:
             (DsrParams(60.0, 0.0, 0.01, StepSource(0.5, -1.0, 300)), "random", None, 200_000),
             (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 3000),
             (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
+            (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None, None, 200_000),
         ],
         ids=["stable", "slow", "reinforced", "diverging", "noisy",
-             "switch-and-initial", "never-settles", "max-below-first-checkpoint"],
+             "switch-and-initial", "never-settles", "max-below-first-checkpoint",
+             "zero-final"],
     )
     def test_same_horizon(self, params, initial, seed, max_steps):
         topo = lattice_with_leader(7, 8)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrnet.dsr_core import (
     DiscrepancyOperator,
@@ -12,7 +16,7 @@ from dsrnet.dsr_core import (
     detect_divergence,
     dsr_step,
 )
-from dsrnet.flocking import FlockParams, kinematic_step, run_maneuver
+from dsrnet.flocking import FlockParams, _sensing_operators, kinematic_step, run_maneuver
 from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog
 from dsrnet.topology import NetworkTopology, build_lattice
 
@@ -197,8 +201,8 @@ class TestRunManeuver:
         assert np.array_equal(thin.values, flock.headings[[0, 5, 10, 12]])
 
 
-def _preset_flock(name):
-    cfg = preset_catalog()[name]
+def _preset_flock(name, **changes):
+    cfg = replace(preset_catalog()[name], **changes)
     topology, _ = _resolve_topology(cfg)
     return topology, FlockParams(cfg.speed, _dsr_params(cfg), cfg.n_steps), cfg.seed
 
@@ -242,3 +246,76 @@ class TestManeuverMatchesPerStepLoop:
         topology = graph(build_lattice(5, 5, 1.0))
         flock = self.assert_matches(topology, flock_params(0.0, ks=300.0, n_steps=200))
         assert flock.diverged and 0 < flock.diverged_step < 200
+
+    def test_fig2_disc_noise_at_another_seed(self):
+        self.assert_matches(*_preset_flock("fig2_disc_noise", seed=3))
+
+    def test_fast_lattice_flock_that_deforms_every_few_steps(self):
+        # at 20 m/s without reinforcement the candidate graph is rebuilt on
+        # most steps
+        self.assert_matches(*_preset_flock("fig2_lattice", speed=20.0, beta=0.0))
+
+    def test_fast_lattice_flock_that_diverges(self):
+        flock = self.assert_matches(*_preset_flock("fig2_lattice", speed=50.0))
+        assert flock.diverged_step == 111
+
+    def test_two_coincident_lattices(self):
+        positions = np.concatenate([build_lattice(4, 4, 1.0)] * 2)
+        self.assert_matches(graph(positions), flock_params(0.96))
+
+
+def assert_same_operator(op, expected):
+    """Equal matrices once explicit zeros are dropped, equal isolated
+    agents and equal source shares, bit for bit."""
+    got, want = op.matrix.copy(), expected.matrix.copy()
+    got.eliminate_zeros()
+    want.eliminate_zeros()
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert op.isolated.tolist() == expected.isolated.tolist()
+    assert op.pull(1.0).tobytes() == expected.pull(1.0).tobytes()
+
+
+@st.composite
+def moving_flocks(draw):
+    """A flock's positions over a few steps, its sensing radius and leaders.
+
+    Placements are lattices whose spacing equals the radius (every
+    neighbor pair sits on the disc's edge), stacked copies of one lattice
+    (coincident agents) or uniform draws in a box, near the origin or far
+    from it. Each step moves every agent at one speed along a shared heading
+    plus a per-agent deviation of drawn size, so the flock translates, turns
+    or scatters.
+    """
+    radius = draw(st.sampled_from([0.5, 1.0, 1.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "coincident", "box"]))
+    if kind == "box":
+        n = draw(st.integers(1, 40))
+        pos = rng.uniform(0.0, 4.0 * radius, size=(n, 2))
+    else:
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        pos = build_lattice(rows, cols, radius)
+        if kind == "coincident":
+            pos = np.concatenate([pos] * draw(st.integers(2, 3)))
+    pos = pos + draw(st.sampled_from([0.0, -1e6, 1e9])) * radius
+    leaders = set(draw(st.lists(st.integers(0, len(pos) - 1), max_size=2)))
+    scatter = draw(st.sampled_from([0.0, 0.05, 0.5, np.pi]))
+    track = [pos]
+    for _ in range(draw(st.integers(1, 25))):
+        speed = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4, 1e4])) * radius
+        headings = rng.uniform(-np.pi, np.pi) + scatter * rng.uniform(-1.0, 1.0, len(pos))
+        track.append(kinematic_step(track[-1], headings, speed, 1.0))
+    return np.array(track), radius, leaders
+
+
+@settings(max_examples=150, deadline=None)
+@given(moving_flocks())
+def test_filtered_candidates_give_the_operator_of_every_step(flock):
+    track, radius, leaders = flock
+    operators = list(_sensing_operators(track, radius, leaders))
+    assert len(operators) == len(track)
+    for pos, op in zip(track, operators):
+        expected = DiscrepancyOperator(NetworkTopology.build(pos, radius, leaders))
+        assert_same_operator(op, expected)

@@ -326,6 +326,10 @@ class TestConfirmedRun:
         assert report.settling_time is None
 
 
+# Agents 1 m apart with a 0.9 m sensing radius: no agent has a neighbor.
+_SPACED_OUT = "rows = 5\ncols = 5\nleader = 6\nsensing_radius = 0.9\n"
+
+
 class TestCli:
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
@@ -502,6 +506,40 @@ class TestCli:
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 4
         manifest = parse_config((out / "manifest.cfg").read_text())
         assert (manifest.n_steps, manifest.max_steps) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "experiment, placement",
+        [
+            ("lattice-info", _SPACED_OUT),
+            ("flocking", _SPACED_OUT),
+            ("continuum-diffusion", _SPACED_OUT),
+            ("stability-sweep", _SPACED_OUT + "ks_values = 100\n"),
+            # the end agents of a row have one neighbor; a flock needs two
+            ("flocking", "rows = 1\ncols = 5\n"),
+        ],
+        ids=["lattice-info", "flocking", "continuum-diffusion", "stability-sweep", "flock-row"],
+    )
+    def test_disconnected_placement_exits_2_naming_sensing_radius(
+        self, tmp_path, capsys, experiment, placement
+    ):
+        config = tmp_path / "sparse.cfg"
+        config.write_text(f"experiment = {experiment}\nn_steps = 10\n" + placement)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: sensing_radius: " in capsys.readouterr().err
+
+    def test_zero_final_value_settles_in_a_band_of_the_step(self, tmp_path):
+        # a band relative to the final value would be empty here; it is
+        # 2 % of the step from 1 to 0 instead
+        config = tmp_path / "release.cfg"
+        config.write_text(
+            "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nbeta = 0.5\n"
+            "source_initial = 1\nsource_final = 0\nswitch_step = 50\nn_steps = 1000\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        settled = json.loads((out / "metrics.json").read_text())["settling_time_s"]
+        assert settled == pytest.approx(2.44)
+        assert parse_config((out / "manifest.cfg").read_text()).n_steps == 1000
 
     def test_sweep_override_is_validated(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "fig1b", "--ks", "100,nan", "--out", str(tmp_path / "s")])
