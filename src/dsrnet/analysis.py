@@ -2,19 +2,26 @@
 
 Settling time, first-crossing delays, radial acceleration, correlation
 lags, information-transfer speed, distance-vs-delay scaling exponents, and
-empirical stability sweeps. All functions are pure over their inputs.
+empirical stability sweeps. All functions but ``confirm_settling``, which
+advances the run it is given, are pure over their inputs.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import DsrParams, StepSource, Trajectory, dsr_run
+from .dsr_core import BlockRun, DsrParams, StepSource, Trajectory, dsr_run
 from .dsr_core import simulate  # noqa: F401  (perfbench/tracer.py wraps analysis.simulate)
 from .flocking import FlockTrajectory
 from .topology import NetworkTopology
+
+# A settling time counts as confirmed once the run has gone on to this many
+# times it, so that a late exit from the band cannot hide.
+CONFIRM_FACTOR = 1.5
 
 
 class UndefinedCorrelationError(ValueError):
@@ -64,12 +71,11 @@ def settling_time(
     end of the recorded trajectory. Returns None for runs that never
     satisfy it, including diverged runs.
     """
-    if band <= 0:
-        raise ValueError("band must be positive")
+    half_width = StepSource(initial_value, final_value).band(band)[1]
     if traj.diverged:
         return None
     deviation = _row_max(traj.values, lambda block: np.abs(block - final_value))
-    inside = deviation <= StepSource(initial_value, final_value).band(band)[1]
+    inside = deviation <= half_width
     if not inside[-1]:
         return None
     outside = np.flatnonzero(~inside)
@@ -200,7 +206,12 @@ def fit_scaling_exponent(points) -> float:
     delays = np.asarray([p[1] for p in pts], dtype=float)
     if (distances <= 0).any() or (delays <= 0).any():
         raise ValueError("distances and delays must be positive")
-    slope = np.polyfit(np.log(distances), np.log(delays), 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            slope = np.polyfit(np.log(distances), np.log(delays), 1)[0]
+        except np.exceptions.RankWarning:
+            raise ValueError("distances barely vary; exponent undefined") from None
     if slope <= 0:
         raise ValueError("delays do not grow with distance; exponent undefined")
     return 1.0 / slope
@@ -215,6 +226,26 @@ class SweepResult:
     settling_time: float | None
 
 
+def confirm_settling(run: BlockRun, steps: int, max_steps: int, settled_at):
+    """Advance a one-column run to ``steps`` steps and on, until it diverges,
+    reaches ``max_steps`` or runs CONFIRM_FACTOR times the settling time that
+    ``settled_at(run)`` reports (None while unsettled): one step past that
+    multiple once there is one, else twice as far. Returns the last horizon,
+    the settling time (None if diverged) and whether it was confirmed."""
+    while True:
+        if run.advance(steps).diverged_steps[0] is not None:
+            return steps, None, False
+        settled = settled_at(run)
+        if settled is not None and steps * run.step_seconds >= CONFIRM_FACTOR * settled - 1e-12:
+            return steps, settled, True
+        if steps >= max_steps:
+            return steps, settled, False
+        needed = 2 * steps if settled is None else (
+            math.ceil(CONFIRM_FACTOR * settled / run.step_seconds) + 1
+        )
+        steps = min(max(needed, steps + 1), max_steps)
+
+
 def settling_horizon(
     topology: NetworkTopology,
     params: DsrParams,
@@ -225,30 +256,29 @@ def settling_horizon(
 ) -> int:
     """Steps needed for the run to settle, found by growing the horizon.
 
-    The horizon doubles from 1000 steps (capped at ``max_steps``) until the
-    run has settled and runs on for half as long again. One run is
-    continued from checkpoint to checkpoint, keeping no record. Falls back
-    to twice the divergence step for unstable parameters and to
-    ``max_steps`` if the run never settles within it.
+    One unrecorded run grows from 1000 steps by the rule of
+    ``confirm_settling``, judged on the band the engine tracks. Falls back
+    to twice the divergence step for unstable parameters and to the last
+    horizon if the settling is not confirmed within ``max_steps``.
     """
     if initial is None:
         initial = np.zeros(topology.n_agents)
     run = dsr_run(
         topology, [params], initial, seed, record_every=None, band=params.source.band(band)
     )
-    steps = 1000
-    while True:
-        diverged_step = run.advance(steps).diverged_steps[0]
-        if diverged_step is not None:
-            return max(2 * diverged_step, 1000)
-        if band <= 0:
-            raise ValueError("band must be positive")
-        settled = run.settling_times()[0]
-        if settled is not None and steps * params.update_interval >= 1.5 * settled:
-            return int(np.ceil(settled / params.update_interval))
-        if steps >= max_steps:
-            return steps
-        steps = min(2 * steps, max_steps)
+    steps, settled, confirmed = confirm_settling(
+        run, 1000, max_steps, lambda run: run.settling_times()[0]
+    )
+    if run.diverged_steps[0] is not None:
+        return max(2 * run.diverged_steps[0], 1000)
+    return int(np.ceil(settled / params.update_interval)) if confirmed else steps
+
+
+def sweep_horizon(topology, base_params: DsrParams, initial=None, seed=None, band=0.02) -> int:
+    """Default horizon of a stability sweep: twice the settling horizon of
+    the zero-gain variant of ``base_params``, covering the whole transient."""
+    probe = replace(base_params, dsr_gain=0.0)
+    return 2 * settling_horizon(topology, probe, initial, seed, band)
 
 
 def stability_sweep(
@@ -262,10 +292,9 @@ def stability_sweep(
 ) -> list[SweepResult]:
     """Stable-or-diverged verdict per alignment strength over a fixed horizon.
 
-    The default horizon is twice the settling horizon of the zero-gain
-    variant of ``base_params``, so the verdicts cover the whole transient.
-    Every alignment strength is one column of a single run, and each
-    column's verdict and settling time are reduced as it steps.
+    The default horizon is that of ``sweep_horizon``. Every alignment
+    strength is one column of a single run, and each column's verdict and
+    settling time are reduced as it steps.
     """
     ks_list = [float(k) for k in ks_values]
     if not ks_list:
@@ -273,11 +302,8 @@ def stability_sweep(
     if initial is None:
         initial = np.zeros(topology.n_agents)
     if horizon_steps is None:
-        probe = replace(base_params, dsr_gain=0.0)
-        horizon_steps = 2 * settling_horizon(topology, probe, initial, seed, band)
+        horizon_steps = sweep_horizon(topology, base_params, initial, seed, band)
     columns = [replace(base_params, alignment_strength=ks) for ks in ks_list]
-    if band <= 0:
-        raise ValueError("band must be positive")
     run = dsr_run(
         topology, columns, initial, seed, record_every=None,
         band=base_params.source.band(band),

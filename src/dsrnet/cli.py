@@ -10,6 +10,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     EXPECTED_DIVERGENCE,
+    _parse_ks_values,
     _preset_config,
     PRESETS,
     parse_config,
@@ -19,9 +20,19 @@ from .harness import (
 
 def _load_config(args):
     if args.preset:
-        return _preset_config(args.preset, args.seed)
-    cfg = parse_config(Path(args.config).read_text())
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+        cfg = _preset_config(args.preset, args.seed)
+    else:
+        cfg = parse_config(Path(args.config).read_text())
+        cfg = cfg if args.seed is None else replace(cfg, seed=args.seed)
+    if args.command != "sweep":
+        return cfg
+    try:
+        ks_values = _parse_ks_values(args.ks)
+    except ValueError:
+        raise ConfigError([f"ks_values: cannot parse value {args.ks!r}"]) from None
+    if not ks_values:
+        raise ConfigError(["ks_values: --ks must list at least one value"])
+    return replace(cfg, experiment="stability-sweep", ks_values=ks_values)
 
 
 def _add_common(parser):
@@ -33,11 +44,10 @@ def _add_common(parser):
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    paths, result = run_config(cfg, args.out)
+    paths, result = run_config(_load_config(args), args.out)
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
-    if isinstance(result, list):  # a sweep ran via config
+    if isinstance(result, list):  # a sweep
         for entry in result:
             verdict = "diverged" if entry.diverged else "stable"
             print(f"ks={entry.alignment_strength:g}: {verdict}")
@@ -47,21 +57,6 @@ def _cmd_run(args) -> int:
         print(f"settling_time_s: {result.settling_time:.6g}")
     expected = args.preset in EXPECTED_DIVERGENCE if args.preset else False
     return 0 if result.diverged == expected else 3
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    ks_values = tuple(float(part) for part in args.ks.split(",") if part.strip())
-    if not ks_values:
-        raise ConfigError(["ks_values: --ks must list at least one value"])
-    cfg = replace(cfg, experiment="stability-sweep", ks_values=ks_values)
-    paths, results = run_config(cfg, args.out)
-    for name, path in sorted(paths.items()):
-        print(f"{name}: {path}")
-    for entry in results:
-        verdict = "diverged" if entry.diverged else "stable"
-        print(f"ks={entry.alignment_strength:g}: {verdict}")
-    return 0
 
 
 def _cmd_list_presets(_args) -> int:
@@ -91,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--ks", required=True, help="comma-separated alignment strengths"
     )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
+    sweep_parser.set_defaults(handler=_cmd_run)
 
     list_parser = sub.add_parser("list-presets", help="list built-in presets")
     list_parser.set_defaults(handler=_cmd_list_presets)

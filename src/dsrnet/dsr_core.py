@@ -51,6 +51,8 @@ class StepSource:
     def band(self, fraction: float) -> tuple[float, float]:
         """Settling band ``(final, half_width)``: ``fraction`` of |final|, or of
         |final - initial| when final is 0 and a relative band would be empty."""
+        if not fraction > 0:
+            raise ValueError("band must be positive")
         return self.final, fraction * abs(self.final or self.final - self.initial)
 
 

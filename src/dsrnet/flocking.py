@@ -89,9 +89,9 @@ def _sensing_operators(positions, radius: float, leader_ids):
     Separations and displacements are differences of stored positions, so
     their rounding is relative to themselves and to the distance travelled
     since the anchor, which the margin covers. An operator is built only
-    when the kept pairs or the candidates change.
+    when the kept pairs change.
     """
-    skin, anchor = _SKIN * radius, None
+    skin, anchor, op = _SKIN * radius, None, None
     for pos in positions:
         if anchor is not None:
             moved = pos - anchor
@@ -104,6 +104,11 @@ def _sensing_operators(positions, radius: float, leader_ids):
             candidates = NetworkTopology.build(pos, radius + skin, leader_ids)
             rows = np.repeat(np.arange(len(pos)), candidates.degrees)
         keep = pairs_within(pos, rows, candidates.indices, radius)
+        if kept is None and op is not None:  # new candidates: is it the same graph?
+            pairs = np.flatnonzero(keep)
+            graph = np.searchsorted(pairs, candidates.indptr), candidates.indices[pairs]
+            if all(map(np.array_equal, graph, (op.matrix.indptr, op.matrix.indices))):
+                kept = keep
         if kept is None or not np.array_equal(keep, kept):
             kept, op = keep, DiscrepancyOperator(candidates, keep)
         yield op

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis
 from .analysis import MetricsReport, SweepResult
 from .continuum import ContinuumParams, diffusion_run, second_order_run
-from .dsr_core import BlockRun, DsrParams, IsolatedAgentError, StepSource, Trajectory, dsr_run
+from .dsr_core import DsrParams, IsolatedAgentError, StepSource, Trajectory, dsr_run
 
 # perfbench/tracer.py wraps these names on this module.
 from .continuum import simulate_diffusion, simulate_second_order  # noqa: F401
@@ -35,10 +35,6 @@ EXPERIMENT_KINDS = (
     "stability-sweep",
 )
 NAMED_LEADERS = ("corner", "edge-midpoint", "center")
-
-# Growth factor applied to the configured horizon when a run settles too
-# close to the end of the record to confirm the band holds.
-CONFIRM_FACTOR = 1.5
 
 # Rows targeted by the automatic trajectory-CSV decimation.
 MAX_CSV_ROWS = 1200
@@ -298,38 +294,24 @@ def _continuum_params(cfg: ExperimentConfig) -> ContinuumParams:
     )
 
 
-def _fixed_graph_run(cfg: ExperimentConfig, topology: NetworkTopology) -> BlockRun:
-    """The resumable run of a lattice-info or continuum experiment."""
-    initial = np.zeros(topology.n_agents)
+def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_steps):
+    """Record, settling time and horizon of a lattice-info or continuum run
+    grown from ``steps`` by ``analysis.confirm_settling``, judged on the
+    record. The run is freed on return, before the artifacts are written."""
+    initial, source = np.zeros(topology.n_agents), _source(cfg)
     if cfg.experiment == "lattice-info":
-        return dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every)
-    if cfg.experiment == "continuum-second-order":
-        return second_order_run(topology, _continuum_params(cfg), initial, cfg.record_every)
-    return diffusion_run(topology, _continuum_params(cfg), initial, cfg.record_every)
+        run = dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every)
+    elif cfg.experiment == "continuum-second-order":
+        run = second_order_run(topology, _continuum_params(cfg), initial, cfg.record_every)
+    else:
+        run = diffusion_run(topology, _continuum_params(cfg), initial, cfg.record_every)
 
+    def settled_at(run):
+        traj = run.trajectory()
+        return analysis.settling_time(traj, source.final, initial_value=source.initial)
 
-def _confirmed_run(run: BlockRun, steps: int, max_steps: int, source: StepSource):
-    """Extend a recorded run of ``steps`` (at most max_steps) steps until
-    any settling is confirmed.
-
-    Settling counts as confirmed once the record extends to at least
-    CONFIRM_FACTOR times the settling time; otherwise the horizon grows
-    (bounded by max_steps) and the run continues from where it stopped.
-    """
-    while True:
-        traj = run.advance(steps).trajectory()
-        if traj.diverged:
-            return traj, None, steps
-        settled = analysis.settling_time(traj, source.final, initial_value=source.initial)
-        if settled is not None and traj.times[-1] >= CONFIRM_FACTOR * settled - 1e-12:
-            return traj, settled, steps
-        if steps >= max_steps:
-            return traj, settled, steps
-        if settled is None:
-            steps = min(max(2 * steps, 1), max_steps)
-        else:
-            needed = int(math.ceil(CONFIRM_FACTOR * settled / run.step_seconds)) + 1
-            steps = min(max(needed, steps + 1), max_steps)
+    steps, settled, _ = analysis.confirm_settling(run, steps, max_steps, settled_at)
+    return run.trajectory(), settled, steps
 
 
 def _near_cutoff(cfg: ExperimentConfig, positions: np.ndarray) -> float:
@@ -487,19 +469,11 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
     paths = {}
 
     if cfg.experiment == "stability-sweep":
-        base = _dsr_params(cfg)
-        initial = np.zeros(topology.n_agents)
-        if cfg.n_steps is not None:
-            horizon = cfg.n_steps
-        else:
-            probe = replace(base, dsr_gain=0.0)
-            horizon = 2 * analysis.settling_horizon(
-                topology, probe, initial, cfg.seed
-            )
-        results = analysis.stability_sweep(
-            topology, base, cfg.ks_values, initial, horizon, cfg.seed
-        )
-        resolved = replace(cfg, leader=str(leader), n_steps=horizon)
+        base, steps = _dsr_params(cfg), cfg.n_steps
+        if steps is None:
+            steps = analysis.sweep_horizon(topology, base, seed=cfg.seed)
+        results = analysis.stability_sweep(topology, base, cfg.ks_values, None, steps, cfg.seed)
+        resolved = replace(cfg, leader=str(leader), n_steps=steps)
         paths["sweep"] = out / "sweep.csv"
         _write_sweep_csv(results, paths["sweep"])
         paths["manifest"] = out / "manifest.cfg"
@@ -522,10 +496,7 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
                 traj.times[1:-1], radial, paths["radial_acceleration"]
             )
     else:
-        # the run is freed on return, before the artifacts are written
-        traj, settled, steps = _confirmed_run(
-            _fixed_graph_run(cfg, topology), steps, max_steps, _source(cfg)
-        )
+        traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
         report = _info_metrics(cfg, topology, leader, traj, settled)
 
     stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(

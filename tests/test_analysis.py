@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
+from dsrnet import analysis
 from dsrnet.analysis import (
     InfiniteSpeedError,
     SweepResult,
@@ -21,7 +22,9 @@ from dsrnet.analysis import (
     threshold_delay,
     transfer_speed,
 )
-from dsrnet.dsr_core import _MAX_BLOCK_STEPS, DsrParams, StepSource, Trajectory, simulate
+from dsrnet.dsr_core import (
+    _MAX_BLOCK_STEPS, DsrParams, StepSource, Trajectory, dsr_run, simulate,
+)
 from dsrnet.flocking import FlockParams, FlockTrajectory
 from dsrnet.topology import NetworkTopology, build_lattice
 
@@ -98,6 +101,8 @@ class TestSettlingTime:
         traj = make_trajectory([0.0], [1.0])
         with pytest.raises(ValueError):
             settling_time(traj, 1.0, band=0.0)
+        with pytest.raises(ValueError, match="band"):
+            settling_time(traj, 1.0, band=float("nan"))
 
     def test_zero_final_value_uses_a_band_of_the_step(self):
         # exp(-t) decays from the initial value 2 into 2 % of the step from
@@ -291,6 +296,12 @@ class TestFitScalingExponent:
         with pytest.raises(ValueError):
             fit_scaling_exponent([(1.0, 0.1), (2.0, 0.4)])
 
+    def test_distances_that_barely_vary_raise(self):
+        # log(0.01) and log(0.01 - 2e-18) differ only in the last bit
+        points = [(0.01, 11.0), (0.01, 9.0), (0.01 - 2e-18, 6.0)]
+        with pytest.raises(ValueError, match="distances"):
+            fit_scaling_exponent(points)
+
 
 class TestStabilitySweep:
     def test_verdicts_across_the_cliff(self):
@@ -426,10 +437,13 @@ class TestSettlingHorizonMatchesOracle:
             (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 3000),
             (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
             (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None, None, 200_000),
+            # settled at step 1077 but not confirmed by the cap: the cap is returned
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 1200),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 1500),
         ],
         ids=["stable", "slow", "reinforced", "diverging", "noisy",
              "switch-and-initial", "never-settles", "max-below-first-checkpoint",
-             "zero-final"],
+             "zero-final", "unconfirmed-at-cap-1200", "unconfirmed-at-cap-1500"],
     )
     def test_same_horizon(self, params, initial, seed, max_steps):
         topo = lattice_with_leader(7, 8)
@@ -438,12 +452,25 @@ class TestSettlingHorizonMatchesOracle:
         expected = oracle_settling_horizon(topo, params, initial, seed, max_steps=max_steps)
         assert settling_horizon(topo, params, initial, seed, max_steps=max_steps) == expected
 
-    def test_rejects_nonpositive_band_once_a_checkpoint_is_stable(self):
+    def test_rejects_nonpositive_band_before_running(self):
         topo = lattice_with_leader(3)
         stable = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
         with pytest.raises(ValueError, match="band"):
             settling_horizon(topo, stable, band=0.0)
         diverging = replace(stable, alignment_strength=1e9)
-        assert settling_horizon(topo, diverging, band=0.0) == oracle_settling_horizon(
-            topo, diverging, band=0.0
-        )
+        with pytest.raises(ValueError, match="band"):
+            settling_horizon(topo, diverging, band=0.0)
+
+    def test_jumps_past_the_confirming_horizon(self, monkeypatch):
+        # settles at step 6899: doubling would run to 16000, the jump to 10350
+        runs = []
+
+        def kept_run(*args, **kwargs):
+            runs.append(dsr_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(analysis, "dsr_run", kept_run)
+        topo = lattice_with_leader(15, 16)
+        params = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
+        assert settling_horizon(topo, params) == 6899
+        assert [run.step for run in runs] == [10_350]

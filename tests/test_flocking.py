@@ -16,6 +16,7 @@ from dsrnet.dsr_core import (
     detect_divergence,
     dsr_step,
 )
+from dsrnet import flocking
 from dsrnet.flocking import FlockParams, _sensing_operators, kinematic_step, run_maneuver
 from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog
 from dsrnet.topology import NetworkTopology, build_lattice
@@ -262,6 +263,29 @@ class TestManeuverMatchesPerStepLoop:
     def test_two_coincident_lattices(self):
         positions = np.concatenate([build_lattice(4, 4, 1.0)] * 2)
         self.assert_matches(graph(positions), flock_params(0.96))
+
+
+@pytest.mark.parametrize("name, graphs", [("fig2_lattice", 47), ("fig2_disc_noise", 400)])
+def test_builds_one_operator_per_distinct_sensing_graph(monkeypatch, name, graphs):
+    builds = []
+
+    class CountingOperator(DiscrepancyOperator):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(flocking, "DiscrepancyOperator", CountingOperator)
+    topology, params, seed = _preset_flock(name)
+    flock = run_maneuver(topology, params, seed)
+    per_step = [
+        NetworkTopology.build(pos, topology.sensing_radius, topology.leader_ids)
+        for pos in flock.positions[: params.n_steps]
+    ]
+    changes = sum(
+        not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
+        for a, b in zip(per_step, per_step[1:])
+    )
+    assert len(builds) == 1 + changes == graphs
 
 
 def assert_same_operator(op, expected):

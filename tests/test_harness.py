@@ -546,6 +546,11 @@ class TestCli:
         assert code == 2
         assert "config error: ks_values: " in capsys.readouterr().err
 
+    def test_unparsable_sweep_override_names_its_key(self, tmp_path, capsys):
+        code = main(["sweep", "--preset", "fig1b", "--ks", "abc", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: ks_values: cannot parse value 'abc'\n"
+
 
 def _mostly(typical, wild):
     """Draws from ``typical`` nineteen times in twenty, else from ``wild``."""
