@@ -256,10 +256,11 @@ def settling_horizon(
 ) -> int:
     """Steps needed for the run to settle, found by growing the horizon.
 
-    One unrecorded run grows from 1000 steps by the rule of
-    ``confirm_settling``, judged on the band the engine tracks. Falls back
-    to twice the divergence step for unstable parameters and to the last
-    horizon if the settling is not confirmed within ``max_steps``.
+    One unrecorded run grows from 1000 steps (or ``max_steps``, if fewer)
+    by the rule of ``confirm_settling``, judged on the band the engine
+    tracks. Falls back to twice the divergence step for unstable parameters
+    and to the last horizon if the settling is not confirmed within
+    ``max_steps``.
     """
     if initial is None:
         initial = np.zeros(topology.n_agents)
@@ -267,7 +268,7 @@ def settling_horizon(
         topology, [params], initial, seed, record_every=None, band=params.source.band(band)
     )
     steps, settled, confirmed = confirm_settling(
-        run, 1000, max_steps, lambda run: run.settling_times()[0]
+        run, min(1000, max_steps), max_steps, lambda run: run.settling_times()[0]
     )
     if run.diverged_steps[0] is not None:
         return max(2 * run.diverged_steps[0], 1000)

@@ -3,9 +3,10 @@
 Two reductions of the DSR update are integrated with explicit Euler steps
 on the same sensing graph. The overdamped reduction is plain diffusion:
 values relax toward the neighborhood mean and disturbances spread with the
-square root of time. The second-order reduction keeps the inertial term
-that the reinforcement gain introduces, so information travels as a wave
-with the finite front speed returned by :func:`predicted_wave_speed`.
+square root of time. It is the zero-gain DSR update, so it runs on the DSR
+engine. The second-order reduction keeps the inertial term that the
+reinforcement gain introduces, so information travels as a wave with the
+finite front speed returned by :func:`predicted_wave_speed`.
 
 The integrator interval may be much smaller than the consensus update
 interval; the latter only sets the model coefficients.
@@ -14,41 +15,34 @@ interval; the latter only sets the model coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import BlockRun, DiscrepancyOperator, StepSource, Trajectory
+from .dsr_core import BlockRun, DiscrepancyOperator, DsrParams, Trajectory, dsr_run
 from .topology import NetworkTopology
 
 
 @dataclass(frozen=True)
 class ContinuumParams:
-    """Coefficients and stepping intervals of the continuum models.
+    """The wave-like model: DSR coefficients and an explicit Euler step.
 
-    ``update_interval`` is the consensus-model interval entering the
-    damping and drive coefficients. ``integrator_step`` is the explicit
-    Euler step of the second-order model; the diffusion model steps at
-    ``update_interval``. Gains lie in [0, 1); the second-order model
-    divides by ``dsr_gain * update_interval`` and so also needs a positive
-    gain.
+    ``dsr.update_interval`` is the consensus-model interval entering the
+    damping and drive coefficients; ``integrator_step`` is the Euler step.
+    The model divides by ``dsr_gain * update_interval``, so it needs a
+    positive gain, and it has no update noise.
     """
 
-    alignment_strength: float
-    dsr_gain: float
-    update_interval: float
+    dsr: DsrParams
     integrator_step: float
-    source: StepSource
 
     def __post_init__(self):
-        if self.integrator_step <= 0:
+        if not self.integrator_step > 0:
             raise ValueError("integrator_step must be positive")
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
-        if self.alignment_strength < 0:
-            raise ValueError("alignment_strength must be nonnegative")
-        if not 0.0 <= self.dsr_gain < 1.0:
-            raise ValueError("dsr_gain must lie in [0, 1)")
+        if not self.dsr.dsr_gain > 0:
+            raise ValueError("the second-order model needs dsr_gain > 0")
+        if not self.dsr.noise_amplitude == 0:
+            raise ValueError("the second-order model needs noise_amplitude == 0")
 
 
 @dataclass
@@ -92,13 +86,6 @@ def predicted_wave_speed(
     )
 
 
-def _inertia(params: ContinuumParams) -> float:
-    """``dsr_gain * update_interval``, which the second-order model divides by."""
-    if params.dsr_gain <= 0.0:
-        raise ValueError("the second-order model needs dsr_gain > 0")
-    return params.dsr_gain * params.update_interval
-
-
 def second_order_step(
     state: SecondOrderState,
     topology: NetworkTopology,
@@ -114,15 +101,16 @@ def second_order_step(
     against the discrepancy keeps the uniform-at-source state a fixed point,
     consistent with the first-order update this model approximates.
     """
-    scale = _inertia(params)
+    dsr = params.dsr
+    scale = dsr.dsr_gain * dsr.update_interval
     op = operator if operator is not None else DiscrepancyOperator(topology)
     h = params.integrator_step
-    delta = op(state.value, params.source.value(state.step))
+    delta = op(state.value, dsr.source.value(state.step))
     new_value = state.value + h * state.rate
     new_rate = (
         state.rate
-        - ((1.0 - params.dsr_gain) / scale) * h * state.rate
-        - (params.alignment_strength / scale) * h * delta
+        - ((1.0 - dsr.dsr_gain) / scale) * h * state.rate
+        - (dsr.alignment_strength / scale) * h * delta
     )
     return SecondOrderState(value=new_value, rate=new_rate, step=state.step + 1)
 
@@ -130,14 +118,14 @@ def second_order_step(
 def diffusion_step(
     state: DiffusionState,
     topology: NetworkTopology,
-    params: ContinuumParams,
+    params: DsrParams,
     *,
     operator: DiscrepancyOperator | None = None,
 ) -> DiffusionState:
     """One explicit step of the overdamped diffusion limit.
 
-    Identical arithmetic to the zero-gain DSR update, which it must match
-    to bit tolerance.
+    Reads no gain: it is the zero-gain DSR update, bit for bit, and the
+    reference the engine is tested against.
     """
     op = operator if operator is not None else DiscrepancyOperator(topology)
     delta = op(state.values, params.source.value(state.step))
@@ -159,9 +147,9 @@ def second_order_run(
     The rate starts at zero. Same arithmetic, in the same order, as
     :func:`second_order_step`.
     """
-    h = params.integrator_step
-    scale = _inertia(params)
-    damping = ((1.0 - params.dsr_gain) / scale) * h
+    dsr, h = params.dsr, params.integrator_step
+    scale = dsr.dsr_gain * dsr.update_interval
+    damping = ((1.0 - dsr.dsr_gain) / scale) * h
 
     def update(k, delta, scratch, gain, prev, cur, nxt):
         (value, rate), (new_value, new_rate) = cur, nxt
@@ -172,33 +160,10 @@ def second_order_run(
         np.multiply(gain, delta, out=delta)
         np.subtract(new_rate, delta, out=new_rate)
 
-    drive = (params.alignment_strength / scale) * h
+    drive = (dsr.alignment_strength / scale) * h
     return BlockRun(
-        topology, params.source, initial, update, [drive], params=params,
+        topology, dsr.source, initial, update, [drive], params=params,
         step_seconds=h, state_width=2, record_every=record_every,
-    )
-
-
-def diffusion_run(
-    topology: NetworkTopology,
-    params: ContinuumParams,
-    initial,
-    record_every: int = 1,
-) -> BlockRun:
-    """A resumable run of the overdamped model on the block-stepped engine.
-
-    Same arithmetic as :func:`diffusion_step`, with no ``0 * (cur - prev)``
-    term: a zero-gain DSR update would turn -0.0 into +0.0 and inf into nan.
-    """
-
-    def update(k, delta, scratch, gain, prev, cur, nxt):
-        np.multiply(gain, delta, out=delta)
-        np.subtract(cur[0], delta, out=nxt[0])
-
-    ksdt = params.alignment_strength * params.update_interval
-    return BlockRun(
-        topology, params.source, initial, update, [ksdt], params=params,
-        step_seconds=params.update_interval, record_every=record_every,
     )
 
 
@@ -220,11 +185,15 @@ def simulate_second_order(
 
 def simulate_diffusion(
     topology: NetworkTopology,
-    params: ContinuumParams,
+    params: DsrParams,
     initial,
     n_steps: int,
     record_every: int = 1,
 ) -> Trajectory:
-    """Integrate the overdamped model, recording every ``record_every`` steps."""
-    run = diffusion_run(topology, params, initial, record_every)
+    """Integrate the overdamped model, recording every ``record_every`` steps.
+
+    This is the DSR run of ``params`` at zero gain; ``params`` must be
+    noiseless, since no seed is taken.
+    """
+    run = dsr_run(topology, [replace(params, dsr_gain=0.0)], initial, record_every=record_every)
     return run.advance(n_steps).trajectory()

@@ -45,6 +45,10 @@ class StepSource:
     final: float
     switch_step: int = 0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.initial) and np.isfinite(self.final)):
+            raise ValueError("source initial and final values must be finite")
+
     def value(self, step: int) -> float:
         return self.final if step >= self.switch_step else self.initial
 
@@ -75,15 +79,16 @@ class DsrParams:
     noise_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.update_interval <= 0:
+        # written so that a NaN fails every check
+        if not self.update_interval > 0:
             raise ValueError("update_interval must be positive")
-        if self.alignment_strength < 0:
+        if not self.alignment_strength >= 0:
             raise ValueError("alignment_strength must be nonnegative")
         if not 0.0 <= self.dsr_gain < 1.0:
             raise ValueError(
                 "dsr_gain must lie in [0, 1); gains >= 1 leave the update undamped"
             )
-        if self.noise_amplitude < 0:
+        if not self.noise_amplitude >= 0:
             raise ValueError("noise_amplitude must be nonnegative")
 
 
@@ -215,17 +220,22 @@ class _StepNoise:
 def _dsr_update(cur, prev, delta, out, momentum, ksdt, beta, coast=None):
     """Write ``(cur - ksdt * delta) + beta * (cur - prev)`` into ``out``.
 
+    At ``beta == 0`` the reinforcement term is skipped, so the update is
+    exactly the diffusion step ``cur - ksdt * delta``: adding
+    ``0 * (cur - prev)`` would turn -0.0 into +0.0 and inf into nan.
     Overwrites ``delta`` and ``momentum``. Reads ``prev`` before writing
     ``out``, so the two may share memory. Agents in the ``coast`` mask get
     no alignment term.
     """
-    np.subtract(cur, prev, out=momentum)
-    np.multiply(beta, momentum, out=momentum)
+    if beta:
+        np.subtract(cur, prev, out=momentum)
+        np.multiply(beta, momentum, out=momentum)
     np.multiply(ksdt, delta, out=delta)
     if coast is not None:
         delta[coast] = 0.0
     np.subtract(cur, delta, out=out)
-    np.add(out, momentum, out=out)
+    if beta:
+        np.add(out, momentum, out=out)
 
 
 def dsr_step(
@@ -317,6 +327,8 @@ class BlockRun:
         start = np.array(initial, dtype=float)
         if start.shape != (n,):
             raise ValueError("initial values must provide one entry per agent")
+        if not np.isfinite(start).all():
+            raise ValueError("initial values must be finite")
         self.step, self.diverged_steps = 0, [None] * m
         self._n, self._update, self._band = n, update, band
         self._params, self.step_seconds = params, step_seconds

@@ -44,7 +44,7 @@ class FlockParams:
     n_steps: int = 400
 
     def __post_init__(self):
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ValueError("speed must be positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")

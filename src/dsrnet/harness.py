@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import MetricsReport, SweepResult
-from .continuum import ContinuumParams, diffusion_run, second_order_run
+from .continuum import ContinuumParams, second_order_run
 from .dsr_core import DsrParams, IsolatedAgentError, StepSource, Trajectory, dsr_run
 
 # perfbench/tracer.py wraps these names on this module.
@@ -275,22 +275,14 @@ def _source(cfg: ExperimentConfig) -> StepSource:
 
 
 def _dsr_params(cfg: ExperimentConfig) -> DsrParams:
+    """The DSR parameters; the diffusion model is the zero-gain update, so
+    ``continuum-diffusion`` ignores ``beta``."""
     return DsrParams(
         alignment_strength=cfg.ks,
-        dsr_gain=cfg.beta,
+        dsr_gain=0.0 if cfg.experiment == "continuum-diffusion" else cfg.beta,
         update_interval=cfg.dt,
         source=_source(cfg),
         noise_amplitude=cfg.noise,
-    )
-
-
-def _continuum_params(cfg: ExperimentConfig) -> ContinuumParams:
-    return ContinuumParams(
-        alignment_strength=cfg.ks,
-        dsr_gain=cfg.beta,
-        update_interval=cfg.dt,
-        integrator_step=cfg.dt if cfg.integrator_dt is None else cfg.integrator_dt,
-        source=_source(cfg),
     )
 
 
@@ -299,12 +291,11 @@ def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_
     grown from ``steps`` by ``analysis.confirm_settling``, judged on the
     record. The run is freed on return, before the artifacts are written."""
     initial, source = np.zeros(topology.n_agents), _source(cfg)
-    if cfg.experiment == "lattice-info":
-        run = dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every)
-    elif cfg.experiment == "continuum-second-order":
-        run = second_order_run(topology, _continuum_params(cfg), initial, cfg.record_every)
+    if cfg.experiment == "continuum-second-order":
+        params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
+        run = second_order_run(topology, params, initial, cfg.record_every)
     else:
-        run = diffusion_run(topology, _continuum_params(cfg), initial, cfg.record_every)
+        run = dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every)
 
     def settled_at(run):
         traj = run.trajectory()

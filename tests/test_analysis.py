@@ -338,7 +338,7 @@ def oracle_settling_horizon(
     """Reference: a recorded run from step 0 for every horizon it tries."""
     if initial is None:
         initial = np.zeros(topology.n_agents)
-    steps = 1000
+    steps = min(1000, max_steps)
     while True:
         traj = simulate(topology, params, initial, steps, seed)
         if traj.diverged:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from dsrnet.continuum import (
     ContinuumParams,
     DiffusionState,
     SecondOrderState,
-    diffusion_run,
     diffusion_step,
     predicted_wave_speed,
     second_order_run,
@@ -22,6 +23,7 @@ from dsrnet.dsr_core import (
     DsrParams,
     InfoState,
     StepSource,
+    dsr_run,
     dsr_step,
 )
 from dsrnet.topology import NetworkTopology, build_lattice
@@ -31,6 +33,15 @@ STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 
 def lattice_topology(rows, cols, leaders=()):
     return NetworkTopology.build(build_lattice(rows, cols, 1.0), 1.2, leaders)
+
+
+def wave_params(ks, gain, dt, step, source):
+    return ContinuumParams(DsrParams(ks, gain, dt, source), step)
+
+
+def zero_gain_run(topology, params, initial, record_every=1):
+    """The diffusion model on the DSR engine: the zero-gain run of ``params``."""
+    return dsr_run(topology, [replace(params, dsr_gain=0.0)], initial, record_every=record_every)
 
 
 class TestPredictedWaveSpeed:
@@ -54,33 +65,34 @@ class TestParams:
     def test_rejects_zero_gain(self):
         # a zero gain is a valid diffusion model; only the second-order
         # model, which divides by the gain, rejects it
-        params = ContinuumParams(100.0, 0.0, 0.01, 1e-4, STEP_TO_ONE)
-        topology = lattice_topology(3, 3, {0})
-        with pytest.raises(ValueError):
-            second_order_run(topology, params, np.zeros(9))
-        with pytest.raises(ValueError):
-            second_order_step(SecondOrderState.from_initial(np.zeros(9)), topology, params)
-        diffusion_run(topology, params, np.zeros(9))
+        dsr = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
+        with pytest.raises(ValueError, match="dsr_gain > 0"):
+            ContinuumParams(dsr, 1e-4)
+        simulate_diffusion(lattice_topology(3, 3, {0}), dsr, np.zeros(9), 1)
 
     def test_rejects_negative_gain(self):
         with pytest.raises(ValueError):
-            ContinuumParams(100.0, -0.5, 0.01, 1e-4, STEP_TO_ONE)
+            wave_params(100.0, -0.5, 0.01, 1e-4, STEP_TO_ONE)
 
     def test_rejects_gain_of_one(self):
         with pytest.raises(ValueError):
-            ContinuumParams(100.0, 1.0, 0.01, 1e-4, STEP_TO_ONE)
+            wave_params(100.0, 1.0, 0.01, 1e-4, STEP_TO_ONE)
 
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
-            ContinuumParams(100.0, 0.5, 0.0, 1e-4, STEP_TO_ONE)
+            wave_params(100.0, 0.5, 0.0, 1e-4, STEP_TO_ONE)
         with pytest.raises(ValueError):
-            ContinuumParams(100.0, 0.5, 0.01, 0.0, STEP_TO_ONE)
+            wave_params(100.0, 0.5, 0.01, 0.0, STEP_TO_ONE)
+
+    def test_rejects_noise(self):
+        with pytest.raises(ValueError, match="noise_amplitude"):
+            ContinuumParams(DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE, 0.1), 1e-4)
 
 
 class TestSecondOrderStep:
     def test_uniform_at_source_with_zero_rate_is_fixed_point(self):
         topo = lattice_topology(4, 4, {0})
-        params = ContinuumParams(100.0, 0.96, 0.01, 1e-4, StepSource(0.6, 0.6, 0))
+        params = wave_params(100.0, 0.96, 0.01, 1e-4, StepSource(0.6, 0.6, 0))
         state = SecondOrderState.from_initial(np.full(16, 0.6))
         out = second_order_step(state, topo, params)
         assert np.array_equal(out.value, state.value)
@@ -94,7 +106,7 @@ class TestSecondOrderStep:
 
     def test_value_advances_with_pre_update_rate(self):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(100.0, 0.96, 0.01, 1e-3, STEP_TO_ONE)
+        params = wave_params(100.0, 0.96, 0.01, 1e-3, STEP_TO_ONE)
         state = SecondOrderState(value=np.zeros(9), rate=np.full(9, 2.0))
         out = second_order_step(state, topo, params)
         assert out.value == pytest.approx(np.full(9, 2e-3))
@@ -104,7 +116,7 @@ class TestDiffusionStep:
     def test_chain_hand_arithmetic(self):
         positions = np.column_stack([np.arange(3.0), np.zeros(3)])
         topo = NetworkTopology.build(positions, 1.2)
-        params = ContinuumParams(2.0, 0.5, 0.1, 0.1, StepSource(0.0, 0.0, 0))
+        params = DsrParams(2.0, 0.5, 0.1, StepSource(0.0, 0.0, 0))
         state = DiffusionState(values=np.array([0.0, 0.5, 1.0]))
         out = diffusion_step(state, topo, params)
         # discrepancies are (-0.5, 0, 0.5); update subtracts Ks*dt times them
@@ -112,7 +124,7 @@ class TestDiffusionStep:
 
     def test_zero_alignment_is_identity(self):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(0.0, 0.5, 0.01, 0.01, STEP_TO_ONE)
+        params = DsrParams(0.0, 0.5, 0.01, STEP_TO_ONE)
         state = DiffusionState(values=np.linspace(0, 1, 9))
         out = diffusion_step(state, topo, params)
         assert np.array_equal(out.values, state.values)
@@ -121,17 +133,28 @@ class TestDiffusionStep:
         topo = lattice_topology(5, 5, {3})
         rng = np.random.default_rng(17)
         values = rng.uniform(0, 1, 25)
-        continuum = ContinuumParams(100.0, 0.5, 0.01, 0.01, STEP_TO_ONE)
+        continuum = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
         consensus = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
         a = diffusion_step(DiffusionState(values=values.copy()), topo, continuum)
         b = dsr_step(InfoState.from_initial(values.copy()), topo, consensus)
         assert np.abs(a.values - b.current).max() <= 1e-15
 
+    def test_zero_gain_consensus_update_keeps_signbits(self):
+        # the -0.0 input of test_diffusion_keeps_negative_zero: adding
+        # 0 * (cur - prev) = +0.0 would turn it into +0.0
+        topo = lattice_topology(3, 3, {0})
+        params = DsrParams(0.0, 0.0, 0.01, STEP_TO_ONE)
+        values = np.array([-1.0] * 4 + [-0.0] + [-1.0] * 4)
+        a = diffusion_step(DiffusionState(values=values.copy()), topo, params)
+        b = dsr_step(InfoState.from_initial(values.copy()), topo, params)
+        assert np.signbit(a.values[4])
+        assert a.values.tobytes() == b.current.tobytes()
+
 
 class TestSimulators:
     def test_record_stride_and_final_row(self):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
+        params = wave_params(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
         traj = simulate_second_order(topo, params, np.zeros(9), 105, record_every=10)
         assert traj.times[0] == 0.0
         assert traj.times[1] == pytest.approx(10e-4)
@@ -141,7 +164,7 @@ class TestSimulators:
     def test_divergence_truncates_and_flags(self):
         positions = np.column_stack([np.arange(3.0), np.zeros(3)])
         topo = NetworkTopology.build(positions, 1.2, {0})
-        params = ContinuumParams(100.0, 0.5, 0.1, 0.1, STEP_TO_ONE)
+        params = DsrParams(100.0, 0.5, 0.1, STEP_TO_ONE)
         traj = simulate_diffusion(topo, params, np.zeros(3), 500)
         assert traj.diverged
         assert traj.diverged_step is not None
@@ -154,13 +177,13 @@ class TestSimulators:
         ks, dt, fine = 10.0, 0.01, 5e-5
         stride = round(dt / fine)
         diffusion = simulate_diffusion(
-            topo, ContinuumParams(ks, 0.5, dt, dt, STEP_TO_ONE), np.zeros(25), 100
+            topo, DsrParams(ks, 0.5, dt, STEP_TO_ONE), np.zeros(25), 100
         )
         gaps = []
         for gain in (0.2, 0.1, 0.05, 0.01):
             wave = simulate_second_order(
                 topo,
-                ContinuumParams(ks, gain, dt, fine, STEP_TO_ONE),
+                wave_params(ks, gain, dt, fine, STEP_TO_ONE),
                 np.zeros(25),
                 100 * stride,
                 record_every=stride,
@@ -174,7 +197,7 @@ class TestSimulators:
         n = 225
 
         def diverges(step, horizon=2.0):
-            params = ContinuumParams(100.0, 0.96, 0.01, step, STEP_TO_ONE)
+            params = wave_params(100.0, 0.96, 0.01, step, STEP_TO_ONE)
             traj = simulate_second_order(
                 topo, params, np.zeros(n), int(horizon / step), record_every=100
             )
@@ -185,13 +208,13 @@ class TestSimulators:
 
     def test_rejects_bad_run_arguments(self):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
+        params = wave_params(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
         with pytest.raises(ValueError):
             simulate_second_order(topo, params, np.zeros(9), -1)
         with pytest.raises(ValueError):
             simulate_second_order(topo, params, np.zeros(9), 10, record_every=0)
         with pytest.raises(ValueError):
-            simulate_diffusion(topo, params, np.zeros(4), 10)
+            simulate_diffusion(topo, params.dsr, np.zeros(4), 10)
 
 
 B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
@@ -263,7 +286,7 @@ class TestEngineMatchesStepLoop:
     @pytest.mark.parametrize("record_every", STRIDES)
     def test_second_order_step_counts(self, n_steps, record_every):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(
+        params = wave_params(
             100.0, 0.96, 0.01, 1e-3, StepSource(0.2, 1.0, B + 6)
         )
         initial = np.linspace(-0.5, 0.5, 9)
@@ -275,9 +298,7 @@ class TestEngineMatchesStepLoop:
     @pytest.mark.parametrize("record_every", STRIDES)
     def test_diffusion_step_counts(self, n_steps, record_every):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(
-            100.0, 0.5, 0.01, 0.01, StepSource(0.2, 1.0, B + 6)
-        )
+        params = DsrParams(100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6))
         initial = np.linspace(-0.5, 0.5, 9)
         expected = diffusion_reference(topo, params, initial, n_steps, record_every)
         traj = simulate_diffusion(topo, params, initial, n_steps, record_every)
@@ -298,7 +319,7 @@ class TestEngineMatchesStepLoop:
         self, ks, step_size, source_final, scale, step, record_every
     ):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(
+        params = wave_params(
             ks, 0.96, 0.01, step_size, StepSource(0.0, source_final, 0)
         )
         initial = scale * np.linspace(-1.0, 1.0, 9)
@@ -320,7 +341,7 @@ class TestEngineMatchesStepLoop:
     )
     def test_diffusion_divergence_step(self, ks, source_final, step, record_every):
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(ks, 0.5, 0.01, 0.01, StepSource(0.0, source_final, 0))
+        params = DsrParams(ks, 0.5, 0.01, StepSource(0.0, source_final, 0))
         expected = diffusion_reference(topo, params, np.zeros(9), 300, record_every)
         assert expected[2] == step
         traj = simulate_diffusion(topo, params, np.zeros(9), 300, record_every)
@@ -330,7 +351,7 @@ class TestEngineMatchesStepLoop:
         # v - 0 * delta keeps a -0.0 that a zero-gain DSR update, which adds
         # 0 * (cur - prev), would turn into +0.0
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(0.0, 0.5, 0.01, 0.01, STEP_TO_ONE)
+        params = DsrParams(0.0, 0.5, 0.01, STEP_TO_ONE)
         initial = np.array([-1.0] * 4 + [-0.0] + [-1.0] * 4)
         expected = diffusion_reference(topo, params, initial, 5, 1)
         assert np.signbit(expected[1][-1, 4])
@@ -338,15 +359,15 @@ class TestEngineMatchesStepLoop:
 
     def test_one_agent_leader_graph(self):
         topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
-        params = ContinuumParams(50.0, 0.9, 0.01, 1e-3, StepSource(0.0, 1.0, 3))
+        params = wave_params(50.0, 0.9, 0.01, 1e-3, StepSource(0.0, 1.0, 3))
         n_steps = 2 * B + 3
         assert_same_run(
             simulate_second_order(topo, params, np.zeros(1), n_steps, 3),
             second_order_reference(topo, params, np.zeros(1), n_steps, 3),
         )
         assert_same_run(
-            simulate_diffusion(topo, params, np.zeros(1), n_steps, 3),
-            diffusion_reference(topo, params, np.zeros(1), n_steps, 3),
+            simulate_diffusion(topo, params.dsr, np.zeros(1), n_steps, 3),
+            diffusion_reference(topo, params.dsr, np.zeros(1), n_steps, 3),
         )
 
 
@@ -356,7 +377,7 @@ class TestExtendedRun:
 
     MODELS = {
         "second-order": (second_order_run, simulate_second_order),
-        "diffusion": (diffusion_run, simulate_diffusion),
+        "diffusion": (zero_gain_run, simulate_diffusion),
     }
 
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -368,7 +389,9 @@ class TestExtendedRun:
         topo = lattice_topology(3, 3, {0})
         # the diverging runs blow up at step 91 (second-order) and 46 (diffusion)
         ks = {"second-order": 20000.0, "diffusion": 130.0}[model] if diverges else 100.0
-        params = ContinuumParams(ks, 0.96, 0.01, 2.6e-4, StepSource(0.0, 1.0, 4))
+        params = wave_params(ks, 0.96, 0.01, 2.6e-4, StepSource(0.0, 1.0, 4))
+        if model == "diffusion":
+            params = params.dsr
         initial = np.linspace(0.0, 0.3, 9)
         run = make_run(topo, params, initial, record_every)
         for n_steps in horizons:
@@ -382,8 +405,8 @@ class TestExtendedRun:
         # steps 0, 5, 10 and the forced 11, then 0, 5, 10, 12: the same
         # number of rows, so step 12 must not go into the array of step 11
         topo = lattice_topology(3, 3, {0})
-        params = ContinuumParams(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
-        run = diffusion_run(topo, params, np.zeros(9), record_every=5)
+        params = DsrParams(100.0, 0.96, 0.01, STEP_TO_ONE)
+        run = zero_gain_run(topo, params, np.zeros(9), record_every=5)
         first = run.advance(11).trajectory()
         kept = first.values.copy()
         second = run.advance(12).trajectory()

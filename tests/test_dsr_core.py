@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dsrnet.analysis import settling_time
+from dsrnet.continuum import ContinuumParams
 from dsrnet.dsr_core import (
     _MAX_BLOCK_STEPS,
     _StepNoise,
@@ -20,9 +21,11 @@ from dsrnet.dsr_core import (
     dsr_step,
     simulate,
 )
+from dsrnet.flocking import FlockParams
 from dsrnet.topology import NetworkTopology, build_lattice
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
+NAN = float("nan")
 
 
 def lattice_topology(rows, cols, leaders=()):
@@ -209,6 +212,32 @@ class TestParamsValidation:
             DsrParams(-1.0, 0.0, 0.01, STEP_TO_ONE)
         with pytest.raises(ValueError):
             DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE, noise_amplitude=-0.1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DsrParams(NAN, 0.0, 0.01, STEP_TO_ONE), "alignment_strength"),
+            (lambda: DsrParams(100.0, NAN, 0.01, STEP_TO_ONE), "dsr_gain"),
+            (lambda: DsrParams(100.0, 0.0, NAN, STEP_TO_ONE), "update_interval"),
+            (lambda: DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE, NAN), "noise_amplitude"),
+            (lambda: StepSource(NAN, 1.0), "source"),
+            (lambda: StepSource(0.0, NAN), "source"),
+            (lambda: StepSource(0.0, np.inf), "source"),
+            (lambda: ContinuumParams(DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE), NAN),
+             "integrator_step"),
+            (lambda: FlockParams(NAN, DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)), "speed"),
+            (lambda: simulate(lattice_topology(2, 2, {0}),
+                              DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE),
+                              [0.0, NAN, 0.0, 0.0], 5), "initial"),
+        ],
+        ids=["ks", "gain", "dt", "noise", "source-initial", "source-final",
+             "source-inf", "integrator-step", "speed", "simulate-initial"],
+    )
+    def test_nan_is_rejected_not_simulated(self, build, message):
+        # a NaN parameter or start value must never reach a run, where it
+        # would read as divergence at step 1 (or, for noise, as no noise)
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_step_source_switches(self):
         source = StepSource(-1.0, 2.0, 5)
