@@ -258,9 +258,9 @@ def settling_horizon(
 
     One unrecorded run grows from 1000 steps (or ``max_steps``, if fewer)
     by the rule of ``confirm_settling``, judged on the band the engine
-    tracks. Falls back to twice the divergence step for unstable parameters
-    and to the last horizon if the settling is not confirmed within
-    ``max_steps``.
+    tracks. Falls back to twice the divergence step (at least 1000, at most
+    ``max_steps``) for unstable parameters and to the last horizon if the
+    settling is not confirmed within ``max_steps``.
     """
     if initial is None:
         initial = np.zeros(topology.n_agents)
@@ -271,7 +271,7 @@ def settling_horizon(
         run, min(1000, max_steps), max_steps, lambda run: run.settling_times()[0]
     )
     if run.diverged_steps[0] is not None:
-        return max(2 * run.diverged_steps[0], 1000)
+        return min(max(2 * run.diverged_steps[0], 1000), max_steps)
     return int(np.ceil(settled / params.update_interval)) if confirmed else steps
 
 

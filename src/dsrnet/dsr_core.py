@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .topology import NetworkTopology
 
@@ -143,7 +144,7 @@ class DiscrepancyOperator:
 
     For agent i the discrepancy is the mean of I_i - I_j over its
     neighborhood; for leaders the external source joins the average as one
-    additional member, so the discrepancy is ``values - matrix @ values -
+    additional member, so the discrepancy is ``values - product(values) -
     pull(source_value)``. Rows of non-leader agents with empty neighborhoods
     are reported in ``isolated`` (``has_isolated`` tells whether there are
     any) and return a discrepancy of zero, leaving the caller to decide
@@ -181,8 +182,24 @@ class DiscrepancyOperator:
                 f"agent {first} has no neighbors and no source access"
             )
 
+    def product(self, values: np.ndarray, out: np.ndarray, columns: int = 1) -> np.ndarray:
+        """Write ``matrix`` times ``values`` into ``out``, both flat arrays of n
+        rows of ``columns`` values, with the CSR kernel (private to scipy) that
+        ``@`` calls for that shape: the same bits, without ``@``'s per-call
+        dispatch and allocation. Returns ``out``."""
+        a, n = self.matrix, self.matrix.shape[0]
+        if not values.size == out.size == n * columns:  # the kernel reads unchecked
+            raise ValueError("values and out must hold n rows of `columns` values")
+        out.fill(0.0)  # the kernel accumulates into out
+        if columns == 1:
+            _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, values, out)
+        else:
+            _sparsetools.csr_matvecs(n, n, columns, a.indptr, a.indices, a.data, values, out)
+        return out
+
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
-        delta = values - self.matrix @ values
+        delta = self.product(values, np.empty(len(values)))
+        np.subtract(values, delta, out=delta)
         delta -= self.pull(source_value)
         if self.has_isolated:
             delta[self.isolated] = 0.0
@@ -333,7 +350,7 @@ class BlockRun:
         self._n, self._update, self._band = n, update, band
         self._params, self.step_seconds = params, step_seconds
         self._leader_ids = tuple(sorted(topology.leader_ids))
-        self._matrix, self._switch = op.matrix, source.switch_step
+        self._product, self._switch = op.product, source.switch_step
         self._pulls = (op.pull(source.initial)[:, None], op.pull(source.final)[:, None])
         block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
         ring = np.zeros((block + 1, state_width, n, m))
@@ -349,6 +366,7 @@ class BlockRun:
     def _set_columns(self, ring, columns, gain):
         self._ring, self.columns, self._gain = ring, columns, gain
         self._slots = [tuple(slot) for slot in ring]
+        self._flat = [slot[0].reshape(-1) for slot in ring]  # views for the kernel
         self._delta, self._scratch = np.empty(ring.shape[2:]), np.empty(ring.shape[2:])
 
     @property
@@ -372,16 +390,18 @@ class BlockRun:
             return self
         if self._record_every is not None:
             self._reserve(n_steps)
-        matrix, pulls, switch, update = self._matrix, self._pulls, self._switch, self._update
+        product, pulls, switch, update = self._product, self._pulls, self._switch, self._update
         # steps after a diverged one may overflow; they are never kept
         with np.errstate(over="ignore", invalid="ignore"):
             while self.step < n_steps and self.columns.size:
-                k0, slots = self.step, self._slots
+                k0, slots, flat = self.step, self._slots, self._flat
                 k1, size = min(k0 + len(slots) - 1, n_steps), len(slots)
                 delta, scratch, gain = self._delta, self._scratch, self._gain
+                flat_delta, m = delta.reshape(-1), self.columns.size
                 for k in range(k0, k1):
                     cur = slots[k % size]
-                    np.subtract(cur[0], matrix @ cur[0], out=delta)
+                    product(flat[k % size], flat_delta, m)
+                    np.subtract(cur[0], delta, out=delta)
                     np.subtract(delta, pulls[k >= switch], out=delta)
                     update(k, delta, scratch, gain, slots[(k - 1) % size], cur,
                            slots[(k + 1) % size])

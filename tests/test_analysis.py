@@ -342,7 +342,7 @@ def oracle_settling_horizon(
     while True:
         traj = simulate(topology, params, initial, steps, seed)
         if traj.diverged:
-            return max(2 * int(traj.diverged_step or steps), 1000)
+            return min(max(2 * int(traj.diverged_step or steps), 1000), max_steps)
         settled = settling_time(traj, params.source.final, band, params.source.initial)
         if settled is not None and traj.times[-1] >= 1.5 * settled:
             return int(np.ceil(settled / params.update_interval))
@@ -402,6 +402,31 @@ class TestSweepMatchesOracle:
         got = stability_sweep(topo, base, CLIFF_KS, initial, horizon, seed)
         assert got == oracle_stability_sweep(topo, base, CLIFF_KS, initial, horizon, seed)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.002])
+    def test_lone_survivor_equals_its_single_column_run(self, noise):
+        # 1e300 and 150 diverge in the first block (steps 1 and 28), 105 in
+        # the middle of the fourth (step 221): the run steps on with one column
+        topo = lattice_with_leader(5, 6)
+        base = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), noise)
+        ks = [60.0, 150.0, 1e300, 105.0]
+        band = base.source.band(0.02)
+
+        def run(columns):
+            params = [replace(base, alignment_strength=k) for k in columns]
+            return dsr_run(topo, params, np.zeros(25), 5, None, band).advance(900)
+
+        batched = run(ks)
+        assert list(batched.columns) == [0]
+        assert all(batched.diverged_steps[1:])
+        assert max(batched.diverged_steps[1:]) > 3 * B
+        for j, k in enumerate(ks):
+            single = run([k])
+            assert batched.diverged_steps[j] == single.diverged_steps[0]
+            assert batched.settling_times()[j] == single.settling_times()[0]
+        assert batched.settling_times()[0] is not None
+        survivor = run([60.0]).current
+        assert batched.current.tobytes() == survivor.tobytes()
+
     def test_default_horizon_and_band(self):
         topo = lattice_with_leader(5)
         base = DsrParams(100.0, 0.5, 0.01, StepSource(0.0, 2.0, 5))
@@ -440,10 +465,14 @@ class TestSettlingHorizonMatchesOracle:
             # settled at step 1077 but not confirmed by the cap: the cap is returned
             (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 1200),
             (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 1500),
+            # diverge at steps 29 and 1: the fallback stops at the cap
+            (DsrParams(150.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
+            (DsrParams(1e9, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
         ],
         ids=["stable", "slow", "reinforced", "diverging", "noisy",
              "switch-and-initial", "never-settles", "max-below-first-checkpoint",
-             "zero-final", "unconfirmed-at-cap-1200", "unconfirmed-at-cap-1500"],
+             "zero-final", "unconfirmed-at-cap-1200", "unconfirmed-at-cap-1500",
+             "diverging-below-first-checkpoint", "diverging-at-once-below-cap"],
     )
     def test_same_horizon(self, params, initial, seed, max_steps):
         topo = lattice_with_leader(7, 8)
@@ -451,6 +480,13 @@ class TestSettlingHorizonMatchesOracle:
             initial = np.random.default_rng(2).uniform(-1.0, 1.0, 49)
         expected = oracle_settling_horizon(topo, params, initial, seed, max_steps=max_steps)
         assert settling_horizon(topo, params, initial, seed, max_steps=max_steps) == expected
+
+    @pytest.mark.parametrize("ks", [150.0, 1e9])
+    def test_diverging_fallback_never_exceeds_max_steps(self, ks):
+        params = DsrParams(ks, 0.0, 0.01, StepSource(0.0, 1.0, 0))
+        topo = lattice_with_leader(7, 8)
+        assert settling_horizon(topo, params, max_steps=500) == 500
+        assert settling_horizon(topo, params, max_steps=200_000) == 1000
 
     def test_rejects_nonpositive_band_before_running(self):
         topo = lattice_with_leader(3)

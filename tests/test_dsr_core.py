@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from dsrnet.analysis import settling_time
-from dsrnet.continuum import ContinuumParams
+from dsrnet.analysis import settling_time, stability_sweep
+from dsrnet.continuum import ContinuumParams, second_order_run
 from dsrnet.dsr_core import (
     _MAX_BLOCK_STEPS,
     _StepNoise,
@@ -22,7 +23,7 @@ from dsrnet.dsr_core import (
     simulate,
 )
 from dsrnet.flocking import FlockParams
-from dsrnet.topology import NetworkTopology, build_lattice
+from dsrnet.topology import NetworkTopology, build_lattice, sample_disc
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 NAN = float("nan")
@@ -480,3 +481,98 @@ class TestExtendedRun:
         run = dsr_run(topo, [DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)], np.zeros(9))
         with pytest.raises(ValueError):
             run.advance(5).advance(4)
+
+
+def cut_disc_operator():
+    """A disc graph cut down by a ``keep`` mask, with one agent's row emptied."""
+    rng = np.random.default_rng(11)
+    topo = NetworkTopology.build(sample_disc(80, 4.0, rng), 1.5, {0})
+    keep = rng.random(topo.indices.size) < 0.6
+    lonely = int(np.argmax(topo.degrees[1:])) + 1
+    keep[topo.indptr[lonely] : topo.indptr[lonely + 1]] = False
+    op = DiscrepancyOperator(topo, keep)
+    assert op.isolated[lonely] and op.matrix.indptr[lonely] == op.matrix.indptr[lonely + 1]
+    return op
+
+
+SPECIAL_VALUES = [-0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]
+
+
+def special_inputs(n, columns):
+    """Random states with each special value planted in every column, plus
+    one column of -0.0 when there are several."""
+    rng = np.random.default_rng(columns or 0)
+    shape = (n,) if columns is None else (n, columns)
+    values = rng.normal(size=shape)
+    flat = values.reshape(n, -1)
+    for j in range(flat.shape[1]):
+        rows = rng.choice(n, size=len(SPECIAL_VALUES), replace=False)
+        flat[rows, j] = SPECIAL_VALUES
+    if flat.shape[1] > 1:
+        flat[:, -1] = -0.0
+    return values
+
+
+class TestKernelProduct:
+    """``DiscrepancyOperator.product`` against scipy's ``@``, bit for bit."""
+
+    @pytest.mark.parametrize("columns", [None, 1, 2, 8])
+    @pytest.mark.parametrize(
+        "operator",
+        [lambda: DiscrepancyOperator(lattice_topology(15, 15, {16})), cut_disc_operator],
+        ids=["lattice-15x15", "cut-disc"],
+    )
+    def test_bitwise_equal_to_matmul(self, operator, columns):
+        op = operator()
+        n = op.matrix.shape[0]
+        values = special_inputs(n, columns)
+        expected = op.matrix @ values
+        out = np.full(values.shape, 7.0)  # stale contents must not leak in
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = op.product(values.ravel(), out.reshape(-1), columns or 1)
+        assert np.shares_memory(got, out)
+        assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize(
+        "operator",
+        [lambda: DiscrepancyOperator(lattice_topology(15, 15, {16})), cut_disc_operator],
+        ids=["lattice-15x15", "cut-disc"],
+    )
+    def test_call_is_the_matmul_formula(self, operator):
+        op = operator()
+        values = special_inputs(op.matrix.shape[0], None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = values - op.matrix @ values
+            expected -= op.pull(0.37)
+            expected[op.isolated] = 0.0
+            got = op(values, 0.37)
+        assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+    def test_rejects_buffers_of_the_wrong_size(self):
+        op = DiscrepancyOperator(lattice_topology(3, 3, {0}))
+        for values, out, columns in [
+            (np.zeros(8), np.zeros(9), 1),
+            (np.zeros(9), np.zeros(8), 1),
+            (np.zeros(18), np.zeros(18), 1),
+            (np.zeros(18), np.zeros(18), 3),
+        ]:
+            with pytest.raises(ValueError, match="rows of"):
+                op.product(values, out, columns)
+
+    def test_fixed_graph_steps_never_dispatch_through_scipy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed-graph step went through scipy's @")
+
+        for name in ("__matmul__", "_matmul_dispatch", "_mul_dispatch"):
+            if hasattr(sparse.csr_array, name):
+                monkeypatch.setattr(sparse.csr_array, name, refuse)
+        with pytest.raises(AssertionError, match="scipy's @"):
+            DiscrepancyOperator(lattice_topology(3, 3, {0})).matrix @ np.zeros(9)
+        topo = lattice_topology(5, 5, {6})
+        params = DsrParams(100.0, 0.96, 0.01, STEP_TO_ONE)
+        assert dsr_run(topo, [params], np.zeros(25)).advance(500).step == 500
+        wave = ContinuumParams(params, 1e-4)
+        assert second_order_run(topo, wave, np.zeros(25)).advance(500).step == 500
+        ks = [20.0, 60.0, 100.0, 150.0, 190.0, 250.0, 400.0, 1e300]
+        results = stability_sweep(topo, params, ks, horizon_steps=500)
+        assert [r.diverged for r in results] == [False] * 5 + [True] * 3
