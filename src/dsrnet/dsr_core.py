@@ -139,6 +139,19 @@ class Trajectory:
         )
 
 
+def _weights(degrees, leader_ids):
+    """Per agent: the weight 1/(neighbors + source) of each neighbor, the
+    source's weight (0 but for leaders) and whether the agent has neither,
+    in which case it gets the weights 1 and 0 rather than a division by 0."""
+    leader = np.zeros(len(degrees))
+    if leader_ids:
+        leader[sorted(leader_ids)] = 1.0
+    counts = degrees + leader
+    isolated = counts == 0.0
+    counts = np.where(isolated, 1.0, counts)
+    return 1.0 / counts, leader / counts, isolated
+
+
 class DiscrepancyOperator:
     """Vectorized neighbor-discrepancy evaluation for a fixed topology.
 
@@ -148,27 +161,15 @@ class DiscrepancyOperator:
     pull(source_value)``. Rows of non-leader agents with empty neighborhoods
     are reported in ``isolated`` (``has_isolated`` tells whether there are
     any) and return a discrepancy of zero, leaving the caller to decide
-    between raising and coasting. With ``keep``, a mask over
-    ``topology.indices``, the graph is cut down to the pairs it marks.
+    between raising and coasting.
     """
 
-    def __init__(self, topology: NetworkTopology, keep: np.ndarray | None = None):
-        n = topology.n_agents
-        indptr, indices = topology.indptr, topology.indices
-        if keep is not None:
-            kept = np.flatnonzero(keep)
-            indptr, indices = np.searchsorted(kept, indptr), indices[kept]
-        degrees = np.diff(indptr)
-        leader = np.zeros(n)
-        if topology.leader_ids:
-            leader[sorted(topology.leader_ids)] = 1.0
-        counts = degrees + leader
-        self.isolated = counts == 0.0
+    def __init__(self, topology: NetworkTopology):
+        n, degrees = topology.n_agents, topology.degrees
+        weight, self._source_weight, self.isolated = _weights(degrees, topology.leader_ids)
         self.has_isolated = bool(self.isolated.any())
-        safe_counts = np.where(self.isolated, 1.0, counts)
-        weights = np.repeat(1.0 / safe_counts, degrees)
-        self.matrix = sparse.csr_array((weights, indices, indptr), shape=(n, n))
-        self._source_weight = leader / safe_counts
+        data = np.repeat(weight, degrees)
+        self.matrix = sparse.csr_array((data, topology.indices, topology.indptr), shape=(n, n))
 
     def pull(self, source_value: float) -> np.ndarray:
         """The source's share of every agent's discrepancy."""
@@ -234,6 +235,15 @@ class _StepNoise:
         return self._generator.uniform(-self._amplitude, self._amplitude, size=n)
 
 
+def _step_noise(params: DsrParams, seed: int | None) -> _StepNoise | None:
+    """The update noise of a run with ``params``, or None without noise."""
+    if not params.noise_amplitude > 0.0:
+        return None
+    if seed is None:
+        raise ValueError("a seed is required when noise_amplitude > 0")
+    return _StepNoise(seed, params.noise_amplitude)
+
+
 def _dsr_update(cur, prev, delta, out, momentum, ksdt, beta, coast=None):
     """Write ``(cur - ksdt * delta) + beta * (cur - prev)`` into ``out``.
 
@@ -268,9 +278,9 @@ def dsr_step(
 
     ``isolated`` selects what happens to a non-leader with an empty
     neighborhood: ``"error"`` raises, ``"coast"`` lets it keep only its
-    reinforcement term for the step (used by flocking, where neighborhoods
-    churn). ``operator`` may pass a precomputed DiscrepancyOperator when the
-    topology is reused across many steps.
+    reinforcement term for the step (the tests' per-step flocking oracle,
+    where neighborhoods churn). ``operator`` may pass a precomputed
+    DiscrepancyOperator when the topology is reused across many steps.
     """
     op = operator if operator is not None else DiscrepancyOperator(topology)
     if isolated == "error":
@@ -278,13 +288,10 @@ def dsr_step(
     elif isolated != "coast":
         raise ValueError("isolated must be 'error' or 'coast'")
 
+    noise = _step_noise(params, seed)
     delta = op(state.current, params.source.value(state.step))
-    if params.noise_amplitude > 0.0:
-        if seed is None:
-            raise ValueError("a seed is required when noise_amplitude > 0")
-        delta += _StepNoise(seed, params.noise_amplitude)(
-            state.step, state.current.size
-        )
+    if noise is not None:
+        delta += noise(state.step, state.current.size)
     new_values = np.empty(state.current.shape)
     ksdt = params.alignment_strength * params.update_interval
     coast = op.isolated if op.has_isolated else None
@@ -494,12 +501,7 @@ def dsr_run(
     for other in column_params:
         if replace(other, alignment_strength=params.alignment_strength) != params:
             raise ValueError("columns may differ only in alignment strength")
-    if params.noise_amplitude > 0.0 and seed is None:
-        raise ValueError("a seed is required when noise_amplitude > 0")
-    noise = (
-        _StepNoise(seed, params.noise_amplitude)
-        if params.noise_amplitude > 0.0 else None
-    )
+    noise = _step_noise(params, seed)
     beta = params.dsr_gain
 
     def update(k, delta, scratch, gain, prev, cur, nxt):

@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Operators are built from the class bound here: perfbench/tracer.py swaps
-# dsr_core.DiscrepancyOperator for a subclass that takes one argument.
 from .dsr_core import (
-    DiscrepancyOperator,
+    DIVERGENCE_LIMIT,
     DsrParams,
-    InfoState,
     IsolatedAgentError,
     Trajectory,
-    detect_divergence,
-    dsr_step,
+    _dsr_update,
+    _step_noise,
+    _weights,
 )
+# Unused here: perfbench/tracer.py wraps these two names on this module.
+from .dsr_core import detect_divergence, dsr_step  # noqa: F401
 from .topology import _CELL_MARGIN, NetworkTopology, min_neighbor_count, pairs_within
 
 # The candidate graph reaches this fraction of the sensing radius beyond it.
@@ -78,9 +78,9 @@ def kinematic_step(
     return moved
 
 
-def _sensing_operators(positions, radius: float, leader_ids):
-    """Yield the DiscrepancyOperator of the sensing graph at each row of
-    ``positions``, reading a row only when its operator is requested.
+def _sensing_pairs(positions, radius: float):
+    """Yield the pairs ``(rows, cols)`` of the sensing graph at each row of
+    ``positions``, in CSR order, reading a row only when its pairs are requested.
 
     Pairs are filtered from candidates within ``radius + skin`` at an anchor
     row. With d_i an agent's displacement since then and d the mean, a pair's
@@ -88,10 +88,9 @@ def _sensing_operators(positions, radius: float, leader_ids):
     until that reaches the skin every pair within ``radius`` is a candidate.
     Separations and displacements are differences of stored positions, so
     their rounding is relative to themselves and to the distance travelled
-    since the anchor, which the margin covers. An operator is built only
-    when the kept pairs change.
+    since the anchor, which the margin covers.
     """
-    skin, anchor, op = _SKIN * radius, None, None
+    skin, anchor = _SKIN * radius, None
     for pos in positions:
         if anchor is not None:
             moved = pos - anchor
@@ -100,18 +99,10 @@ def _sensing_operators(positions, radius: float, leader_ids):
             drift = 2.0 * np.sqrt((moved * moved).sum(axis=1).max())
             drift += _CELL_MARGIN * (skin + np.abs(shift).max())
         if anchor is None or drift >= skin:
-            anchor, kept = pos.copy(), None
-            candidates = NetworkTopology.build(pos, radius + skin, leader_ids)
+            anchor, candidates = pos.copy(), NetworkTopology.build(pos, radius + skin)
             rows = np.repeat(np.arange(len(pos)), candidates.degrees)
         keep = pairs_within(pos, rows, candidates.indices, radius)
-        if kept is None and op is not None:  # new candidates: is it the same graph?
-            pairs = np.flatnonzero(keep)
-            graph = np.searchsorted(pairs, candidates.indptr), candidates.indices[pairs]
-            if all(map(np.array_equal, graph, (op.matrix.indptr, op.matrix.indices))):
-                kept = keep
-        if kept is None or not np.array_equal(keep, kept):
-            kept, op = keep, DiscrepancyOperator(candidates, keep)
-        yield op
+        yield rows[keep], candidates.indices[keep]
 
 
 def run_maneuver(
@@ -133,25 +124,31 @@ def run_maneuver(
             "initial placement must give every agent at least two neighbors"
         )
     dsr = params.dsr
-    n = topology.n_agents
-    dt = dsr.update_interval
+    noise = _step_noise(dsr, seed)
+    n, dt = topology.n_agents, dsr.update_interval
+    ksdt, momentum = dsr.alignment_strength * dt, np.empty(n)
     rows = params.n_steps + 1
     positions = np.empty((rows, n, 2))
     headings = np.empty((rows, n))
     positions[0] = topology.positions
     headings[0] = dsr.source.initial
-    state = InfoState.from_initial(headings[0])
 
     diverged_step = None
-    operators = _sensing_operators(positions, topology.sensing_radius, topology.leader_ids)
-    for k, op in zip(range(params.n_steps), operators):
-        state = dsr_step(state, topology, dsr, seed, operator=op, isolated="coast")
-        headings[k + 1] = state.current
-        positions[k + 1] = kinematic_step(
-            positions[k], state.current, params.speed, dt
+    pairs = _sensing_pairs(positions, topology.sensing_radius)
+    for k, (r, c) in zip(range(params.n_steps), pairs):
+        cur = headings[k]
+        weight, source_weight, coast = _weights(np.bincount(r, minlength=n), topology.leader_ids)
+        delta = cur - np.bincount(r, weights=weight[r] * cur[c], minlength=n)
+        delta -= source_weight * dsr.source.value(k)
+        if noise is not None:
+            delta += noise(k, n)
+        _dsr_update(
+            cur, headings[k - 1] if k else cur, delta, headings[k + 1], momentum,
+            ksdt, dsr.dsr_gain, coast,
         )
-        if detect_divergence(state):
-            diverged_step = state.step
+        positions[k + 1] = kinematic_step(positions[k], headings[k + 1], params.speed, dt)
+        if not np.abs(headings[k + 1]).max(initial=0.0) <= DIVERGENCE_LIMIT:
+            diverged_step = k + 1
             break
     rows = (diverged_step or params.n_steps) + 1
     return FlockTrajectory(

@@ -22,7 +22,7 @@ from dsrnet.dsr_core import (
     dsr_step,
     simulate,
 )
-from dsrnet.flocking import FlockParams
+from dsrnet.flocking import FlockParams, run_maneuver
 from dsrnet.topology import NetworkTopology, build_lattice, sample_disc
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
@@ -179,10 +179,16 @@ class TestDsrStep:
             assert abs(neighbor_discrepancy(agent, state, topo, 0.0) + 1.0) <= 1e-12
 
     def test_noise_requires_seed(self):
+        # every entry point raises up front, so even a zero-step maneuver does
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE, noise_amplitude=0.01)
-        with pytest.raises(ValueError):
-            dsr_step(InfoState.from_initial(np.zeros(9)), topo, params)
+        for run in [
+            lambda: dsr_step(InfoState.from_initial(np.zeros(9)), topo, params),
+            lambda: dsr_run(topo, [params], np.zeros(9)),
+            lambda: run_maneuver(topo, FlockParams(5.0, params, n_steps=0)),
+        ]:
+            with pytest.raises(ValueError, match="a seed is required"):
+                run()
 
     def test_coast_mode_applies_momentum_only(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
@@ -484,13 +490,16 @@ class TestExtendedRun:
 
 
 def cut_disc_operator():
-    """A disc graph cut down by a ``keep`` mask, with one agent's row emptied."""
+    """A disc graph cut down to a random subset of its pairs, with one
+    agent's row emptied."""
     rng = np.random.default_rng(11)
     topo = NetworkTopology.build(sample_disc(80, 4.0, rng), 1.5, {0})
     keep = rng.random(topo.indices.size) < 0.6
     lonely = int(np.argmax(topo.degrees[1:])) + 1
     keep[topo.indptr[lonely] : topo.indptr[lonely + 1]] = False
-    op = DiscrepancyOperator(topo, keep)
+    kept = np.flatnonzero(keep)
+    topo.indptr, topo.indices = np.searchsorted(kept, topo.indptr), topo.indices[kept]
+    op = DiscrepancyOperator(topo)
     assert op.isolated[lonely] and op.matrix.indptr[lonely] == op.matrix.indptr[lonely + 1]
     return op
 

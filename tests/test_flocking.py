@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsrnet import dsr_core, flocking
 from dsrnet.dsr_core import (
     DiscrepancyOperator,
     DsrParams,
@@ -16,8 +17,7 @@ from dsrnet.dsr_core import (
     detect_divergence,
     dsr_step,
 )
-from dsrnet import flocking
-from dsrnet.flocking import FlockParams, _sensing_operators, kinematic_step, run_maneuver
+from dsrnet.flocking import FlockParams, _sensing_pairs, kinematic_step, run_maneuver
 from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog
 from dsrnet.topology import NetworkTopology, build_lattice
 
@@ -265,45 +265,22 @@ class TestManeuverMatchesPerStepLoop:
         self.assert_matches(graph(positions), flock_params(0.96))
 
 
-@pytest.mark.parametrize("name, graphs", [("fig2_lattice", 47), ("fig2_disc_noise", 400)])
-def test_builds_one_operator_per_distinct_sensing_graph(monkeypatch, name, graphs):
-    builds = []
-
-    class CountingOperator(DiscrepancyOperator):
-        def __init__(self, *args):
-            builds.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(flocking, "DiscrepancyOperator", CountingOperator)
+@pytest.mark.parametrize("name", ["fig2_lattice", "fig2_disc_noise"])
+def test_never_builds_an_operator(monkeypatch, name):
     topology, params, seed = _preset_flock(name)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("flocking stepped through the fixed-graph machinery")
+
+    monkeypatch.setattr(dsr_core.DiscrepancyOperator, "__init__", refuse)
+    monkeypatch.setattr(flocking, "dsr_step", refuse)
     flock = run_maneuver(topology, params, seed)
-    per_step = [
-        NetworkTopology.build(pos, topology.sensing_radius, topology.leader_ids)
-        for pos in flock.positions[: params.n_steps]
-    ]
-    changes = sum(
-        not (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
-        for a, b in zip(per_step, per_step[1:])
-    )
-    assert len(builds) == 1 + changes == graphs
-
-
-def assert_same_operator(op, expected):
-    """Equal matrices once explicit zeros are dropped, equal isolated
-    agents and equal source shares, bit for bit."""
-    got, want = op.matrix.copy(), expected.matrix.copy()
-    got.eliminate_zeros()
-    want.eliminate_zeros()
-    assert got.indptr.tolist() == want.indptr.tolist()
-    assert got.indices.tolist() == want.indices.tolist()
-    assert got.data.tobytes() == want.data.tobytes()
-    assert op.isolated.tolist() == expected.isolated.tolist()
-    assert op.pull(1.0).tobytes() == expected.pull(1.0).tobytes()
+    assert len(flock.times) == params.n_steps + 1 and not flock.diverged
 
 
 @st.composite
 def moving_flocks(draw):
-    """A flock's positions over a few steps, its sensing radius and leaders.
+    """A flock's positions over a few steps and its sensing radius.
 
     Placements are lattices whose spacing equals the radius (every
     neighbor pair sits on the disc's edge), stacked copies of one lattice
@@ -324,22 +301,22 @@ def moving_flocks(draw):
         if kind == "coincident":
             pos = np.concatenate([pos] * draw(st.integers(2, 3)))
     pos = pos + draw(st.sampled_from([0.0, -1e6, 1e9])) * radius
-    leaders = set(draw(st.lists(st.integers(0, len(pos) - 1), max_size=2)))
     scatter = draw(st.sampled_from([0.0, 0.05, 0.5, np.pi]))
     track = [pos]
     for _ in range(draw(st.integers(1, 25))):
         speed = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4, 1e4])) * radius
         headings = rng.uniform(-np.pi, np.pi) + scatter * rng.uniform(-1.0, 1.0, len(pos))
         track.append(kinematic_step(track[-1], headings, speed, 1.0))
-    return np.array(track), radius, leaders
+    return np.array(track), radius
 
 
 @settings(max_examples=150, deadline=None)
 @given(moving_flocks())
-def test_filtered_candidates_give_the_operator_of_every_step(flock):
-    track, radius, leaders = flock
-    operators = list(_sensing_operators(track, radius, leaders))
-    assert len(operators) == len(track)
-    for pos, op in zip(track, operators):
-        expected = DiscrepancyOperator(NetworkTopology.build(pos, radius, leaders))
-        assert_same_operator(op, expected)
+def test_filtered_candidates_give_the_pairs_of_every_step(flock):
+    track, radius = flock
+    pairs = list(_sensing_pairs(track, radius))
+    assert len(pairs) == len(track)
+    for pos, (rows, cols) in zip(track, pairs):
+        expected = NetworkTopology.build(pos, radius)
+        assert rows.tolist() == np.repeat(np.arange(len(pos)), expected.degrees).tolist()
+        assert cols.tolist() == expected.indices.tolist()
