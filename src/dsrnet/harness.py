@@ -4,7 +4,8 @@ Configs are flat, line-oriented ``key = value`` text. Every run writes a
 manifest echoing the fully resolved parameters in the same format, so any
 run can be reproduced byte-for-byte from its manifest alone. Metrics go to
 a JSON document with fixed keys; trajectories and plot tables go to CSV
-with UNIX newlines and nine significant digits.
+with UNIX newlines and nine significant digits. Every artifact is written
+line by line through one writer; none is assembled in memory first.
 """
 
 from __future__ import annotations
@@ -229,19 +230,19 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def config_text(cfg: ExperimentConfig) -> str:
-    """Serialize a config in the format parse_config reads."""
-    lines = []
+def _config_lines(cfg: ExperimentConfig):
     for field_info in fields(ExperimentConfig):
         value = getattr(cfg, field_info.name)
-        if value is None:
+        if value is None or (field_info.name == "ks_values" and not value):
             continue
         if field_info.name == "ks_values":
-            if not value:
-                continue
             value = ",".join(repr(v) for v in value)
-        lines.append(f"{field_info.name} = {value}")
-    return "\n".join(lines) + "\n"
+        yield f"{field_info.name} = {value}"
+
+
+def config_text(cfg: ExperimentConfig) -> str:
+    """Serialize a config in the format parse_config reads."""
+    return "".join(line + "\n" for line in _config_lines(cfg))
 
 
 def _leader_index(cfg: ExperimentConfig, positions: np.ndarray) -> int:
@@ -372,23 +373,28 @@ def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> Met
     return _metrics_report(cfg, topology, flock, settled, pairs)
 
 
-def _write_text(path: Path, text: str):
+def _write_lines(path: Path, lines):
+    """Write ``lines`` one at a time, each followed by a UNIX newline, so no
+    artifact is ever held in memory whole."""
     with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
 
 
 # Every number in a CSV is written as "%.9g", which gives the same text as
-# format(value, ".9g").
+# format(value, ".9g"); a table's missing or non-finite value is left empty.
 
 
-def _write_matrix_csv(times: np.ndarray, matrix: np.ndarray, path: Path):
-    columns = ["t"] + [f"agent_{i}" for i in range(matrix.shape[1])]
+def _cell(value) -> str:
+    return "%.9g" % value if value is not None and math.isfinite(value) else ""
+
+
+def _matrix_lines(times: np.ndarray, matrix: np.ndarray):
+    yield ",".join(["t"] + [f"agent_{i}" for i in range(matrix.shape[1])])
     row_text = "%.9g," + ",".join(["%.9g"] * matrix.shape[1])
-    lines = [",".join(columns)]
-    lines.extend(
-        row_text % (t, *row.tolist()) for t, row in zip(times.tolist(), matrix)
-    )
-    _write_text(path, "\n".join(lines) + "\n")
+    for t, row in zip(times.tolist(), matrix):
+        yield row_text % (t, *row.tolist())
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -396,38 +402,32 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Values carry nine significant digits; output bytes are deterministic.
     """
-    _write_matrix_csv(traj.times, traj.values, Path(path))
+    _write_lines(Path(path), _matrix_lines(traj.times, traj.values))
 
 
-def _write_delays_csv(pairs, path: Path):
-    lines = ["agent,distance_m,delay_s"]
+def _delay_lines(pairs):
+    yield "agent,distance_m,delay_s"
     for agent, (distance, delay) in enumerate(pairs):
-        delay_text = "%.9g" % delay if np.isfinite(delay) else ""
-        lines.append("%d,%.9g,%s" % (agent, distance, delay_text))
-    _write_text(path, "\n".join(lines) + "\n")
+        yield "%d,%.9g,%s" % (agent, distance, _cell(delay))
 
 
-def _write_metrics_json(report: MetricsReport, path: Path, extras=None):
+def _sweep_lines(results: list[SweepResult]):
+    yield "ks,verdict,settling_time_s"
+    for entry in results:
+        verdict = "diverged" if entry.diverged else "stable"
+        yield "%.9g,%s,%s" % (entry.alignment_strength, verdict, _cell(entry.settling_time))
+
+
+def _metrics_lines(report: MetricsReport, experiment: str) -> list[str]:
     doc = {
         "settling_time_s": report.settling_time,
         "transfer_speed_mps": report.transfer_speed,
         "scaling_exponent": report.scaling_exponent,
         "diverged": report.diverged,
         "overshoot": report.overshoot,
+        "experiment": experiment,
     }
-    doc.update(extras or {})
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_sweep_csv(results: list[SweepResult], path: Path):
-    lines = ["ks,verdict,settling_time_s"]
-    for entry in results:
-        settle = (
-            "%.9g" % entry.settling_time if entry.settling_time is not None else ""
-        )
-        verdict = "diverged" if entry.diverged else "stable"
-        lines.append("%.9g,%s,%s" % (entry.alignment_strength, verdict, settle))
-    _write_text(path, "\n".join(lines) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True).split("\n")
 
 
 def _auto_stride(rows: int) -> int:
@@ -463,49 +463,46 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
         base, steps = _dsr_params(cfg), cfg.n_steps
         if steps is None:
             steps = analysis.sweep_horizon(topology, base, seed=cfg.seed)
-        results = analysis.stability_sweep(topology, base, cfg.ks_values, None, steps, cfg.seed)
+        result = analysis.stability_sweep(topology, base, cfg.ks_values, None, steps, cfg.seed)
         resolved = replace(cfg, leader=str(leader), n_steps=steps)
         paths["sweep"] = out / "sweep.csv"
-        _write_sweep_csv(results, paths["sweep"])
-        paths["manifest"] = out / "manifest.cfg"
-        _write_text(paths["manifest"], config_text(resolved))
-        return paths, results
-
-    n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
-    max_steps = 8 * n_steps if cfg.max_steps is None else cfg.max_steps
-    steps = min(n_steps, max_steps)
-    if cfg.experiment == "flocking":
-        params = FlockParams(speed=cfg.speed, dsr=_dsr_params(cfg), n_steps=steps)
-        traj = run_maneuver(topology, params, cfg.seed)
-        radial = None
-        if traj.positions.shape[0] >= 3 and not traj.diverged:
-            radial = analysis.radial_acceleration(traj)
-        report = _flock_metrics(cfg, topology, leader, traj, radial)
-        if radial is not None:
-            paths["radial_acceleration"] = out / "radial_acceleration.csv"
-            _write_matrix_csv(
-                traj.times[1:-1], radial, paths["radial_acceleration"]
-            )
+        _write_lines(paths["sweep"], _sweep_lines(result))
     else:
-        traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
-        report = _info_metrics(cfg, topology, leader, traj, settled)
+        n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
+        max_steps = 8 * n_steps if cfg.max_steps is None else cfg.max_steps
+        steps = min(n_steps, max_steps)
+        if cfg.experiment == "flocking":
+            params = FlockParams(speed=cfg.speed, dsr=_dsr_params(cfg), n_steps=steps)
+            traj = run_maneuver(topology, params, cfg.seed)
+            radial = None
+            if traj.positions.shape[0] >= 3 and not traj.diverged:
+                radial = analysis.radial_acceleration(traj)
+            result = _flock_metrics(cfg, topology, leader, traj, radial)
+            if radial is not None:
+                paths["radial_acceleration"] = out / "radial_acceleration.csv"
+                _write_lines(
+                    paths["radial_acceleration"], _matrix_lines(traj.times[1:-1], radial)
+                )
+        else:
+            traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
+            result = _info_metrics(cfg, topology, leader, traj, settled)
 
-    stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(
-        traj.values.shape[0]
-    )
-    resolved = replace(
-        cfg, leader=str(leader), n_steps=steps, max_steps=max_steps, csv_stride=stride
-    )
-    paths["trajectory"] = out / "trajectory.csv"
-    write_trajectory_csv(traj.decimate(stride), paths["trajectory"])
-    paths["metrics"] = out / "metrics.json"
-    _write_metrics_json(report, paths["metrics"], {"experiment": cfg.experiment})
-    if report.per_agent_delay:
-        paths["delays"] = out / "delays.csv"
-        _write_delays_csv(report.per_agent_delay, paths["delays"])
+        stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(
+            traj.values.shape[0]
+        )
+        resolved = replace(
+            cfg, leader=str(leader), n_steps=steps, max_steps=max_steps, csv_stride=stride
+        )
+        paths["trajectory"] = out / "trajectory.csv"
+        write_trajectory_csv(traj.decimate(stride), paths["trajectory"])
+        paths["metrics"] = out / "metrics.json"
+        _write_lines(paths["metrics"], _metrics_lines(result, cfg.experiment))
+        if result.per_agent_delay:
+            paths["delays"] = out / "delays.csv"
+            _write_lines(paths["delays"], _delay_lines(result.per_agent_delay))
     paths["manifest"] = out / "manifest.cfg"
-    _write_text(paths["manifest"], config_text(resolved))
-    return paths, report
+    _write_lines(paths["manifest"], _config_lines(resolved))
+    return paths, result
 
 
 # ---------------------------------------------------------------------------

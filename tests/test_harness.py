@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -205,6 +206,19 @@ class TestTrajectoryCsv:
         assert path.read_text() == "\n".join([header] + rows) + "\n"
         assert all("%.9g" % v == format(v, ".9g") for v in flat.tolist())
 
+    def test_rows_are_streamed_not_built_whole(self, tmp_path):
+        # a writer that joins its rows holds the list and the join, at least
+        # twice the file; streaming holds one row and the file buffer
+        traj = self.make_trajectory(2000, 999)
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 8
+
     def test_decimate_keeps_first_and_last_rows(self):
         traj = self.make_trajectory(11, 2)
         thin = traj.decimate(4)
@@ -286,6 +300,19 @@ class TestRunPreset:
         verdicts = {r.alignment_strength: r.diverged for r in results}
         assert verdicts == {100.0: False, 101.0: True}
 
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        # Ks = 50 is stable but does not settle within the probed horizon;
+        # an unsettled and a diverged column both leave the settling cell empty
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "experiment = stability-sweep\nrows = 5\ncols = 5\nleader = 6\n"
+            "ks_values = 50,100,1e9\n"
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "sweep.csv").read_bytes() == (
+            b"ks,verdict,settling_time_s\n50,stable,\n100,stable,4.53\n1e+09,diverged,\n"
+        )
 
 class TestConfirmedRun:
     @pytest.mark.parametrize(
