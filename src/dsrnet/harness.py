@@ -233,11 +233,10 @@ def parse_config(text: str) -> ExperimentConfig:
 def _config_lines(cfg: ExperimentConfig):
     for field_info in fields(ExperimentConfig):
         value = getattr(cfg, field_info.name)
-        if value is None or (field_info.name == "ks_values" and not value):
-            continue
         if field_info.name == "ks_values":
-            value = ",".join(repr(v) for v in value)
-        yield f"{field_info.name} = {value}"
+            value = ",".join(repr(v) for v in value) or None
+        if value is not None:
+            yield f"{field_info.name} = {value}"
 
 
 def config_text(cfg: ExperimentConfig) -> str:
