@@ -5,7 +5,10 @@ manifest echoing the fully resolved parameters in the same format, so any
 run can be reproduced byte-for-byte from its manifest alone. Metrics go to
 a JSON document with fixed keys; trajectories and plot tables go to CSV
 with UNIX newlines and nine significant digits. Every artifact is written
-line by line through one writer; none is assembled in memory first.
+line by line through one writer; none is assembled in memory first. The
+matrix CSVs (trajectories and radial acceleration) format their rows a
+block of about 2**12 values at a time with ``csvfmt.format_rows``, which
+gives the per-value "%.9g" text byte for byte.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from . import analysis
 from .analysis import MetricsReport, SweepResult
 from .continuum import ContinuumParams, second_order_run
+from .csvfmt import format_rows
 from .dsr_core import DsrParams, IsolatedAgentError, StepSource, Trajectory, dsr_run
 
 # perfbench/tracer.py wraps these names on this module.
@@ -374,7 +378,8 @@ def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> Met
 
 def _write_lines(path: Path, lines):
     """Write ``lines`` one at a time, each followed by a UNIX newline, so no
-    artifact is ever held in memory whole."""
+    artifact is ever held in memory whole: a matrix CSV's lines come one
+    formatted block of rows at a time."""
     with open(path, "w", newline="\n") as handle:
         for line in lines:
             handle.write(line)
@@ -389,11 +394,18 @@ def _cell(value) -> str:
     return "%.9g" % value if value is not None and math.isfinite(value) else ""
 
 
+# Values a matrix CSV formats together, in whole rows and at least one. A
+# block holds about 100 bytes of numpy temporaries per value, so this keeps
+# the writer's peak near half a megabyte unless a single row is longer.
+_BLOCK_VALUES = 2**12
+
+
 def _matrix_lines(times: np.ndarray, matrix: np.ndarray):
     yield ",".join(["t"] + [f"agent_{i}" for i in range(matrix.shape[1])])
-    row_text = "%.9g," + ",".join(["%.9g"] * matrix.shape[1])
-    for t, row in zip(times.tolist(), matrix):
-        yield row_text % (t, *row.tolist())
+    step = max(1, _BLOCK_VALUES // (matrix.shape[1] + 1))
+    for start in range(0, len(times), step):
+        block = np.column_stack((times[start:start + step], matrix[start:start + step]))
+        yield from format_rows(block).split("\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -479,8 +491,9 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
             result = _flock_metrics(cfg, topology, leader, traj, radial)
             if radial is not None:
                 paths["radial_acceleration"] = out / "radial_acceleration.csv"
-                _write_lines(
-                    paths["radial_acceleration"], _matrix_lines(traj.times[1:-1], radial)
+                write_trajectory_csv(
+                    Trajectory(traj.times[1:-1], radial, traj.params, traj.leader_ids),
+                    paths["radial_acceleration"],
                 )
         else:
             traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)

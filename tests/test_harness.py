@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dsrnet import harness
 from dsrnet.cli import main
 from dsrnet.dsr_core import Trajectory
 from dsrnet.harness import (
@@ -183,8 +184,8 @@ class TestTrajectoryCsv:
         assert raw == b.read_bytes()
 
     def test_bytes_match_per_value_format(self, tmp_path):
-        # the writer's "%.9g" row template must give exactly the text of
-        # format(v, ".9g"), which the delays and sweep writers also rely on
+        # the block formatter must give exactly the text of format(v, ".9g")
+        # for every value, the "%.9g" text the delays and sweep writers use
         rng = np.random.default_rng(23)
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                    2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]
@@ -205,6 +206,19 @@ class TestTrajectoryCsv:
         ]
         assert path.read_text() == "\n".join([header] + rows) + "\n"
         assert all("%.9g" % v == format(v, ".9g") for v in flat.tolist())
+
+    @pytest.mark.parametrize("rows, agents", [(2000, 9), (5, 9000)])
+    def test_rows_span_blocks(self, tmp_path, rows, agents):
+        # several rows per formatted block, and rows wider than a block
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal((rows, agents)) * 10.0 ** rng.integers(-6, 7, agents)
+        traj = Trajectory(np.arange(rows) * 0.01, values, None, (0,))
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().split("\n")
+        assert len(lines) == rows + 2 and lines[-1] == ""
+        for t, row, line in zip(traj.times.tolist(), values.tolist(), lines[1:]):
+            assert line == ",".join("%.9g" % v for v in [t] + row)
 
     def test_rows_are_streamed_not_built_whole(self, tmp_path):
         # a writer that joins its rows holds the list and the join, at least
@@ -439,6 +453,22 @@ class TestCli:
         config.write_text("experiment = lattice-info\ntopology = disc\nseed = 1\nn_agents = 0\n")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "config error: n_agents: " in capsys.readouterr().err
+
+    def test_matrix_csvs_share_one_writer(self, tmp_path, monkeypatch):
+        # the radial acceleration goes through write_trajectory_csv too, so
+        # whatever wraps that function sees every matrix CSV
+        written = []
+        original = harness.write_trajectory_csv
+
+        def recorded(traj, path):
+            written.append((Path(path).name, traj.values.shape))
+            original(traj, path)
+
+        monkeypatch.setattr(harness, "write_trajectory_csv", recorded)
+        cfg = parse_config("experiment = flocking\nrows = 5\ncols = 5\nleader = 6\nn_steps = 6\n")
+        paths, _ = run_config(cfg, tmp_path)
+        assert written == [("radial_acceleration.csv", (5, 25)), ("trajectory.csv", (7, 25))]
+        assert len(paths["radial_acceleration"].read_text().splitlines()) == 6
 
     def test_two_step_flocking_run_gives_undefined_lags(self, tmp_path, capsys):
         # the radial acceleration then has a single row to correlate
