@@ -149,8 +149,7 @@ def format_rows(block: np.ndarray) -> str:
     cells = words.view(np.uint8).reshape(*block.shape, 24)
     slow = ~exact
     if slow.any():
-        fallback = _fallback
-        text = [fallback(v) for v in block[slow].tolist()]
+        text = [_fallback(v) for v in block[slow].tolist()]
         cells[slow, :_CELL] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
     cells[-1, -1, _CELL] = 0  # no newline after the last row
     return cells.tobytes().translate(None, b"\0").decode("ascii")
