@@ -25,7 +25,6 @@ from .analysis import (
 )
 from .continuum import (
     ContinuumParams,
-    DiffusionState,
     SecondOrderState,
     diffusion_step,
     predicted_wave_speed,

@@ -143,12 +143,7 @@ def radial_acceleration(flock: FlockTrajectory) -> np.ndarray:
     return radial
 
 
-def correlation_delay(
-    series,
-    reference,
-    dt: float,
-    max_lag: int | None = None,
-) -> float:
+def correlation_delay(series, reference, dt: float) -> float:
     """Lag (in seconds) at which the series best correlates with the reference.
 
     Both series are mean-removed over their full length and compared by
@@ -169,13 +164,8 @@ def correlation_delay(
         raise UndefinedCorrelationError("input series has zero variance")
     # full cross-correlation: index (L-1)+m holds sum_t r[t] * s[t+m]
     correlation = np.correlate(s_centered, r_centered, mode="full")
-    lags = np.arange(-(s.size - 1), s.size)
-    if max_lag is not None:
-        window = np.abs(lags) <= max_lag
-        correlation = correlation[window]
-        lags = lags[window]
     best = int(np.argmax(correlation))
-    return float(lags[best]) * dt
+    return float(best - (s.size - 1)) * dt
 
 
 def transfer_speed(points) -> float:

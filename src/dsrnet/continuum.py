@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import BlockRun, DiscrepancyOperator, DsrParams, Trajectory, dsr_run
+from .dsr_core import (
+    BlockRun, DiscrepancyOperator, DsrParams, InfoState, Trajectory, dsr_run, dsr_step,
+)
 from .topology import NetworkTopology
 
 
@@ -58,14 +60,6 @@ class SecondOrderState:
         """State at step 0 with every rate at zero."""
         value = np.array(values, dtype=float)
         return cls(value=value, rate=np.zeros_like(value), step=0)
-
-
-@dataclass
-class DiffusionState:
-    """Per-agent value of the overdamped model."""
-
-    values: np.ndarray
-    step: int = 0
 
 
 def predicted_wave_speed(
@@ -116,24 +110,17 @@ def second_order_step(
 
 
 def diffusion_step(
-    state: DiffusionState,
+    state: InfoState,
     topology: NetworkTopology,
     params: DsrParams,
     *,
     operator: DiscrepancyOperator | None = None,
-) -> DiffusionState:
-    """One explicit step of the overdamped diffusion limit.
-
-    Reads no gain: it is the zero-gain DSR update, bit for bit, and the
-    reference the engine is tested against.
-    """
-    op = operator if operator is not None else DiscrepancyOperator(topology)
-    delta = op(state.values, params.source.value(state.step))
-    new_values = (
-        state.values
-        - (params.alignment_strength * params.update_interval) * delta
-    )
-    return DiffusionState(values=new_values, step=state.step + 1)
+) -> InfoState:
+    """One explicit step of the overdamped diffusion limit: the noiseless
+    zero-gain ``dsr_step``, which reads neither the gain nor the noise of
+    ``params`` and raises IsolatedAgentError for an isolated non-leader."""
+    params = replace(params, dsr_gain=0.0, noise_amplitude=0.0)
+    return dsr_step(state, topology, params, operator=operator)
 
 
 def second_order_run(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .topology import NetworkTopology
@@ -116,8 +115,11 @@ class Trajectory:
     values: np.ndarray
     params: object
     leader_ids: tuple[int, ...]
-    diverged: bool = False
     diverged_step: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
     @property
     def n_agents(self) -> int:
@@ -134,7 +136,6 @@ class Trajectory:
             values=self.values[keep],
             params=self.params,
             leader_ids=self.leader_ids,
-            diverged=self.diverged,
             diverged_step=self.diverged_step,
         )
 
@@ -158,18 +159,19 @@ class DiscrepancyOperator:
     For agent i the discrepancy is the mean of I_i - I_j over its
     neighborhood; for leaders the external source joins the average as one
     additional member, so the discrepancy is ``values - product(values) -
-    pull(source_value)``. Rows of non-leader agents with empty neighborhoods
-    are reported in ``isolated`` (``has_isolated`` tells whether there are
-    any) and return a discrepancy of zero, leaving the caller to decide
-    between raising and coasting.
+    pull(source_value)``. The averaging matrix is the topology's own CSR
+    ``(indptr, indices)`` with the per-edge weights ``weights``. Rows of
+    non-leader agents with empty neighborhoods are reported in ``isolated``
+    (``has_isolated`` tells whether there are any) and return a discrepancy
+    of zero, leaving the caller to decide between raising and coasting.
     """
 
     def __init__(self, topology: NetworkTopology):
-        n, degrees = topology.n_agents, topology.degrees
+        degrees = topology.degrees
         weight, self._source_weight, self.isolated = _weights(degrees, topology.leader_ids)
         self.has_isolated = bool(self.isolated.any())
-        data = np.repeat(weight, degrees)
-        self.matrix = sparse.csr_array((data, topology.indices, topology.indptr), shape=(n, n))
+        self.weights = np.repeat(weight, degrees)
+        self._csr = topology.indptr, topology.indices
 
     def pull(self, source_value: float) -> np.ndarray:
         """The source's share of every agent's discrepancy."""
@@ -184,18 +186,19 @@ class DiscrepancyOperator:
             )
 
     def product(self, values: np.ndarray, out: np.ndarray, columns: int = 1) -> np.ndarray:
-        """Write ``matrix`` times ``values`` into ``out``, both flat arrays of n
-        rows of ``columns`` values, with the CSR kernel (private to scipy) that
-        ``@`` calls for that shape: the same bits, without ``@``'s per-call
-        dispatch and allocation. Returns ``out``."""
-        a, n = self.matrix, self.matrix.shape[0]
+        """Write the averaging matrix times ``values`` into ``out``, both flat
+        arrays of n rows of ``columns`` values, with the CSR kernel (private to
+        scipy) that a scipy sparse array's ``@`` calls for that shape: the same
+        bits, without ``@``'s per-call dispatch and allocation. Returns ``out``."""
+        (indptr, indices), weights = self._csr, self.weights
+        n = len(indptr) - 1
         if not values.size == out.size == n * columns:  # the kernel reads unchecked
             raise ValueError("values and out must hold n rows of `columns` values")
         out.fill(0.0)  # the kernel accumulates into out
         if columns == 1:
-            _sparsetools.csr_matvec(n, n, a.indptr, a.indices, a.data, values, out)
+            _sparsetools.csr_matvec(n, n, indptr, indices, weights, values, out)
         else:
-            _sparsetools.csr_matvecs(n, n, columns, a.indptr, a.indices, a.data, values, out)
+            _sparsetools.csr_matvecs(n, n, columns, indptr, indices, weights, values, out)
         return out
 
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
@@ -212,26 +215,19 @@ class _StepNoise:
 
     Step k draws from the stream keyed by the seed with counter (k + 1) << 64,
     so agent i's draw at step k is a pure function of (seed, k, i). The key
-    is derived on the first draw only; later draws reset one bit generator
-    to the step's counter with an empty buffer.
+    is derived once; every draw resets the one bit generator to the step's
+    counter with an empty buffer.
     """
 
     def __init__(self, seed: int, amplitude: float):
-        self._seed, self._amplitude = seed, amplitude
-        self._generator = None
-        self._state = None
+        self._amplitude = amplitude
+        self._generator = np.random.Generator(np.random.Philox(seed))
+        self._state = self._generator.bit_generator.state
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
 
     def __call__(self, step: int, n: int) -> np.ndarray:
-        if self._generator is None:
-            bits = np.random.Philox(self._seed, counter=(step + 1) << 64)
-            self._generator = np.random.Generator(bits)
-        else:
-            bits = self._generator.bit_generator
-            if self._state is None:
-                self._state = bits.state
-                self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-            self._state["state"]["counter"] = np.array([0, step + 1, 0, 0], dtype=np.uint64)
-            bits.state = self._state
+        self._state["state"]["counter"] = np.array([0, step + 1, 0, 0], dtype=np.uint64)
+        self._generator.bit_generator.state = self._state
         return self._generator.uniform(-self._amplitude, self._amplitude, size=n)
 
 
@@ -466,10 +462,9 @@ class BlockRun:
         filled, values = self._filled, self._values
         if filled != len(values):
             values = values[:filled].copy()
-        first_bad = self.diverged_steps[0]
         return Trajectory(
             self._kept[:filled] * self.step_seconds, values, self._params,
-            self._leader_ids, first_bad is not None, first_bad,
+            self._leader_ids, self.diverged_steps[0],
         )
 
     def settling_times(self) -> list[float | None]:

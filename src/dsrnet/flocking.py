@@ -153,6 +153,5 @@ def run_maneuver(
     rows = (diverged_step or params.n_steps) + 1
     return FlockTrajectory(
         np.arange(rows) * dt, headings[:rows], params,
-        tuple(sorted(topology.leader_ids)), diverged_step is not None,
-        diverged_step, positions=positions[:rows],
+        tuple(sorted(topology.leader_ids)), diverged_step, positions=positions[:rows],
     )

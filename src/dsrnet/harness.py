@@ -123,19 +123,31 @@ _CHOICES = {
     "disc_sampling": ("area", "literal"),
 }
 
-# The run-policy keys each experiment cannot use, each with the one value it
-# may hold: its default, which the manifest echoes.
+# The keys each experiment kind, and each topology, cannot use. Each must
+# hold its ExperimentConfig default, which the manifest echoes.
+_HEADING_KEYS = ("speed", "initial_heading", "target_heading")
 _UNUSED_KEYS = {
-    "lattice-info": {"integrator_dt": None, "ks_values": ()},
+    "lattice-info": ("integrator_dt", "ks_values", *_HEADING_KEYS),
     # the radial acceleration differentiates positions at every step
-    "flocking": {"integrator_dt": None, "record_every": 1, "ks_values": ()},
-    "continuum-second-order": {"noise": 0.0, "ks_values": ()},
-    "continuum-diffusion": {"integrator_dt": None, "noise": 0.0, "ks_values": ()},
+    "flocking": ("integrator_dt", "record_every", "ks_values", "source_initial", "source_final"),
+    "continuum-second-order": ("noise", "ks_values", *_HEADING_KEYS),
+    "continuum-diffusion": ("integrator_dt", "noise", "ks_values", *_HEADING_KEYS),
     # a sweep records nothing and runs every column to one fixed horizon
-    "stability-sweep": {
-        "integrator_dt": None, "record_every": 1, "max_steps": None, "csv_stride": None,
-    },
+    "stability-sweep": (
+        "integrator_dt", "record_every", "max_steps", "csv_stride", *_HEADING_KEYS,
+    ),
+    "lattice": ("n_agents", "disc_radius", "disc_sampling"),
+    "disc": ("rows", "cols", "spacing"),
 }
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _unused_keys(cfg: ExperimentConfig) -> dict[str, str]:
+    """Each key ``cfg`` cannot use, with what cannot use it."""
+    return {
+        **{key: cfg.experiment for key in _UNUSED_KEYS.get(cfg.experiment, ())},
+        **{key: f"{cfg.topology} topologies" for key in _UNUSED_KEYS.get(cfg.topology, ())},
+    }
 
 
 def _validate(cfg: ExperimentConfig) -> list[str]:
@@ -177,10 +189,10 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
     if any(k < 0 for k in cfg.ks_values):
         bad.append("ks_values: entries must be nonnegative")
 
-    for key, value in _UNUSED_KEYS.get(cfg.experiment, {}).items():
-        if getattr(cfg, key) != value:
-            held = "unset" if value in (None, ()) else f"{value:g}"
-            bad.append(f"{key}: must be {held} for {cfg.experiment}, which cannot use it")
+    for key, user in _unused_keys(cfg).items():
+        if getattr(cfg, key) != _DEFAULTS[key]:
+            held = _manifest_value(key, _DEFAULTS[key]) or "unset"
+            bad.append(f"{key}: must be {held} for {user}, which cannot use it")
     if cfg.experiment == "continuum-second-order":
         if cfg.integrator_dt is None:
             bad.append("integrator_dt: required for continuum-second-order")
@@ -234,13 +246,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _manifest_value(key: str, value) -> str | None:
+    """``value`` as the manifest writes it for ``key``; None when unset."""
+    if key == "ks_values":
+        return ",".join(repr(v) for v in value) or None
+    return None if value is None else str(value)
+
+
 def _config_lines(cfg: ExperimentConfig):
     for field_info in fields(ExperimentConfig):
-        value = getattr(cfg, field_info.name)
-        if field_info.name == "ks_values":
-            value = ",".join(repr(v) for v in value) or None
-        if value is not None:
-            yield f"{field_info.name} = {value}"
+        text = _manifest_value(field_info.name, getattr(cfg, field_info.name))
+        if text is not None:
+            yield f"{field_info.name} = {text}"
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -377,9 +394,9 @@ def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> Met
 
 
 def _write_lines(path: Path, lines):
-    """Write ``lines`` one at a time, each followed by a UNIX newline, so no
-    artifact is ever held in memory whole: a matrix CSV's lines come one
-    formatted block of rows at a time."""
+    """Write ``lines`` one item at a time, each followed by a UNIX newline, so
+    no artifact is ever held in memory whole. An item may hold several rows:
+    a matrix CSV comes one formatted block of rows at a time."""
     with open(path, "w", newline="\n") as handle:
         for line in lines:
             handle.write(line)
@@ -401,11 +418,12 @@ _BLOCK_VALUES = 2**12
 
 
 def _matrix_lines(times: np.ndarray, matrix: np.ndarray):
+    """The header line, then each formatted block of rows as one item."""
     yield ",".join(["t"] + [f"agent_{i}" for i in range(matrix.shape[1])])
     step = max(1, _BLOCK_VALUES // (matrix.shape[1] + 1))
     for start in range(0, len(times), step):
         block = np.column_stack((times[start:start + step], matrix[start:start + step]))
-        yield from format_rows(block).split("\n")
+        yield format_rows(block)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

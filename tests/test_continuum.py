@@ -7,7 +7,6 @@ import pytest
 
 from dsrnet.continuum import (
     ContinuumParams,
-    DiffusionState,
     SecondOrderState,
     diffusion_step,
     predicted_wave_speed,
@@ -22,6 +21,7 @@ from dsrnet.dsr_core import (
     DiscrepancyOperator,
     DsrParams,
     InfoState,
+    IsolatedAgentError,
     StepSource,
     dsr_run,
     dsr_step,
@@ -117,27 +117,26 @@ class TestDiffusionStep:
         positions = np.column_stack([np.arange(3.0), np.zeros(3)])
         topo = NetworkTopology.build(positions, 1.2)
         params = DsrParams(2.0, 0.5, 0.1, StepSource(0.0, 0.0, 0))
-        state = DiffusionState(values=np.array([0.0, 0.5, 1.0]))
+        state = InfoState.from_initial([0.0, 0.5, 1.0])
         out = diffusion_step(state, topo, params)
         # discrepancies are (-0.5, 0, 0.5); update subtracts Ks*dt times them
-        assert out.values == pytest.approx([0.1, 0.5, 0.9])
+        assert out.current == pytest.approx([0.1, 0.5, 0.9])
 
     def test_zero_alignment_is_identity(self):
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(0.0, 0.5, 0.01, STEP_TO_ONE)
-        state = DiffusionState(values=np.linspace(0, 1, 9))
+        state = InfoState.from_initial(np.linspace(0, 1, 9))
         out = diffusion_step(state, topo, params)
-        assert np.array_equal(out.values, state.values)
+        assert np.array_equal(out.current, state.current)
 
-    def test_matches_zero_gain_consensus_update_to_bit_tolerance(self):
-        topo = lattice_topology(5, 5, {3})
-        rng = np.random.default_rng(17)
-        values = rng.uniform(0, 1, 25)
-        continuum = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
-        consensus = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
-        a = diffusion_step(DiffusionState(values=values.copy()), topo, continuum)
-        b = dsr_step(InfoState.from_initial(values.copy()), topo, consensus)
-        assert np.abs(a.values - b.current).max() <= 1e-15
+    def test_isolated_agent_raises_like_the_engine(self):
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+        topo = NetworkTopology.build(positions, 1.2, {0})
+        params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
+        with pytest.raises(IsolatedAgentError, match="agent 2"):
+            diffusion_step(InfoState.from_initial(np.zeros(3)), topo, params)
+        with pytest.raises(IsolatedAgentError, match="agent 2"):
+            simulate_diffusion(topo, params, np.zeros(3), 1)
 
     def test_zero_gain_consensus_update_keeps_signbits(self):
         # the -0.0 input of test_diffusion_keeps_negative_zero: adding
@@ -145,10 +144,10 @@ class TestDiffusionStep:
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(0.0, 0.0, 0.01, STEP_TO_ONE)
         values = np.array([-1.0] * 4 + [-0.0] + [-1.0] * 4)
-        a = diffusion_step(DiffusionState(values=values.copy()), topo, params)
+        a = diffusion_step(InfoState.from_initial(values.copy()), topo, params)
         b = dsr_step(InfoState.from_initial(values.copy()), topo, params)
-        assert np.signbit(a.values[4])
-        assert a.values.tobytes() == b.current.tobytes()
+        assert np.signbit(a.current[4])
+        assert a.current.tobytes() == b.current.tobytes()
 
 
 class TestSimulators:
@@ -257,8 +256,8 @@ def diffusion_reference(topo, params, initial, n_steps, record_every):
     op = DiscrepancyOperator(topo)
     return stepped_run(
         lambda s: diffusion_step(s, topo, params, operator=op),
-        DiffusionState(values=np.array(initial, dtype=float)),
-        lambda s: (s.values,),
+        InfoState.from_initial(initial),
+        lambda s: (s.current,),
         n_steps,
         record_every,
         params.update_interval,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -20,7 +21,8 @@ from dsrnet.harness import (
     NAMED_LEADERS,
     ConfigError,
     ExperimentConfig,
-    _UNUSED_KEYS,
+    _DEFAULTS,
+    _unused_keys,
     _validate,
     config_text,
     parse_config,
@@ -369,6 +371,7 @@ class TestConfirmedRun:
 
 # Agents 1 m apart with a 0.9 m sensing radius: no agent has a neighbor.
 _SPACED_OUT = "rows = 5\ncols = 5\nleader = 6\nsensing_radius = 0.9\n"
+_DISC = "experiment = lattice-info\ntopology = disc\nleader = center\nseed = 1\n"
 
 
 class TestCli:
@@ -541,6 +544,39 @@ class TestCli:
         assert f"config error: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "config, key, held",
+        [
+            ("experiment = lattice-info\nspeed = 3\n", "speed", "10.0"),
+            ("experiment = lattice-info\ntarget_heading = 9\n", "target_heading",
+             repr(math.pi / 2)),
+            ("experiment = flocking\nsource_initial = 2\n", "source_initial", "0.0"),
+            ("experiment = flocking\nsource_final = 7\n", "source_final", "1.0"),
+            ("experiment = continuum-diffusion\ninitial_heading = 0\n", "initial_heading",
+             repr(-math.pi / 4)),
+            (_DISC + "rows = 3\n", "rows", "25"),
+            (_DISC + "spacing = 7\n", "spacing", "1.0"),
+            ("experiment = lattice-info\nn_agents = 999\n", "n_agents", "225"),
+            ("experiment = lattice-info\ndisc_sampling = literal\n", "disc_sampling", "area"),
+            ("experiment = lattice-info\ndisc_radius = 3\n", "disc_radius", repr(25.0 / 3.0)),
+        ],
+    )
+    def test_key_the_run_cannot_read_exits_2_naming_its_default(
+        self, tmp_path, capsys, config, key, held
+    ):
+        # the manifest would echo the value while the run ignored it
+        path = tmp_path / "bad.cfg"
+        path.write_text(config + "n_steps = 10\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}: must be {held} for " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_of_a_flocking_preset_exits_2_naming_speed(self, tmp_path, capsys):
+        # a sweep steps the 0 -> 1 source, not the preset's heading turn
+        code = main(["sweep", "--preset", "fig2_lattice", "--ks", "100", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: speed: must be 10.0 for stability-sweep" in capsys.readouterr().err
+
     def test_lattice_info_records_every_record_every_th_step(self, tmp_path):
         config = tmp_path / "info.cfg"
         config.write_text(
@@ -655,16 +691,13 @@ def _config_strategy(wild, count):
     )
     configs = st.builds(ExperimentConfig, **drawn)
 
-    def unused_keys(experiment):
-        # a key the experiment cannot use mostly holds the one value it may
+    def unused_keys(cfg):
+        # a key the run cannot use mostly holds the one value it may: its default
         return {
-            key: _mostly(st.just(value), drawn[key])
-            for key, value in _UNUSED_KEYS[experiment].items()
+            key: _mostly(st.just(_DEFAULTS[key]), drawn[key]) for key in _unused_keys(cfg)
         }
 
-    return configs.flatmap(
-        lambda cfg: st.builds(replace, st.just(cfg), **unused_keys(cfg.experiment))
-    )
+    return configs.flatmap(lambda cfg: st.builds(replace, st.just(cfg), **unused_keys(cfg)))
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])

@@ -259,7 +259,9 @@ class TestCsrMatchesDenseOracle:
         counts = adjacency.sum(axis=1) + leader
         safe_counts = np.where(counts == 0.0, 1.0, counts)
         want = sparse.csr_matrix((1.0 / safe_counts[rows], (rows, cols)), shape=(n, n))
-        got = DiscrepancyOperator(topo).matrix
+        got = sparse.csr_array(
+            (DiscrepancyOperator(topo).weights, topo.indices, topo.indptr), shape=(n, n)
+        )
         np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.indptr, want.indptr)
