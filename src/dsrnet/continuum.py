@@ -138,7 +138,7 @@ def second_order_run(
     scale = dsr.dsr_gain * dsr.update_interval
     damping = ((1.0 - dsr.dsr_gain) / scale) * h
 
-    def update(k, delta, scratch, gain, prev, cur, nxt):
+    def update(k, delta, scratch, gain, prev, cur, nxt, _coast):
         (value, rate), (new_value, new_rate) = cur, nxt
         np.multiply(h, rate, out=scratch)
         np.add(value, scratch, out=new_value)

@@ -186,8 +186,8 @@ class DiscrepancyOperator:
             )
 
     def product(self, values: np.ndarray, out: np.ndarray, columns: int = 1) -> np.ndarray:
-        """Write the averaging matrix times ``values`` into ``out``, both flat
-        arrays of n rows of ``columns`` values, with the CSR kernel (private to
+        """Write the averaging matrix times ``values`` into ``out``, both n rows
+        of ``columns`` values, flat or not, with the CSR kernel (private to
         scipy) that a scipy sparse array's ``@`` calls for that shape: the same
         bits, without ``@``'s per-call dispatch and allocation. Returns ``out``."""
         (indptr, indices), weights = self._csr, self.weights
@@ -310,21 +310,27 @@ _BLOCK_VALUES = 1 << 18
 
 
 class BlockRun:
-    """A fixed-graph run of m columns, stepped in blocks and resumable.
+    """A run of m columns, stepped in blocks and resumable.
 
     Column j is an independent run whose discrepancy is scaled by
     ``gains[j]``. The state of step k, shape ``(state_width, n, m)`` (the
     values, then any second-order rates, which start at zero), lives in slot
     k % (B + 1) of a ring buffer whose slots all start as the initial state,
-    so step -1 reads as an at-rest history. ``update(k, delta, scratch,
-    gain, prev, cur, nxt)`` writes slot ``nxt`` (step k + 1) from the others
-    and the discrepancy ``delta`` of step k; it may overwrite ``delta`` and
-    ``scratch``, and ``gain`` holds the gains of the live columns.
+    so step -1 reads as an at-rest history. Step k first calls the hook
+    ``discrepancy(k, values, delta)``: it writes the discrepancy of the
+    step-k values (n, m) into ``delta`` and returns the mask of agents that
+    coast on step k, or None. By default the graph is fixed, no agent
+    coasts and an isolated agent raises IsolatedAgentError at the start.
+    ``update(k, delta, scratch, gain, prev, cur, nxt, coast)`` then writes
+    slot ``nxt`` (step k + 1) from the others, the discrepancy and the mask;
+    it may overwrite ``delta`` and ``scratch``, and ``gain`` holds the gains
+    of the live columns.
 
     After each block of up to B steps, one max and one min per step and
     column find the first step that is non-finite or beyond
     DIVERGENCE_LIMIT, exactly as a check after every step would; that
-    column's run ends there and it leaves the state. With ``record_every``
+    column's run ends there and it leaves the state. Steps after it, up to
+    the end of the block, are computed and never kept. With ``record_every``
     (one column only) the run records step 0, every ``record_every``-th step
     and the last or diverged step. With ``band = (target, half_width)`` (one
     state row only) it tracks, per column, the last step at which a value
@@ -333,7 +339,7 @@ class BlockRun:
 
     def __init__(
         self, topology, source, initial, update, gains, *, params,
-        step_seconds, state_width=1, record_every=None, band=None,
+        step_seconds, state_width=1, record_every=None, band=None, discrepancy=None,
     ):
         if record_every is not None and record_every < 1:
             raise ValueError("record_every must be at least 1")
@@ -341,8 +347,16 @@ class BlockRun:
             raise ValueError("only a single-column run can be recorded")
         if band is not None and state_width > 1:
             raise ValueError("a band can be tracked only on a one-row state")
-        op = DiscrepancyOperator(topology)
-        op.require_connected()
+        if discrepancy is None:
+            op = DiscrepancyOperator(topology)
+            op.require_connected()
+            product, switch = op.product, source.switch_step
+            pulls = op.pull(source.initial)[:, None], op.pull(source.final)[:, None]
+
+            def discrepancy(k, values, delta):
+                product(values, delta, values.shape[1])
+                np.subtract(values, delta, out=delta)
+                np.subtract(delta, pulls[k >= switch], out=delta)
         n, m = topology.n_agents, len(gains)
         start = np.array(initial, dtype=float)
         if start.shape != (n,):
@@ -353,8 +367,7 @@ class BlockRun:
         self._n, self._update, self._band = n, update, band
         self._params, self.step_seconds = params, step_seconds
         self._leader_ids = tuple(sorted(topology.leader_ids))
-        self._product, self._switch = op.product, source.switch_step
-        self._pulls = (op.pull(source.initial)[:, None], op.pull(source.final)[:, None])
+        self._discrepancy = discrepancy
         block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
         ring = np.zeros((block + 1, state_width, n, m))
         ring[:, 0] = start[:, None]
@@ -369,7 +382,6 @@ class BlockRun:
     def _set_columns(self, ring, columns, gain):
         self._ring, self.columns, self._gain = ring, columns, gain
         self._slots = [tuple(slot) for slot in ring]
-        self._flat = [slot[0].reshape(-1) for slot in ring]  # views for the kernel
         self._delta, self._scratch = np.empty(ring.shape[2:]), np.empty(ring.shape[2:])
 
     @property
@@ -393,21 +405,18 @@ class BlockRun:
             return self
         if self._record_every is not None:
             self._reserve(n_steps)
-        product, pulls, switch, update = self._product, self._pulls, self._switch, self._update
+        discrepancy, update = self._discrepancy, self._update
         # steps after a diverged one may overflow; they are never kept
         with np.errstate(over="ignore", invalid="ignore"):
             while self.step < n_steps and self.columns.size:
-                k0, slots, flat = self.step, self._slots, self._flat
+                k0, slots = self.step, self._slots
                 k1, size = min(k0 + len(slots) - 1, n_steps), len(slots)
                 delta, scratch, gain = self._delta, self._scratch, self._gain
-                flat_delta, m = delta.reshape(-1), self.columns.size
                 for k in range(k0, k1):
                     cur = slots[k % size]
-                    product(flat[k % size], flat_delta, m)
-                    np.subtract(cur[0], delta, out=delta)
-                    np.subtract(delta, pulls[k >= switch], out=delta)
+                    coast = discrepancy(k, cur[0], delta)
                     update(k, delta, scratch, gain, slots[(k - 1) % size], cur,
-                           slots[(k + 1) % size])
+                           slots[(k + 1) % size], coast)
                 self.step = k1
                 self._check(np.arange(k0 + 1, k1 + 1), k1 == n_steps)
         return self
@@ -485,12 +494,15 @@ def dsr_run(
     seed: int | None = None,
     record_every: int | None = 1,
     band=None,
+    discrepancy=None,
 ) -> BlockRun:
     """A DSR run with one column per entry of ``column_params``, a list of
     DsrParams that may differ only in alignment strength.
 
     Each step's noise is drawn once and shared by every column, so each
-    column is bitwise equal to the single run of its parameters.
+    column is bitwise equal to the single run of its parameters. A
+    ``discrepancy`` hook (see BlockRun) gets the noise added to what it
+    writes, and the agents in the mask it returns get no alignment term.
     """
     params = column_params[0]
     for other in column_params:
@@ -499,16 +511,16 @@ def dsr_run(
     noise = _step_noise(params, seed)
     beta = params.dsr_gain
 
-    def update(k, delta, scratch, gain, prev, cur, nxt):
+    def update(k, delta, scratch, gain, prev, cur, nxt, coast):
         if noise is not None:
             np.add(delta, noise(k, delta.shape[0])[:, None], out=delta)
-        _dsr_update(cur[0], prev[0], delta, nxt[0], scratch, gain, beta)
+        _dsr_update(cur[0], prev[0], delta, nxt[0], scratch, gain, beta, coast)
 
     return BlockRun(
         topology, params.source, initial, update,
         [p.alignment_strength * p.update_interval for p in column_params],
         params=params, step_seconds=params.update_interval,
-        record_every=record_every, band=band,
+        record_every=record_every, band=band, discrepancy=discrepancy,
     )
 
 

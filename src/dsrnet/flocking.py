@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsr_core import (
-    DIVERGENCE_LIMIT,
-    DsrParams,
-    IsolatedAgentError,
-    Trajectory,
-    _dsr_update,
-    _step_noise,
-    _weights,
-)
+from .dsr_core import DsrParams, IsolatedAgentError, Trajectory, _weights, dsr_run
 # Unused here: perfbench/tracer.py wraps these two names on this module.
 from .dsr_core import detect_divergence, dsr_step  # noqa: F401
 from .topology import _CELL_MARGIN, NetworkTopology, min_neighbor_count, pairs_within
@@ -113,45 +105,40 @@ def run_maneuver(
     """Simulate the full turn maneuver from the flock's step-0 sensing graph,
     recording positions and headings.
 
-    Every later step takes the neighborhoods of the current positions, with
-    the same radius and leaders, bitwise as rebuilding the graph would.
-    Agents that momentarily lose every neighbor coast on their reinforcement
-    term alone until the graph heals. Requires every agent to have at least
-    two neighbors at the start, else raises IsolatedAgentError.
+    The headings step on the DSR engine (``dsr_run``), whose discrepancy
+    hook first moves the flock to step k's headings, then takes the
+    neighborhoods of those positions, with the same radius and leaders,
+    bitwise as rebuilding the graph would. Agents that momentarily lose
+    every neighbor coast on their reinforcement term alone until the graph
+    heals. Requires every agent to have at least two neighbors at the
+    start, else raises IsolatedAgentError.
     """
     if min_neighbor_count(topology) < 2:
         raise IsolatedAgentError(
             "initial placement must give every agent at least two neighbors"
         )
-    dsr = params.dsr
-    noise = _step_noise(dsr, seed)
-    n, dt = topology.n_agents, dsr.update_interval
-    ksdt, momentum = dsr.alignment_strength * dt, np.empty(n)
-    rows = params.n_steps + 1
-    positions = np.empty((rows, n, 2))
-    headings = np.empty((rows, n))
+    dsr, n = params.dsr, topology.n_agents
+    speed, dt = params.speed, dsr.update_interval
+    positions = np.empty((params.n_steps + 1, n, 2))
     positions[0] = topology.positions
-    headings[0] = dsr.source.initial
-
-    diverged_step = None
     pairs = _sensing_pairs(positions, topology.sensing_radius)
-    for k, (r, c) in zip(range(params.n_steps), pairs):
-        cur = headings[k]
+
+    def discrepancy(k, values, delta):
+        cur, out = values[:, 0], delta[:, 0]
+        if k:
+            positions[k] = kinematic_step(positions[k - 1], cur, speed, dt)
+        r, c = next(pairs)
         weight, source_weight, coast = _weights(np.bincount(r, minlength=n), topology.leader_ids)
-        delta = cur - np.bincount(r, weights=weight[r] * cur[c], minlength=n)
-        delta -= source_weight * dsr.source.value(k)
-        if noise is not None:
-            delta += noise(k, n)
-        _dsr_update(
-            cur, headings[k - 1] if k else cur, delta, headings[k + 1], momentum,
-            ksdt, dsr.dsr_gain, coast,
-        )
-        positions[k + 1] = kinematic_step(positions[k], headings[k + 1], params.speed, dt)
-        if not np.abs(headings[k + 1]).max(initial=0.0) <= DIVERGENCE_LIMIT:
-            diverged_step = k + 1
-            break
-    rows = (diverged_step or params.n_steps) + 1
+        np.subtract(cur, np.bincount(r, weights=weight[r] * cur[c], minlength=n), out=out)
+        out -= source_weight * dsr.source.value(k)
+        return coast
+
+    run = dsr_run(topology, [dsr], np.full(n, dsr.source.initial), seed, discrepancy=discrepancy)
+    record = run.advance(params.n_steps).trajectory()
+    last = len(record.times) - 1
+    if last:
+        positions[last] = kinematic_step(positions[last - 1], record.values[last], speed, dt)
     return FlockTrajectory(
-        np.arange(rows) * dt, headings[:rows], params,
-        tuple(sorted(topology.leader_ids)), diverged_step, positions=positions[:rows],
+        record.times, record.values, params, record.leader_ids,
+        record.diverged_step, positions=positions[: last + 1],
     )

@@ -386,6 +386,33 @@ class TestSimulateMatchesStepLoop:
         assert diverged == step
         assert_same_run(simulate(topo, params, np.zeros(9), 300), rows, diverged, 0.01)
 
+    def test_hook_coasts_the_agents_it_returns(self):
+        # agent 9 sits out of everyone's range: the fixed-graph default would
+        # raise, while a hook that returns the isolated mask makes it coast
+        positions = np.vstack([build_lattice(3, 3, 1.0), [[10.0, 10.0]]])
+        topo = NetworkTopology.build(positions, 1.2, {0})
+        params = DsrParams(
+            100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6), noise_amplitude=0.02
+        )
+        op = DiscrepancyOperator(topo)
+        assert op.isolated.tolist() == [False] * 9 + [True]
+
+        def discrepancy(k, values, delta):
+            delta[:, 0] = op(values[:, 0], params.source.value(k))
+            return op.isolated
+
+        initial = np.linspace(-0.5, 0.5, 10)
+        with pytest.raises(IsolatedAgentError):
+            dsr_run(topo, [params], initial, seed=5)
+        run = dsr_run(topo, [params], initial, seed=5, discrepancy=discrepancy)
+        traj = run.advance(2 * B + 3).trajectory()
+        assert len(traj.values) == 2 * B + 4 and not traj.diverged
+        state = InfoState.from_initial(initial)
+        for row in traj.values[1:]:
+            state = dsr_step(state, topo, params, seed=5, isolated="coast")
+            assert row.tobytes() == state.current.tobytes()
+        assert traj.values[-1, 9] == initial[9]  # at rest, so coasting keeps it
+
     def test_one_agent_leader_graph(self):
         topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
         params = DsrParams(50.0, 0.9, 0.01, StepSource(0.0, 1.0, 3))

@@ -243,6 +243,19 @@ class TestManeuverMatchesPerStepLoop:
         ]
         assert coasting and coasting[0] > 0 and coasting[-1] < 60
 
+    def test_noisy_coasting_flock_that_diverges_mid_block(self):
+        # coasting and noise on the same steps, and a divergence in the middle
+        # of the engine's first block, whose later steps are computed and dropped
+        topology = graph(build_lattice(4, 4, 1.0), 5)
+        params = flock_params(0.5, speed=20.0, noise=0.025, ks=200.0, n_steps=300)
+        flock = self.assert_matches(topology, params, seed=3)
+        coasting = [
+            k for k in range(len(flock.times))
+            if DiscrepancyOperator(graph(flock.positions[k], 5)).has_isolated
+        ]
+        assert len(coasting) == 15
+        assert flock.diverged_step == 23 and 23 % dsr_core._MAX_BLOCK_STEPS
+
     def test_diverging_flock(self):
         topology = graph(build_lattice(5, 5, 1.0))
         flock = self.assert_matches(topology, flock_params(0.0, ks=300.0, n_steps=200))
