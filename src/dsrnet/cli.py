@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         for violation in err.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -140,17 +140,36 @@ class Trajectory:
         )
 
 
-def _weights(degrees, leader_ids):
-    """Per agent: the weight 1/(neighbors + source) of each neighbor, the
-    source's weight (0 but for leaders) and whether the agent has neither,
-    in which case it gets the weights 1 and 0 rather than a division by 0."""
+def _weights(indptr, leader_ids):
+    """Over the CSR with row pointer ``indptr``: each edge's weight 1/(neighbors
+    + source) and, per agent, the source's weight (0 but for leaders) and whether
+    it has neither, which gets the weights 1 and 0 rather than a division by 0."""
+    degrees = np.diff(indptr)
     leader = np.zeros(len(degrees))
     if leader_ids:
         leader[sorted(leader_ids)] = 1.0
     counts = degrees + leader
     isolated = counts == 0.0
     counts = np.where(isolated, 1.0, counts)
-    return 1.0 / counts, leader / counts, isolated
+    return np.repeat(1.0 / counts, degrees), leader / counts, isolated
+
+
+def _discrepancy(indptr, indices, weights, pull, values, out):
+    """Write ``values - A @ values - pull`` into ``out``, both n rows of one or
+    more columns, and return it; A has the per-edge ``weights`` over the CSR
+    ``(indptr, indices)``. The product is the CSR kernel (private to scipy) that
+    a scipy array's ``@`` calls for the shape: the same bits, without ``@``'s
+    per-call dispatch and allocation."""
+    n = len(indptr) - 1
+    if out.shape != values.shape or values.shape[:1] != (n,) or values.ndim > 2:
+        raise ValueError("values and out must be n rows of the same shape")
+    out.fill(0.0)  # the kernel reads unchecked and accumulates into out
+    if values.size == n:
+        _sparsetools.csr_matvec(n, n, indptr, indices, weights, values, out)
+    else:
+        _sparsetools.csr_matvecs(n, n, values.shape[1], indptr, indices, weights, values, out)
+    np.subtract(values, out, out=out)
+    return np.subtract(out, pull, out=out)
 
 
 class DiscrepancyOperator:
@@ -158,20 +177,20 @@ class DiscrepancyOperator:
 
     For agent i the discrepancy is the mean of I_i - I_j over its
     neighborhood; for leaders the external source joins the average as one
-    additional member, so the discrepancy is ``values - product(values) -
-    pull(source_value)``. The averaging matrix is the topology's own CSR
-    ``(indptr, indices)`` with the per-edge weights ``weights``. Rows of
-    non-leader agents with empty neighborhoods are reported in ``isolated``
-    (``has_isolated`` tells whether there are any) and return a discrepancy
-    of zero, leaving the caller to decide between raising and coasting.
+    additional member, so the discrepancy is ``values - A @ values -
+    pull(source_value)``, with A the per-edge ``weights`` over the
+    topology's own CSR. Rows of non-leader agents with empty neighborhoods
+    are reported in ``isolated`` (``has_isolated`` tells whether there are
+    any) and return a discrepancy of zero, leaving the caller to decide
+    between raising and coasting.
     """
 
     def __init__(self, topology: NetworkTopology):
-        degrees = topology.degrees
-        weight, self._source_weight, self.isolated = _weights(degrees, topology.leader_ids)
+        self.weights, self._source_weight, self.isolated = _weights(
+            topology.indptr, topology.leader_ids
+        )
         self.has_isolated = bool(self.isolated.any())
-        self.weights = np.repeat(weight, degrees)
-        self._csr = topology.indptr, topology.indices
+        self._csr = topology.indptr, topology.indices, self.weights
 
     def pull(self, source_value: float) -> np.ndarray:
         """The source's share of every agent's discrepancy."""
@@ -185,26 +204,8 @@ class DiscrepancyOperator:
                 f"agent {first} has no neighbors and no source access"
             )
 
-    def product(self, values: np.ndarray, out: np.ndarray, columns: int = 1) -> np.ndarray:
-        """Write the averaging matrix times ``values`` into ``out``, both n rows
-        of ``columns`` values, flat or not, with the CSR kernel (private to
-        scipy) that a scipy sparse array's ``@`` calls for that shape: the same
-        bits, without ``@``'s per-call dispatch and allocation. Returns ``out``."""
-        (indptr, indices), weights = self._csr, self.weights
-        n = len(indptr) - 1
-        if not values.size == out.size == n * columns:  # the kernel reads unchecked
-            raise ValueError("values and out must hold n rows of `columns` values")
-        out.fill(0.0)  # the kernel accumulates into out
-        if columns == 1:
-            _sparsetools.csr_matvec(n, n, indptr, indices, weights, values, out)
-        else:
-            _sparsetools.csr_matvecs(n, n, columns, indptr, indices, weights, values, out)
-        return out
-
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
-        delta = self.product(values, np.empty(len(values)))
-        np.subtract(values, delta, out=delta)
-        delta -= self.pull(source_value)
+        delta = _discrepancy(*self._csr, self.pull(source_value), values, np.empty(len(values)))
         if self.has_isolated:
             delta[self.isolated] = 0.0
         return delta
@@ -350,13 +351,11 @@ class BlockRun:
         if discrepancy is None:
             op = DiscrepancyOperator(topology)
             op.require_connected()
-            product, switch = op.product, source.switch_step
+            csr, switch = op._csr, source.switch_step
             pulls = op.pull(source.initial)[:, None], op.pull(source.final)[:, None]
 
             def discrepancy(k, values, delta):
-                product(values, delta, values.shape[1])
-                np.subtract(values, delta, out=delta)
-                np.subtract(delta, pulls[k >= switch], out=delta)
+                _discrepancy(*csr, pulls[k >= switch], values, delta)
         n, m = topology.n_agents, len(gains)
         start = np.array(initial, dtype=float)
         if start.shape != (n,):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsr_core import DsrParams, IsolatedAgentError, Trajectory, _weights, dsr_run
+from .dsr_core import DsrParams, IsolatedAgentError, Trajectory, _discrepancy, _weights, dsr_run
 # Unused here: perfbench/tracer.py wraps these two names on this module.
 from .dsr_core import detect_divergence, dsr_step  # noqa: F401
 from .topology import _CELL_MARGIN, NetworkTopology, min_neighbor_count, pairs_within
@@ -71,8 +71,8 @@ def kinematic_step(
 
 
 def _sensing_pairs(positions, radius: float):
-    """Yield the pairs ``(rows, cols)`` of the sensing graph at each row of
-    ``positions``, in CSR order, reading a row only when its pairs are requested.
+    """Yield the CSR ``(indptr, indices)`` of the sensing graph at each row of
+    ``positions``, reading a row only when its graph is requested.
 
     Pairs are filtered from candidates within ``radius + skin`` at an anchor
     row. With d_i an agent's displacement since then and d the mean, a pair's
@@ -94,7 +94,7 @@ def _sensing_pairs(positions, radius: float):
             anchor, candidates = pos.copy(), NetworkTopology.build(pos, radius + skin)
             rows = np.repeat(np.arange(len(pos)), candidates.degrees)
         keep = pairs_within(pos, rows, candidates.indices, radius)
-        yield rows[keep], candidates.indices[keep]
+        yield np.append(0, np.cumsum(keep))[candidates.indptr], candidates.indices[keep]
 
 
 def run_maneuver(
@@ -121,16 +121,15 @@ def run_maneuver(
     speed, dt = params.speed, dsr.update_interval
     positions = np.empty((params.n_steps + 1, n, 2))
     positions[0] = topology.positions
-    pairs = _sensing_pairs(positions, topology.sensing_radius)
+    graphs = _sensing_pairs(positions, topology.sensing_radius)
 
     def discrepancy(k, values, delta):
-        cur, out = values[:, 0], delta[:, 0]
         if k:
-            positions[k] = kinematic_step(positions[k - 1], cur, speed, dt)
-        r, c = next(pairs)
-        weight, source_weight, coast = _weights(np.bincount(r, minlength=n), topology.leader_ids)
-        np.subtract(cur, np.bincount(r, weights=weight[r] * cur[c], minlength=n), out=out)
-        out -= source_weight * dsr.source.value(k)
+            positions[k] = kinematic_step(positions[k - 1], values[:, 0], speed, dt)
+        indptr, indices = next(graphs)
+        weights, source_weight, coast = _weights(indptr, topology.leader_ids)
+        pull = source_weight[:, None] * dsr.source.value(k)
+        _discrepancy(indptr, indices, weights, pull, values, delta)
         return coast
 
     run = dsr_run(topology, [dsr], np.full(n, dsr.source.initial), seed, discrepancy=discrepancy)

@@ -124,7 +124,9 @@ _CHOICES = {
 }
 
 # The keys each experiment kind, and each topology, cannot use. Each must
-# hold its ExperimentConfig default, which the manifest echoes.
+# hold its ExperimentConfig default, which the manifest echoes. The one key
+# accepted but never read is continuum-diffusion's beta (it runs the zero-gain
+# update): rejecting it would change the bytes of fig3a_diffusion's manifest.
 _HEADING_KEYS = ("speed", "initial_heading", "target_heading")
 _UNUSED_KEYS = {
     "lattice-info": ("integrator_dt", "ks_values", *_HEADING_KEYS),
@@ -377,9 +379,8 @@ def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
 def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> MetricsReport:
     """``radial`` is the run's radial acceleration, or None when it has
     fewer than 3 rows or diverged."""
-    settled = analysis.settling_time(
-        flock, cfg.target_heading, initial_value=cfg.initial_heading
-    )
+    source = _source(cfg)
+    settled = analysis.settling_time(flock, source.final, initial_value=source.initial)
     distances = _distances_from(topology.positions, leader)
     pairs = []
     if radial is not None:

@@ -17,6 +17,7 @@ from dsrnet.dsr_core import (
     InfoState,
     IsolatedAgentError,
     StepSource,
+    _discrepancy,
     detect_divergence,
     dsr_run,
     dsr_step,
@@ -564,7 +565,8 @@ def special_inputs(n, columns):
 
 
 class TestKernelProduct:
-    """``DiscrepancyOperator.product`` against scipy's ``@``, bit for bit."""
+    """``_discrepancy`` against ``values - A @ values - pull`` with scipy's
+    ``@``, bit for bit."""
 
     @pytest.mark.parametrize("columns", [None, 1, 2, 8])
     @pytest.mark.parametrize(
@@ -574,10 +576,11 @@ class TestKernelProduct:
         op, matrix = operator()
         n = matrix.shape[0]
         values = special_inputs(n, columns)
-        expected = matrix @ values
-        out = np.full(values.shape, 7.0)  # stale contents must not leak in
+        pull = op.pull(0.37) if columns is None else op.pull(0.37)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = op.product(values.ravel(), out.reshape(-1), columns or 1)
+            expected = values - matrix @ values - pull
+            out = np.full(values.shape, 7.0)  # stale contents must not leak in
+            got = _discrepancy(*op._csr, pull, values, out)
         assert np.shares_memory(got, out)
         assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
@@ -595,15 +598,21 @@ class TestKernelProduct:
         assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
     def test_rejects_buffers_of_the_wrong_size(self):
-        op = DiscrepancyOperator(lattice_topology(3, 3, {0}))
-        for values, out, columns in [
-            (np.zeros(8), np.zeros(9), 1),
-            (np.zeros(9), np.zeros(8), 1),
-            (np.zeros(18), np.zeros(18), 1),
-            (np.zeros(18), np.zeros(18), 3),
+        csr = DiscrepancyOperator(lattice_topology(3, 3, {0}))._csr
+        for values, out in [
+            (np.zeros(8), np.zeros(8)),
+            (np.zeros(8), np.zeros(9)),
+            (np.zeros(9), np.zeros(8)),
+            (np.zeros(18), np.zeros(18)),
+            (np.zeros((8, 2)), np.zeros((8, 2))),
+            (np.zeros((9, 2)), np.zeros((9, 3))),
+            (np.zeros((9, 2)), np.zeros(18)),
+            (np.zeros(18), np.zeros((9, 2))),
+            (np.zeros((9, 1)), np.zeros(9)),
+            (np.zeros((9, 2, 2)), np.zeros((9, 2, 2))),
         ]:
             with pytest.raises(ValueError, match="rows of"):
-                op.product(values, out, columns)
+                _discrepancy(*csr, 0.0, values, out)
 
     def test_fixed_graph_steps_never_dispatch_through_scipy(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -329,7 +329,8 @@ def test_filtered_candidates_give_the_pairs_of_every_step(flock):
     track, radius = flock
     pairs = list(_sensing_pairs(track, radius))
     assert len(pairs) == len(track)
-    for pos, (rows, cols) in zip(track, pairs):
+    for pos, (indptr, indices) in zip(track, pairs):
         expected = NetworkTopology.build(pos, radius)
-        assert rows.tolist() == np.repeat(np.arange(len(pos)), expected.degrees).tolist()
-        assert cols.tolist() == expected.indices.tolist()
+        assert indptr.dtype == expected.indptr.dtype and indices.dtype == expected.indices.dtype
+        assert indptr.tolist() == expected.indptr.tolist()
+        assert indices.tolist() == expected.indices.tolist()

@@ -288,6 +288,15 @@ class TestRunPreset:
         for name, path in first.items():
             assert path.read_bytes() == second[name].read_bytes()
 
+    def test_diffusion_ignores_beta(self, tmp_path):
+        # the one accepted key a run never reads: the manifest echoes it
+        first, _ = run_preset("fig3a_diffusion", out_dir=tmp_path / "a")
+        cfg = replace(preset_catalog()["fig3a_diffusion"], beta=0.5)
+        second, _ = run_config(cfg, tmp_path / "b")
+        for name in ("trajectory", "metrics"):
+            assert first[name].read_bytes() == second[name].read_bytes()
+        assert "beta = 0.5" in second["manifest"].read_text()
+
     def test_seed_override_changes_noisy_outputs(self, tmp_path):
         a, _ = run_preset("fig2_disc_noise", seed=7, out_dir=tmp_path / "a")
         b, _ = run_preset("fig2_disc_noise", seed=8, out_dir=tmp_path / "b")
@@ -450,6 +459,13 @@ class TestCli:
     def test_float_magnitude_bounds_are_inclusive(self):
         cfg = parse_config(MINIMAL + "source_final = 1e30\nsource_initial = -1e-30\nnoise = 0\n")
         assert (cfg.source_final, cfg.source_initial, cfg.noise) == (1e30, -1e-30, 0.0)
+
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, capsys):
+        # the record of 10**15 steps of 9 agents (64 PiB) exceeds any address space
+        config = tmp_path / "big.cfg"
+        config.write_text(f"experiment = lattice-info\nrows = 3\ncols = 3\nn_steps = {10**15}\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_disc_without_agents_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
