@@ -17,12 +17,35 @@ evaluation order as well.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .topology import NetworkTopology
+
+
+def _load_sparsetools():
+    """scipy's CSR kernels, loaded by file (``find_spec`` imports nothing) and kept
+    as ``scipy.sparse._sparsetools`` for a later ``import scipy.sparse`` to reuse. The
+    package import, the fallback without the file, runs ``scipy.sparse/__init__``:
+    about 300 more modules and over half of start-up, for two functions."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        paths = (os.path.join(root, "sparse", "_sparsetools" + s) for s in EXTENSION_SUFFIXES)
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(name, path)
+            sys.modules[name] = module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+    return importlib.import_module(name)
+
+
+_sparsetools = _load_sparsetools()
 
 # Values beyond this magnitude (or any non-finite value) flag a run as
 # diverged. Arbitrary but documented; overflow-to-inf always triggers.

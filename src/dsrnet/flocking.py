@@ -72,7 +72,8 @@ def kinematic_step(
 
 def _sensing_pairs(positions, radius: float):
     """Yield the CSR ``(indptr, indices)`` of the sensing graph at each row of
-    ``positions``, reading a row only when its graph is requested.
+    ``positions``, reading a row only when its graph is requested, and the same
+    tuple again while the kept candidate pairs stay the same.
 
     Pairs are filtered from candidates within ``radius + skin`` at an anchor
     row. With d_i an agent's displacement since then and d the mean, a pair's
@@ -92,9 +93,12 @@ def _sensing_pairs(positions, radius: float):
             drift += _CELL_MARGIN * (skin + np.abs(shift).max())
         if anchor is None or drift >= skin:
             anchor, candidates = pos.copy(), NetworkTopology.build(pos, radius + skin)
-            rows = np.repeat(np.arange(len(pos)), candidates.degrees)
+            rows, kept = np.repeat(np.arange(len(pos)), candidates.degrees), None
         keep = pairs_within(pos, rows, candidates.indices, radius)
-        yield np.append(0, np.cumsum(keep))[candidates.indptr], candidates.indices[keep]
+        if kept != (kept := keep.tobytes()):  # else the last step's graph again
+            at = np.flatnonzero(keep)  # row i starts after the pairs kept before indptr[i]
+            graph = np.searchsorted(at, candidates.indptr), candidates.indices[at]
+        yield graph
 
 
 def run_maneuver(
@@ -122,14 +126,18 @@ def run_maneuver(
     positions = np.empty((params.n_steps + 1, n, 2))
     positions[0] = topology.positions
     graphs = _sensing_pairs(positions, topology.sensing_radius)
+    graph = weights = None
 
     def discrepancy(k, values, delta):
+        nonlocal graph, weights
         if k:
             positions[k] = kinematic_step(positions[k - 1], values[:, 0], speed, dt)
-        indptr, indices = next(graphs)
-        weights, source_weight, coast = _weights(indptr, topology.leader_ids)
+        new = next(graphs)
+        if new is not graph:  # the kept pairs changed, or the candidates were rebuilt
+            graph, weights = new, _weights(new[0], topology.leader_ids)
+        edge_weights, source_weight, coast = weights
         pull = source_weight[:, None] * dsr.source.value(k)
-        _discrepancy(indptr, indices, weights, pull, values, delta)
+        _discrepancy(*graph, edge_weights, pull, values, delta)
         return coast
 
     run = dsr_run(topology, [dsr], np.full(n, dsr.source.initial), seed, discrepancy=discrepancy)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import dsrnet
 from dsrnet.analysis import settling_time, stability_sweep
 from dsrnet.continuum import ContinuumParams, second_order_run
 from dsrnet.dsr_core import (
@@ -631,3 +636,57 @@ class TestKernelProduct:
         ks = [20.0, 60.0, 100.0, 150.0, 190.0, 250.0, 400.0, 1e300]
         results = stability_sweep(topo, params, ks, horizon_steps=500)
         assert [r.diverged for r in results] == [False] * 5 + [True] * 3
+
+
+# Checked in a fresh interpreter: this test module imports scipy.sparse first.
+KERNEL_CHECK = """
+import sys
+import numpy as np
+from dsrnet import dsr_core
+from dsrnet.topology import NetworkTopology, build_lattice
+print("scipy.sparse" in sys.modules)
+from scipy import sparse
+from scipy.sparse import _sparsetools
+assert _sparsetools is dsr_core._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+topo = NetworkTopology.build(build_lattice(5, 5, 1.0), 1.2, {6})
+op = dsr_core.DiscrepancyOperator(topo)
+matrix = sparse.csr_array((op.weights, topo.indices, topo.indptr), shape=(25, 25))
+for shape, pull in [(25, op.pull(0.37)), ((25, 3), op.pull(0.37)[:, None])]:
+    values = np.random.default_rng(1).normal(size=shape)
+    expected = values - matrix @ values - pull
+    got = dsr_core._discrepancy(*op._csr, pull, values, np.empty(shape))
+    assert got.tobytes() == expected.tobytes()
+"""
+
+
+def fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this dsrnet, and return
+    its output."""
+    path = [str(Path(dsrnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+class TestKernelLoading:
+    """dsr_core loads scipy's kernel module by file, not through scipy.sparse."""
+
+    def test_cli_import_loads_no_other_scipy_module(self):
+        code = (
+            "import sys\n"
+            "import dsrnet.cli\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert fresh_python(code) == ["scipy.sparse._sparsetools"]
+
+    def test_a_later_scipy_sparse_import_shares_the_module(self):
+        assert fresh_python(KERNEL_CHECK) == ["False"]
+
+    def test_without_the_file_the_package_import_gives_the_same_bits(self):
+        # no extension suffix matches a file, so the loader falls back
+        code = "import importlib.machinery\nimport numpy\n"
+        code += "importlib.machinery.EXTENSION_SUFFIXES.clear()\n" + KERNEL_CHECK
+        assert fresh_python(code) == ["True"]

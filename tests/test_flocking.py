@@ -291,6 +291,25 @@ def test_never_builds_an_operator(monkeypatch, name):
     assert len(flock.times) == params.n_steps + 1 and not flock.diverged
 
 
+@pytest.mark.parametrize("name, most", [("fig2_lattice", 100), ("fig2_disc_noise", 400)])
+def test_weights_only_a_new_graph(monkeypatch, name, most):
+    # the pairs stay the same on most lattice steps, and on no disc step
+    topology, params, seed = _preset_flock(name)
+    weighed = []
+
+    def weights(indptr, leader_ids):
+        weighed.append(indptr)
+        return dsr_core._weights(indptr, leader_ids)
+
+    monkeypatch.setattr(flocking, "_weights", weights)
+    flock = run_maneuver(topology, params, seed)
+    graphs = list(_sensing_pairs(flock.positions[:-1], topology.sensing_radius))
+    new = [g for last, g in zip([None] + graphs, graphs) if g is not last]
+    assert [indptr.tolist() for indptr, _ in new] == [indptr.tolist() for indptr in weighed]
+    changed = sum(a[1].tolist() != b[1].tolist() for a, b in zip(graphs, graphs[1:]))
+    assert changed + 1 <= len(weighed) <= most
+
+
 @st.composite
 def moving_flocks(draw):
     """A flock's positions over a few steps and its sensing radius.
