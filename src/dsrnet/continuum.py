@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import (
-    BlockRun, DiscrepancyOperator, DsrParams, InfoState, Trajectory, dsr_run, dsr_step,
-)
+from .dsr_core import BlockRun, DiscrepancyOperator, DsrParams, InfoState, Trajectory, dsr_run
+from .dsr_core import _require_connected, dsr_step
 from .topology import NetworkTopology
 
 
@@ -93,11 +92,13 @@ def second_order_step(
     damping (1 - gain) / (gain * interval) and is driven against the
     neighbor discrepancy with strength Ks / (gain * interval). Driving
     against the discrepancy keeps the uniform-at-source state a fixed point,
-    consistent with the first-order update this model approximates.
+    consistent with the first-order update this model approximates. Raises
+    IsolatedAgentError for an isolated non-leader, as the run does.
     """
     dsr = params.dsr
     scale = dsr.dsr_gain * dsr.update_interval
     op = operator if operator is not None else DiscrepancyOperator(topology)
+    _require_connected(op.isolated)
     h = params.integrator_step
     delta = op(state.value, dsr.source.value(state.step))
     new_value = state.value + h * state.rate

@@ -177,6 +177,12 @@ def _weights(indptr, leader_ids):
     return np.repeat(1.0 / counts, degrees), leader / counts, isolated
 
 
+def _require_connected(mask):
+    """Raise IsolatedAgentError naming the first agent in the isolated ``mask``, if any."""
+    if mask is not None and mask.any():
+        raise IsolatedAgentError(f"agent {mask.argmax()} has no neighbors and no source access")
+
+
 def _discrepancy(indptr, indices, weights, pull, values, out):
     """Write ``values - A @ values - pull`` into ``out``, both n rows of one or
     more columns, and return it; A has the per-edge ``weights`` over the CSR
@@ -205,7 +211,8 @@ class DiscrepancyOperator:
     topology's own CSR. Rows of non-leader agents with empty neighborhoods
     are reported in ``isolated`` (``has_isolated`` tells whether there are
     any) and return a discrepancy of zero, leaving the caller to decide
-    between raising and coasting.
+    between raising and coasting. The reference of the single steps
+    ``dsr_step`` and ``second_order_step``; a run weighs graphs in BlockRun.
     """
 
     def __init__(self, topology: NetworkTopology):
@@ -218,14 +225,6 @@ class DiscrepancyOperator:
     def pull(self, source_value: float) -> np.ndarray:
         """The source's share of every agent's discrepancy."""
         return self._source_weight * source_value
-
-    def require_connected(self):
-        """Raise IsolatedAgentError naming the first isolated agent, if any."""
-        if self.has_isolated:
-            first = int(np.flatnonzero(self.isolated)[0])
-            raise IsolatedAgentError(
-                f"agent {first} has no neighbors and no source access"
-            )
 
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
         delta = _discrepancy(*self._csr, self.pull(source_value), values, np.empty(len(values)))
@@ -304,7 +303,7 @@ def dsr_step(
     """
     op = operator if operator is not None else DiscrepancyOperator(topology)
     if isolated == "error":
-        op.require_connected()
+        _require_connected(op.isolated)
     elif isolated != "coast":
         raise ValueError("isolated must be 'error' or 'coast'")
 
@@ -340,15 +339,16 @@ class BlockRun:
     ``gains[j]``. The state of step k, shape ``(state_width, n, m)`` (the
     values, then any second-order rates, which start at zero), lives in slot
     k % (B + 1) of a ring buffer whose slots all start as the initial state,
-    so step -1 reads as an at-rest history. Step k first calls the hook
-    ``discrepancy(k, values, delta)``: it writes the discrepancy of the
-    step-k values (n, m) into ``delta`` and returns the mask of agents that
-    coast on step k, or None. By default the graph is fixed, no agent
-    coasts and an isolated agent raises IsolatedAgentError at the start.
-    ``update(k, delta, scratch, gain, prev, cur, nxt, coast)`` then writes
-    slot ``nxt`` (step k + 1) from the others, the discrepancy and the mask;
-    it may overwrite ``delta`` and ``scratch``, and ``gain`` holds the gains
-    of the live columns.
+    so step -1 reads as an at-rest history. Every step runs on a CSR graph
+    ``(indptr, indices)``: the ``topology``'s own, or what the hook
+    ``graph(k, values)`` returns for the step-k values (n, m), one object
+    while the graph is unchanged; each new object is weighed once. A
+    non-leader isolated in ``topology`` raises IsolatedAgentError here, and
+    one isolated by a later graph coasts. ``update(k, delta, scratch, gain,
+    prev, cur, nxt, coast)`` writes slot ``nxt`` (step k + 1) from the
+    others, the step's discrepancy and its coasting mask (or None); it may
+    overwrite ``delta`` and ``scratch``, and ``gain`` holds the gains of
+    the live columns.
 
     After each block of up to B steps, one max and one min per step and
     column find the first step that is non-finite or beyond
@@ -363,7 +363,7 @@ class BlockRun:
 
     def __init__(
         self, topology, source, initial, update, gains, *, params,
-        step_seconds, state_width=1, record_every=None, band=None, discrepancy=None,
+        step_seconds, state_width=1, record_every=None, band=None, graph=None,
     ):
         if record_every is not None and record_every < 1:
             raise ValueError("record_every must be at least 1")
@@ -371,14 +371,9 @@ class BlockRun:
             raise ValueError("only a single-column run can be recorded")
         if band is not None and state_width > 1:
             raise ValueError("a band can be tracked only on a one-row state")
-        if discrepancy is None:
-            op = DiscrepancyOperator(topology)
-            op.require_connected()
-            csr, switch = op._csr, source.switch_step
-            pulls = op.pull(source.initial)[:, None], op.pull(source.final)[:, None]
-
-            def discrepancy(k, values, delta):
-                _discrepancy(*csr, pulls[k >= switch], values, delta)
+        self._leader_ids = tuple(sorted(topology.leader_ids))
+        self._source, self._hook = source, graph
+        _require_connected(self._use((topology.indptr, topology.indices))[-1])
         n, m = topology.n_agents, len(gains)
         start = np.array(initial, dtype=float)
         if start.shape != (n,):
@@ -388,8 +383,6 @@ class BlockRun:
         self.step, self.diverged_steps = 0, [None] * m
         self._n, self._update, self._band = n, update, band
         self._params, self.step_seconds = params, step_seconds
-        self._leader_ids = tuple(sorted(topology.leader_ids))
-        self._discrepancy = discrepancy
         block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
         ring = np.zeros((block + 1, state_width, n, m))
         ring[:, 0] = start[:, None]
@@ -405,6 +398,14 @@ class BlockRun:
         self._ring, self.columns, self._gain = ring, columns, gain
         self._slots = [tuple(slot) for slot in ring]
         self._delta, self._scratch = np.empty(ring.shape[2:]), np.empty(ring.shape[2:])
+
+    def _use(self, graph):
+        """Weigh ``graph`` for the steps from now on; returns what advance unpacks."""
+        weights, source_weight, isolated = _weights(graph[0], self._leader_ids)
+        pulls = [(source_weight * v)[:, None] for v in (self._source.initial, self._source.final)]
+        self._graph = graph
+        self._terms = *graph, weights, pulls, isolated if isolated.any() else None
+        return self._terms
 
     @property
     def current(self) -> np.ndarray:
@@ -427,16 +428,20 @@ class BlockRun:
             return self
         if self._record_every is not None:
             self._reserve(n_steps)
-        discrepancy, update = self._discrepancy, self._update
+        hook, update, switch = self._hook, self._update, self._source.switch_step
         # steps after a diverged one may overflow; they are never kept
         with np.errstate(over="ignore", invalid="ignore"):
             while self.step < n_steps and self.columns.size:
                 k0, slots = self.step, self._slots
                 k1, size = min(k0 + len(slots) - 1, n_steps), len(slots)
                 delta, scratch, gain = self._delta, self._scratch, self._gain
+                graph, (indptr, indices, weights, pulls, coast) = self._graph, self._terms
                 for k in range(k0, k1):
                     cur = slots[k % size]
-                    coast = discrepancy(k, cur[0], delta)
+                    if hook is not None and (new := hook(k, cur[0])) is not graph:
+                        graph = new
+                        indptr, indices, weights, pulls, coast = self._use(new)
+                    _discrepancy(indptr, indices, weights, pulls[k >= switch], cur[0], delta)
                     update(k, delta, scratch, gain, slots[(k - 1) % size], cur,
                            slots[(k + 1) % size], coast)
                 self.step = k1
@@ -516,15 +521,16 @@ def dsr_run(
     seed: int | None = None,
     record_every: int | None = 1,
     band=None,
-    discrepancy=None,
+    graph=None,
 ) -> BlockRun:
     """A DSR run with one column per entry of ``column_params``, a list of
     DsrParams that may differ only in alignment strength.
 
     Each step's noise is drawn once and shared by every column, so each
     column is bitwise equal to the single run of its parameters. A
-    ``discrepancy`` hook (see BlockRun) gets the noise added to what it
-    writes, and the agents in the mask it returns get no alignment term.
+    ``graph`` hook (see BlockRun) moves the network with the run; the noise
+    is added to the discrepancy on its graph, and the agents that graph
+    isolates get no alignment term.
     """
     params = column_params[0]
     for other in column_params:
@@ -542,7 +548,7 @@ def dsr_run(
         topology, params.source, initial, update,
         [p.alignment_strength * p.update_interval for p in column_params],
         params=params, step_seconds=params.update_interval,
-        record_every=record_every, band=band, discrepancy=discrepancy,
+        record_every=record_every, band=band, graph=graph,
     )
 
 

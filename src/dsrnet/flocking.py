@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsr_core import DsrParams, IsolatedAgentError, Trajectory, _discrepancy, _weights, dsr_run
+from .dsr_core import DsrParams, IsolatedAgentError, Trajectory, dsr_run
 # Unused here: perfbench/tracer.py wraps these two names on this module.
 from .dsr_core import detect_divergence, dsr_step  # noqa: F401
 from .topology import _CELL_MARGIN, NetworkTopology, min_neighbor_count, pairs_within
@@ -109,13 +109,13 @@ def run_maneuver(
     """Simulate the full turn maneuver from the flock's step-0 sensing graph,
     recording positions and headings.
 
-    The headings step on the DSR engine (``dsr_run``), whose discrepancy
-    hook first moves the flock to step k's headings, then takes the
-    neighborhoods of those positions, with the same radius and leaders,
-    bitwise as rebuilding the graph would. Agents that momentarily lose
-    every neighbor coast on their reinforcement term alone until the graph
-    heals. Requires every agent to have at least two neighbors at the
-    start, else raises IsolatedAgentError.
+    The headings step on the DSR engine (``dsr_run``), whose graph hook
+    first moves the flock to step k's headings, then returns the
+    neighborhoods of those positions (one object while they hold), with the
+    same radius and leaders, bitwise as rebuilding the graph would. Agents
+    that momentarily lose every neighbor coast on their reinforcement term
+    alone until the graph heals. Requires every agent to have at least two
+    neighbors at the start, else raises IsolatedAgentError.
     """
     if min_neighbor_count(topology) < 2:
         raise IsolatedAgentError(
@@ -126,21 +126,13 @@ def run_maneuver(
     positions = np.empty((params.n_steps + 1, n, 2))
     positions[0] = topology.positions
     graphs = _sensing_pairs(positions, topology.sensing_radius)
-    graph = weights = None
 
-    def discrepancy(k, values, delta):
-        nonlocal graph, weights
+    def graph(k, values):
         if k:
             positions[k] = kinematic_step(positions[k - 1], values[:, 0], speed, dt)
-        new = next(graphs)
-        if new is not graph:  # the kept pairs changed, or the candidates were rebuilt
-            graph, weights = new, _weights(new[0], topology.leader_ids)
-        edge_weights, source_weight, coast = weights
-        pull = source_weight[:, None] * dsr.source.value(k)
-        _discrepancy(*graph, edge_weights, pull, values, delta)
-        return coast
+        return next(graphs)
 
-    run = dsr_run(topology, [dsr], np.full(n, dsr.source.initial), seed, discrepancy=discrepancy)
+    run = dsr_run(topology, [dsr], np.full(n, dsr.source.initial), seed, graph=graph)
     record = run.advance(params.n_steps).trajectory()
     last = len(record.times) - 1
     if last:

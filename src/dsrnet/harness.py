@@ -113,9 +113,9 @@ _CASTERS = {
 _BOUNDS = (
     (("spacing", "disc_radius", "sensing_radius", "dt", "speed", "integrator_dt"),
      lambda v: v > 0, "must be positive"),
-    (("ks", "noise", "switch_step", "n_steps", "seed"), lambda v: v >= 0, "must be nonnegative"),
-    (("n_agents", "record_every", "max_steps", "csv_stride"), lambda v: v >= 1,
-     "must be at least 1"),
+    (("ks", "noise", "switch_step", "n_steps", "max_steps", "seed"), lambda v: v >= 0,
+     "must be nonnegative"),
+    (("n_agents", "record_every", "csv_stride"), lambda v: v >= 1, "must be at least 1"),
 )
 _CHOICES = {
     "experiment": EXPERIMENT_KINDS,

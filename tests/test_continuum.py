@@ -111,6 +111,18 @@ class TestSecondOrderStep:
         out = second_order_step(state, topo, params)
         assert out.value == pytest.approx(np.full(9, 2e-3))
 
+    def test_isolated_agent_raises_like_the_engine(self):
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+        topo = NetworkTopology.build(positions, 1.2, {0})
+        params = wave_params(100.0, 0.96, 0.01, 1e-3, STEP_TO_ONE)
+        state = SecondOrderState.from_initial(np.zeros(3))
+        with pytest.raises(IsolatedAgentError, match="agent 2"):
+            second_order_step(state, topo, params)
+        with pytest.raises(IsolatedAgentError, match="agent 2"):
+            second_order_step(state, topo, params, operator=DiscrepancyOperator(topo))
+        with pytest.raises(IsolatedAgentError, match="agent 2"):
+            second_order_run(topo, params, np.zeros(3))
+
 
 class TestDiffusionStep:
     def test_chain_hand_arithmetic(self):

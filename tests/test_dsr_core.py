@@ -11,6 +11,7 @@ import pytest
 from scipy import sparse
 
 import dsrnet
+from dsrnet import dsr_core
 from dsrnet.analysis import settling_time, stability_sweep
 from dsrnet.continuum import ContinuumParams, second_order_run
 from dsrnet.dsr_core import (
@@ -393,31 +394,40 @@ class TestSimulateMatchesStepLoop:
         assert_same_run(simulate(topo, params, np.zeros(9), 300), rows, diverged, 0.01)
 
     def test_hook_coasts_the_agents_it_returns(self):
-        # agent 9 sits out of everyone's range: the fixed-graph default would
-        # raise, while a hook that returns the isolated mask makes it coast
-        positions = np.vstack([build_lattice(3, 3, 1.0), [[10.0, 10.0]]])
-        topo = NetworkTopology.build(positions, 1.2, {0})
+        # agent 9 starts next to agent 2; from step 1 on the hook's graph puts
+        # it out of everyone's range, so it coasts where the run's own
+        # topology would raise
+        lattice = build_lattice(3, 3, 1.0)
+        near, far = (
+            NetworkTopology.build(np.vstack([lattice, [spot]]), 1.2, {0})
+            for spot in ([3.0, 0.0], [10.0, 10.0])
+        )
+        assert not DiscrepancyOperator(near).has_isolated
+        assert DiscrepancyOperator(far).isolated.tolist() == [False] * 9 + [True]
         params = DsrParams(
             100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6), noise_amplitude=0.02
         )
-        op = DiscrepancyOperator(topo)
-        assert op.isolated.tolist() == [False] * 9 + [True]
+        graphs = (near.indptr, near.indices), (far.indptr, far.indices)
 
-        def discrepancy(k, values, delta):
-            delta[:, 0] = op(values[:, 0], params.source.value(k))
-            return op.isolated
+        def graph(k, values):
+            assert values.shape == (10, 1)
+            return graphs[k > 0]
 
         initial = np.linspace(-0.5, 0.5, 10)
-        with pytest.raises(IsolatedAgentError):
-            dsr_run(topo, [params], initial, seed=5)
-        run = dsr_run(topo, [params], initial, seed=5, discrepancy=discrepancy)
+        for hook in (None, graph):
+            with pytest.raises(IsolatedAgentError, match="agent 9 has no neighbors"):
+                dsr_run(far, [params], initial, seed=5, graph=hook)
+        run = dsr_run(near, [params], initial, seed=5, graph=graph)
         traj = run.advance(2 * B + 3).trajectory()
         assert len(traj.values) == 2 * B + 4 and not traj.diverged
         state = InfoState.from_initial(initial)
-        for row in traj.values[1:]:
-            state = dsr_step(state, topo, params, seed=5, isolated="coast")
+        for k, row in enumerate(traj.values[1:]):
+            state = dsr_step(state, far if k else near, params, seed=5, isolated="coast")
             assert row.tobytes() == state.current.tobytes()
-        assert traj.values[-1, 9] == initial[9]  # at rest, so coasting keeps it
+        # agent 9 moves on step 0, then keeps only its reinforcement term
+        alone = traj.values[:, 9]
+        assert alone[1] != initial[9]
+        assert (alone[2:] == alone[1:-1] + 0.5 * (alone[1:-1] - alone[:-2])).all()
 
     def test_one_agent_leader_graph(self):
         topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
@@ -426,6 +436,25 @@ class TestSimulateMatchesStepLoop:
         traj = simulate(topo, params, np.zeros(1), 2 * B + 3)
         assert_same_run(traj, rows, diverged, 0.01)
 
+
+@pytest.mark.parametrize("model", ["dsr", "second-order"])
+def test_weighs_a_fixed_graph_once_per_run(monkeypatch, model):
+    weighed, weigh = [], dsr_core._weights
+
+    def weights(indptr, leader_ids):
+        weighed.append(indptr)
+        return weigh(indptr, leader_ids)
+
+    monkeypatch.setattr(dsr_core, "_weights", weights)
+    topo = lattice_topology(3, 3, {0})
+    params = DsrParams(100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6))
+    if model == "dsr":
+        run = dsr_run(topo, [params], np.zeros(9))
+    else:
+        run = second_order_run(topo, ContinuumParams(params, 0.001), np.zeros(9))
+    for steps in (1, B, 3 * B + 5):
+        run.advance(steps)
+    assert run.step == 3 * B + 5 and len(weighed) == 1 and weighed[0] is topo.indptr
 
 
 def fresh_stream_noise(seed, step, n, amplitude):

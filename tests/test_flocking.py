@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrnet import dsr_core, flocking
+from dsrnet.analysis import stability_sweep
+from dsrnet.continuum import ContinuumParams, simulate_diffusion, simulate_second_order
 from dsrnet.dsr_core import (
     DiscrepancyOperator,
     DsrParams,
@@ -16,6 +18,7 @@ from dsrnet.dsr_core import (
     Trajectory,
     detect_divergence,
     dsr_step,
+    simulate,
 )
 from dsrnet.flocking import FlockParams, _sensing_pairs, kinematic_step, run_maneuver
 from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog
@@ -278,36 +281,57 @@ class TestManeuverMatchesPerStepLoop:
         self.assert_matches(graph(positions), flock_params(0.96))
 
 
-@pytest.mark.parametrize("name", ["fig2_lattice", "fig2_disc_noise"])
+@pytest.mark.parametrize(
+    "name",
+    ["fig2_lattice", "fig2_disc_noise", "fixed-graph", "diffusion", "second-order", "sweep"],
+)
 def test_never_builds_an_operator(monkeypatch, name):
-    topology, params, seed = _preset_flock(name)
-
     def refuse(*_args, **_kwargs):
-        raise AssertionError("flocking stepped through the fixed-graph machinery")
+        raise AssertionError("a run stepped through the single-step machinery")
 
     monkeypatch.setattr(dsr_core.DiscrepancyOperator, "__init__", refuse)
     monkeypatch.setattr(flocking, "dsr_step", refuse)
-    flock = run_maneuver(topology, params, seed)
-    assert len(flock.times) == params.n_steps + 1 and not flock.diverged
+    if name.startswith("fig2"):
+        topology, params, seed = _preset_flock(name)
+        flock = run_maneuver(topology, params, seed)
+        assert len(flock.times) == params.n_steps + 1 and not flock.diverged
+        return
+    topology = graph(build_lattice(5, 5, 1.0), 6)
+    dsr = DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0))
+    if name == "sweep":
+        verdicts = stability_sweep(topology, dsr, [50.0, 100.0, 1e9], None, 300)
+        assert [v.diverged for v in verdicts] == [False, False, True]
+        return
+    runs = {
+        "fixed-graph": lambda: simulate(topology, dsr, np.zeros(25), 300),
+        "diffusion": lambda: simulate_diffusion(topology, dsr, np.zeros(25), 300),
+        "second-order": lambda: simulate_second_order(
+            topology, ContinuumParams(dsr, 0.001), np.zeros(25), 300
+        ),
+    }
+    traj = runs[name]()
+    assert len(traj.times) == 301 and not traj.diverged
 
 
 @pytest.mark.parametrize("name, most", [("fig2_lattice", 100), ("fig2_disc_noise", 400)])
 def test_weights_only_a_new_graph(monkeypatch, name, most):
-    # the pairs stay the same on most lattice steps, and on no disc step
+    # the pairs stay the same on most lattice steps, and on no disc step;
+    # the run weighs its topology's own graph first, when it is built
     topology, params, seed = _preset_flock(name)
-    weighed = []
+    weighed, weigh = [], dsr_core._weights
 
     def weights(indptr, leader_ids):
         weighed.append(indptr)
-        return dsr_core._weights(indptr, leader_ids)
+        return weigh(indptr, leader_ids)
 
-    monkeypatch.setattr(flocking, "_weights", weights)
+    monkeypatch.setattr(dsr_core, "_weights", weights)
     flock = run_maneuver(topology, params, seed)
+    assert weighed[0] is topology.indptr
     graphs = list(_sensing_pairs(flock.positions[:-1], topology.sensing_radius))
     new = [g for last, g in zip([None] + graphs, graphs) if g is not last]
-    assert [indptr.tolist() for indptr, _ in new] == [indptr.tolist() for indptr in weighed]
+    assert [indptr.tolist() for indptr, _ in new] == [indptr.tolist() for indptr in weighed[1:]]
     changed = sum(a[1].tolist() != b[1].tolist() for a, b in zip(graphs, graphs[1:]))
-    assert changed + 1 <= len(weighed) <= most
+    assert changed + 1 <= len(weighed) - 1 <= most
 
 
 @st.composite

@@ -377,6 +377,30 @@ class TestConfirmedRun:
         assert parse_config(paths["manifest"].read_text()).n_steps == 8
         assert report.settling_time is None
 
+    @pytest.mark.parametrize(
+        "experiment",
+        [
+            "lattice-info",
+            "continuum-diffusion",
+            "continuum-second-order\nbeta = 0.96\nintegrator_dt = 0.001",
+            "flocking",
+        ],
+        ids=["lattice-info", "continuum-diffusion", "continuum-second-order", "flocking"],
+    )
+    def test_zero_step_run_replays_from_its_manifest(self, tmp_path, experiment):
+        # the manifest of a 0-step run echoes max_steps = 0, which must parse
+        config = tmp_path / "zero.cfg"
+        config.write_text(f"experiment = {experiment}\nrows = 3\ncols = 3\nn_steps = 0\n")
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["run", "--config", str(config), "--out", str(first)]) == 0
+        manifest = first / "manifest.cfg"
+        assert parse_config(manifest.read_text()).max_steps == 0
+        assert main(["run", "--config", str(manifest), "--out", str(replay)]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in replay.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
 
 # Agents 1 m apart with a 0.9 m sensing radius: no agent has a neighbor.
 _SPACED_OUT = "rows = 5\ncols = 5\nleader = 6\nsensing_radius = 0.9\n"
@@ -672,8 +696,9 @@ def _config_strategy(wild, count):
     ``count``."""
     positive = _mostly(st.sampled_from([0.01, 0.5, 1.0, 1.2, 2.0, 100.0]), wild)
     real = _mostly(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.57]), wild)
-    # wild step counts are invalid ones: a huge max_steps is a valid request
-    # for a run as long as it names, which no test can afford
+    # wild step counts are at most 0, so invalid but for a max_steps of 0 (a
+    # run of no steps); a huge max_steps is a valid request for a run as long
+    # as it names, which no test can afford
     maybe = _mostly(st.none() | count, st.integers(-(10**12), 0))
     drawn = dict(
         experiment=st.sampled_from(EXPERIMENT_KINDS),
@@ -744,6 +769,8 @@ def test_any_config_is_rejected_or_writes_finite_artifacts(cfg):
         assert code in (0, 3)
         written = sorted(out.iterdir())
         assert written
+        # the manifest replays the run: parse_config raises if it is invalid
+        parse_config((out / "manifest.cfg").read_text())
         for path in written:
             text = path.read_text()
             if path.suffix == ".json":
