@@ -50,12 +50,21 @@ class MetricsReport:
     overshoot: float | None
 
 
+# Values a metric reduces at a time, so that no temporary grows with the record.
+_BLOCK_VALUES = 1 << 16
+
+
+def _blocks(values: np.ndarray):
+    """``(first row, rows)`` of ``values`` in blocks of whole rows, at most
+    _BLOCK_VALUES values each unless a single row is longer."""
+    step = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
+    for start in range(0, len(values), step):
+        yield start, values[start : start + step]
+
+
 def _row_max(values: np.ndarray, transform) -> np.ndarray:
-    """Per-row max of ``transform(values)``, evaluated in blocks of about
-    2**18 values so that no temporary grows as large as the trajectory."""
-    step = max(1, (1 << 18) // max(1, values.shape[1]))
-    blocks = (values[i : i + step] for i in range(0, len(values), step))
-    return np.concatenate([transform(block).max(axis=1) for block in blocks])
+    """Per-row max of ``transform(values)``, evaluated block by block."""
+    return np.concatenate([transform(block).max(axis=1) for _, block in _blocks(values)])
 
 
 def settling_time(
@@ -107,11 +116,17 @@ def threshold_delay(traj: Trajectory, threshold: float = 0.1) -> np.ndarray:
     """
     if not traj.leader_ids:
         raise ValueError("trajectory has no leader to reference")
-    crossed = traj.values >= threshold
-    ever = crossed.any(axis=0)
-    first_row = crossed.argmax(axis=0)
+    first_row = np.zeros(traj.n_agents, dtype=np.intp)
+    pending = np.ones(traj.n_agents, dtype=bool)
+    for start, block in _blocks(traj.values):
+        crossed = block >= threshold
+        now = pending & crossed.any(axis=0)
+        first_row[now] = start + crossed.argmax(axis=0)[now]
+        pending &= ~now
+        if not pending.any():
+            break
     crossing_times = traj.times[first_row].astype(float)
-    crossing_times[~ever] = np.nan
+    crossing_times[pending] = np.nan
     leader_times = crossing_times[list(traj.leader_ids)]
     if np.isnan(leader_times).all():
         return np.full(traj.n_agents, np.nan)
@@ -216,16 +231,17 @@ class SweepResult:
     settling_time: float | None
 
 
-def confirm_settling(run: BlockRun, steps: int, max_steps: int, settled_at):
-    """Advance a one-column run to ``steps`` steps and on, until it diverges,
-    reaches ``max_steps`` or runs CONFIRM_FACTOR times the settling time that
-    ``settled_at(run)`` reports (None while unsettled): one step past that
-    multiple once there is one, else twice as far. Returns the last horizon,
-    the settling time (None if diverged) and whether it was confirmed."""
+def confirm_settling(run: BlockRun, steps: int, max_steps: int):
+    """Advance a one-column run made with a band to ``steps`` steps and on,
+    until it diverges, reaches ``max_steps`` or runs CONFIRM_FACTOR times the
+    settling time its band reports (None while unsettled): one step past
+    that multiple once there is one, else twice as far. Returns the last
+    horizon, the settling time (None if diverged) and whether it was
+    confirmed."""
     while True:
         if run.advance(steps).diverged_steps[0] is not None:
             return steps, None, False
-        settled = settled_at(run)
+        settled = run.settling_times()[0]
         if settled is not None and steps * run.step_seconds >= CONFIRM_FACTOR * settled - 1e-12:
             return steps, settled, True
         if steps >= max_steps:
@@ -247,19 +263,16 @@ def settling_horizon(
     """Steps needed for the run to settle, found by growing the horizon.
 
     One unrecorded run grows from 1000 steps (or ``max_steps``, if fewer)
-    by the rule of ``confirm_settling``, judged on the band the engine
-    tracks. Falls back to twice the divergence step (at least 1000, at most
-    ``max_steps``) for unstable parameters and to the last horizon if the
-    settling is not confirmed within ``max_steps``.
+    by the rule of ``confirm_settling``. Falls back to twice the divergence
+    step (at least 1000, at most ``max_steps``) for unstable parameters and
+    to the last horizon if the settling is not confirmed within ``max_steps``.
     """
     if initial is None:
         initial = np.zeros(topology.n_agents)
     run = dsr_run(
         topology, [params], initial, seed, record_every=None, band=params.source.band(band)
     )
-    steps, settled, confirmed = confirm_settling(
-        run, min(1000, max_steps), max_steps, lambda run: run.settling_times()[0]
-    )
+    steps, settled, confirmed = confirm_settling(run, min(1000, max_steps), max_steps)
     if run.diverged_steps[0] is not None:
         return min(max(2 * run.diverged_steps[0], 1000), max_steps)
     return int(np.ceil(settled / params.update_interval)) if confirmed else steps

@@ -129,11 +129,13 @@ def second_order_run(
     params: ContinuumParams,
     initial,
     record_every: int = 1,
+    band=None,
 ) -> BlockRun:
     """A resumable run of the wave-like model on the block-stepped engine.
 
     The rate starts at zero. Same arithmetic, in the same order, as
-    :func:`second_order_step`.
+    :func:`second_order_step`. A ``band`` (see BlockRun) is judged on the
+    values only.
     """
     dsr, h = params.dsr, params.integrator_step
     scale = dsr.dsr_gain * dsr.update_interval
@@ -151,7 +153,7 @@ def second_order_run(
     drive = (dsr.alignment_strength / scale) * h
     return BlockRun(
         topology, dsr.source, initial, update, [drive], params=params,
-        step_seconds=h, state_width=2, record_every=record_every,
+        step_seconds=h, state_width=2, record_every=record_every, band=band,
     )
 
 

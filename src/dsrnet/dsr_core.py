@@ -148,20 +148,6 @@ class Trajectory:
     def n_agents(self) -> int:
         return self.values.shape[1]
 
-    def decimate(self, stride: int) -> "Trajectory":
-        """Keep every stride-th row plus the final row (row 0 always kept)."""
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
-        rows = self.values.shape[0]
-        keep = np.unique(np.append(np.arange(0, rows, stride), rows - 1))
-        return Trajectory(
-            times=self.times[keep],
-            values=self.values[keep],
-            params=self.params,
-            leader_ids=self.leader_ids,
-            diverged_step=self.diverged_step,
-        )
-
 
 def _weights(indptr, leader_ids):
     """Over the CSR with row pointer ``indptr``: each edge's weight 1/(neighbors
@@ -356,9 +342,11 @@ class BlockRun:
     column's run ends there and it leaves the state. Steps after it, up to
     the end of the block, are computed and never kept. With ``record_every``
     (one column only) the run records step 0, every ``record_every``-th step
-    and the last or diverged step. With ``band = (target, half_width)`` (one
-    state row only) it tracks, per column, the last step at which a value
-    lies further than ``half_width`` from the target.
+    and the last or diverged step. With ``band = (target, half_width)`` it
+    tracks, per column, whether a value of the first state row lies further
+    than ``half_width`` from the target at the current step, and the last
+    such step among those it keeps whatever comes next: every step of an
+    unrecorded run, the stride steps of a recorded one.
     """
 
     def __init__(
@@ -369,8 +357,6 @@ class BlockRun:
             raise ValueError("record_every must be at least 1")
         if record_every is not None and len(gains) != 1:
             raise ValueError("only a single-column run can be recorded")
-        if band is not None and state_width > 1:
-            raise ValueError("a band can be tracked only on a one-row state")
         self._leader_ids = tuple(sorted(topology.leader_ids))
         self._source, self._hook = source, graph
         _require_connected(self._use((topology.indptr, topology.indices))[-1])
@@ -391,6 +377,7 @@ class BlockRun:
             self._tolerance = band[1]
             outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
             self._last_outside = np.full(m, 0 if outside else -1)
+            self._outside_now = np.full(m, outside)
         self._record_every, self._filled = record_every, 1
         self._values, self._kept = start[None, :], np.zeros(1, dtype=np.int64)
 
@@ -450,19 +437,20 @@ class BlockRun:
 
     def _check(self, steps, last):
         """Divergence, band and record bookkeeping after one block."""
-        ring = self._ring
-        size, width, m = len(ring), ring.shape[1], self.columns.size
+        ring, size = self._ring, len(self._ring)
         rows = steps % size
-        # one contiguous (column, state) row per slot for fast reductions
-        flat = np.ascontiguousarray(
-            ring.reshape(size, width * self._n, m).transpose(0, 2, 1)
-        )
-        hi = flat.max(axis=2, initial=-np.inf)[rows]
-        lo = flat.min(axis=2, initial=np.inf)[rows]
-        bad = ~(np.maximum(hi, -lo) <= DIVERGENCE_LIMIT)
+        # one contiguous run of n values per slot, column and state row for
+        # fast reductions; hi and lo are (step, column, state row)
+        flat = np.ascontiguousarray(ring.transpose(0, 3, 1, 2))
+        hi = flat.max(axis=3, initial=-np.inf)[rows]
+        lo = flat.min(axis=3, initial=np.inf)[rows]
+        bad = ~(np.maximum(hi, -lo) <= DIVERGENCE_LIMIT).all(axis=2)
         diverged, first = bad.any(axis=0), bad.argmax(axis=0)
         if self._band is not None:
-            outside = self._outside(hi, lo)
+            outside = self._outside(hi[..., 0], lo[..., 0])
+            self._outside_now[self.columns] = outside[-1]
+            if self._record_every is not None:
+                outside &= (steps % self._record_every == 0)[:, None]
             seen = outside.any(axis=0)
             latest = steps[len(steps) - 1 - outside[::-1].argmax(axis=0)]
             self._last_outside[self.columns[seen]] = latest[seen]
@@ -494,23 +482,24 @@ class BlockRun:
         self._values, self._kept = values, kept
 
     def trajectory(self) -> Trajectory:
-        """The record so far of a run made with ``record_every``."""
-        filled, values = self._filled, self._values
-        if filled != len(values):
-            values = values[:filled].copy()
+        """The record so far of a run made with ``record_every``: a view of
+        the run's arrays, which the run never writes again."""
+        filled = self._filled
         return Trajectory(
-            self._kept[:filled] * self.step_seconds, values, self._params,
+            self._kept[:filled] * self.step_seconds, self._values[:filled], self._params,
             self._leader_ids, self.diverged_steps[0],
         )
 
     def settling_times(self) -> list[float | None]:
-        """Per column, the first time from which every value stays inside
-        the band through the current step; None for a column that diverged
-        or is outside the band now."""
+        """Per column, the time of the first kept step from which every value
+        stays inside the band through the current step; None for a column
+        that diverged or is outside the band now. For a recorded run this is
+        ``analysis.settling_time`` on its record, bit for bit."""
+        every = self._record_every or 1
         return [
-            None if bad is not None or last == self.step
-            else (int(last) + 1) * self.step_seconds
-            for bad, last in zip(self.diverged_steps, self._last_outside)
+            None if bad is not None or now
+            else (0 if last < 0 else min(int(last) + every, self.step)) * self.step_seconds
+            for bad, now, last in zip(self.diverged_steps, self._outside_now, self._last_outside)
         ]
 
 

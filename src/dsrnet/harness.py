@@ -6,9 +6,9 @@ run can be reproduced byte-for-byte from its manifest alone. Metrics go to
 a JSON document with fixed keys; trajectories and plot tables go to CSV
 with UNIX newlines and nine significant digits. Every artifact is written
 line by line through one writer; none is assembled in memory first. The
-matrix CSVs (trajectories and radial acceleration) format their rows a
-block of about 2**12 values at a time with ``csvfmt.format_rows``, which
-gives the per-value "%.9g" text byte for byte.
+matrix CSVs (trajectories and radial acceleration) gather their rows from
+the record and format them a block of about 2**12 values at a time with
+``csvfmt.format_rows``, which gives the per-value "%.9g" text byte for byte.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ EXPERIMENT_KINDS = (
 )
 NAMED_LEADERS = ("corner", "edge-midpoint", "center")
 
-# Rows targeted by the automatic trajectory-CSV decimation.
+# Rows targeted by the automatic trajectory-CSV stride.
 MAX_CSV_ROWS = 1200
 
 # Nonzero floats must lie within this factor of 1, so that the products and
@@ -311,20 +311,16 @@ def _dsr_params(cfg: ExperimentConfig) -> DsrParams:
 
 def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_steps):
     """Record, settling time and horizon of a lattice-info or continuum run
-    grown from ``steps`` by ``analysis.confirm_settling``, judged on the
-    record. The run is freed on return, before the artifacts are written."""
-    initial, source = np.zeros(topology.n_agents), _source(cfg)
+    grown from ``steps`` by ``analysis.confirm_settling``, judged on the band
+    over the rows the run keeps. The run is freed on return, before the
+    artifacts are written."""
+    initial, band = np.zeros(topology.n_agents), _source(cfg).band(0.02)
     if cfg.experiment == "continuum-second-order":
         params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
-        run = second_order_run(topology, params, initial, cfg.record_every)
+        run = second_order_run(topology, params, initial, cfg.record_every, band)
     else:
-        run = dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every)
-
-    def settled_at(run):
-        traj = run.trajectory()
-        return analysis.settling_time(traj, source.final, initial_value=source.initial)
-
-    steps, settled, _ = analysis.confirm_settling(run, steps, max_steps, settled_at)
+        run = dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every, band)
+    steps, settled, _ = analysis.confirm_settling(run, steps, max_steps)
     return run.trajectory(), settled, steps
 
 
@@ -418,21 +414,27 @@ def _cell(value) -> str:
 _BLOCK_VALUES = 2**12
 
 
-def _matrix_lines(times: np.ndarray, matrix: np.ndarray):
-    """The header line, then each formatted block of rows as one item."""
+def _matrix_lines(times: np.ndarray, matrix: np.ndarray, stride: int):
+    """The header line, then each formatted block of rows as one item: rows
+    0, stride, 2 * stride, ... and the last, gathered a block at a time."""
     yield ",".join(["t"] + [f"agent_{i}" for i in range(matrix.shape[1])])
+    last = len(times) - 1
+    keep = np.unique(np.append(np.arange(0, last + 1, stride), last))
     step = max(1, _BLOCK_VALUES // (matrix.shape[1] + 1))
-    for start in range(0, len(times), step):
-        block = np.column_stack((times[start:start + step], matrix[start:start + step]))
-        yield format_rows(block)
+    for start in range(0, len(keep), step):
+        rows = keep[start : start + step]
+        yield format_rows(np.column_stack((times[rows], matrix[rows])))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV: header ``t,agent_0,...``, one row per step.
+def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:
+    """Write a trajectory as CSV: header ``t,agent_0,...``, then its rows 0,
+    stride, 2 * stride, ... and its last row, read from the record in place.
 
     Values carry nine significant digits; output bytes are deterministic.
     """
-    _write_lines(Path(path), _matrix_lines(traj.times, traj.values))
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    _write_lines(Path(path), _matrix_lines(traj.times, traj.values, stride))
 
 
 def _delay_lines(pairs):
@@ -525,7 +527,7 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
             cfg, leader=str(leader), n_steps=steps, max_steps=max_steps, csv_stride=stride
         )
         paths["trajectory"] = out / "trajectory.csv"
-        write_trajectory_csv(traj.decimate(stride), paths["trajectory"])
+        write_trajectory_csv(traj, paths["trajectory"], stride)
         paths["metrics"] = out / "metrics.json"
         _write_lines(paths["metrics"], _metrics_lines(result, cfg.experiment))
         if result.per_agent_delay:

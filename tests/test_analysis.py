@@ -22,6 +22,7 @@ from dsrnet.analysis import (
     threshold_delay,
     transfer_speed,
 )
+from dsrnet.continuum import ContinuumParams, second_order_run
 from dsrnet.dsr_core import (
     _MAX_BLOCK_STEPS, DsrParams, StepSource, Trajectory, dsr_run, simulate,
 )
@@ -503,3 +504,106 @@ class TestSettlingHorizonMatchesOracle:
         params = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
         assert settling_horizon(topo, params) == 6899
         assert [run.step for run in runs] == [10_350]
+
+
+class TestBandMatchesRecord:
+    """A run's band against ``settling_time`` on its record, bit for bit,
+    after every advance."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        model=st.sampled_from(["dsr", "noisy-dsr", "second-order"]),
+        diverges=st.booleans(),
+        record_every=st.integers(1, 9),
+        source=st.sampled_from([(0.0, 1.0), (1.0, 0.0), (0.2, -0.7)]),
+        switch_step=st.integers(0, 30),
+        band=st.sampled_from([0.02, 0.2]),
+        horizons=st.lists(
+            st.tuples(st.integers(0, 50), st.booleans(), st.integers(1, 8)),
+            min_size=2, max_size=3,
+        ),
+    )
+    def test_settling_times_equal_the_records(
+        self, model, diverges, record_every, source, switch_step, band, horizons
+    ):
+        # the stable models settle within about 150 (DSR) and 372 (second
+        # order) steps; the diverging ones blow up at about step 30 and 125
+        step_source = StepSource(*source, switch_step)
+        fraction, topo = band, lattice_with_leader(3)
+        initial = np.linspace(-0.3, 0.3, 9)
+        if model == "second-order":
+            dsr = DsrParams(100.0, 0.5, 0.01, step_source)
+            params = ContinuumParams(dsr, 0.004 if diverges else 0.002)
+            run = second_order_run(topo, params, initial, record_every, step_source.band(band))
+        else:
+            noise = 0.01 if model == "noisy-dsr" else 0.0
+            params = DsrParams(182.02 if diverges else 100.0, 0.5, 0.01, step_source, noise)
+            run = dsr_run(topo, [params], initial, 4, record_every, step_source.band(band))
+        steps = 0
+        for multiple, on_stride, offset in horizons:
+            # on the stride, or off it by 1 to record_every - 1 steps
+            steps += multiple * record_every + (0 if on_stride else offset % record_every)
+            traj = run.advance(steps).trajectory()
+            expected = settling_time(traj, source[1], fraction, initial_value=source[0])
+            got = run.settling_times()[0]
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_second_order_rate_outside_the_band_does_not_count(self):
+        # the rate settles near 0, far outside a band around 1
+        step_source = StepSource(0.0, 1.0, 0)
+        params = ContinuumParams(DsrParams(100.0, 0.5, 0.01, step_source), 0.002)
+        run = second_order_run(lattice_with_leader(3), params, np.zeros(9), 7, (1.0, 0.02))
+        traj = run.advance(600).trajectory()
+        assert run.settling_times() == [settling_time(traj, 1.0)]
+        assert 0.7 < run.settling_times()[0] < 0.8
+
+
+def oracle_threshold_delay(traj, threshold):
+    """The whole-array formula: one boolean array the size of the record."""
+    crossed = traj.values >= threshold
+    crossing_times = traj.times[crossed.argmax(axis=0)].astype(float)
+    crossing_times[~crossed.any(axis=0)] = np.nan
+    leader_times = crossing_times[list(traj.leader_ids)]
+    if np.isnan(leader_times).all():
+        return np.full(traj.n_agents, np.nan)
+    return crossing_times - np.nanmin(leader_times)
+
+
+def oracle_overshoot(traj, final_value):
+    """The whole-array formula."""
+    sign = 1.0 if final_value > 0 else -1.0
+    excess = (sign * traj.values - abs(final_value)).max()
+    return max(0.0, float(excess)) / abs(final_value)
+
+
+class TestBlockedMetricsMatchOracles:
+    """``threshold_delay`` and ``overshoot`` reduce the record a block of at
+    most 2**16 values at a time; the whole-array formulas are the oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 700),
+        agents=st.sampled_from([1, 7, 300, 70_000]),
+        silent=st.floats(0.0, 1.0),
+        leader_crosses=st.booleans(),
+        final_value=st.sampled_from([1.0, -0.5, 2.0]),
+    )
+    def test_equal_to_whole_array_formulas(
+        self, seed, rows, agents, silent, leader_crosses, final_value
+    ):
+        rows = min(rows, max(1, 400_000 // agents))  # at most 3.2 MB
+        rng = np.random.default_rng(seed)
+        # random walks that cross 0.1 at scattered rows; a share of the
+        # agents (and the leader, unless it crosses) stay below it
+        values = np.cumsum(rng.normal(0.0, 0.05, (rows, agents)), axis=0)
+        never = rng.random(agents) < silent
+        leaders = sorted({0, agents // 2})
+        never[leaders] = not leader_crosses
+        values[:, never] = np.minimum(values[:, never], 0.0)
+        traj = make_trajectory(np.arange(rows) * 0.01, values, leader_ids=leaders)
+        got, expected = threshold_delay(traj, 0.1), oracle_threshold_delay(traj, 0.1)
+        assert got.tobytes() == expected.tobytes()
+        assert overshoot(traj, final_value) == oracle_overshoot(traj, final_value)

@@ -509,13 +509,23 @@ class TestBatchedColumns:
         with pytest.raises(ValueError, match="single-column"):
             dsr_run(topo, [base, replace(base, alignment_strength=9.0)], np.zeros(9))
 
-    def test_band_needs_a_one_row_state(self):
+    @pytest.mark.parametrize("record_every", [None, 1, 3])
+    def test_two_row_band_reads_only_the_value_row(self, record_every):
+        # the values sit on the target from step 0 while the second row lies
+        # far outside the band; that row still ends the run when it blows up
         topo = lattice_topology(3, 3, {0})
-        with pytest.raises(ValueError, match="one-row state"):
-            BlockRun(
-                topo, STEP_TO_ONE, np.zeros(9), None, [1.0], params=None,
-                step_seconds=0.01, state_width=2, band=(1.0, 0.02),
-            )
+
+        def update(k, delta, scratch, gain, prev, cur, nxt, coast):
+            nxt[0][...] = cur[0]
+            nxt[1][...] = np.inf if k == 2 * B else 50.0
+
+        run = BlockRun(
+            topo, STEP_TO_ONE, np.ones(9), update, [1.0], params=None,
+            step_seconds=0.01, state_width=2, record_every=record_every, band=(1.0, 0.02),
+        )
+        assert run.advance(B + 5).settling_times() == [0.0]
+        assert run.advance(3 * B).diverged_steps == [2 * B + 1]
+        assert run.settling_times() == [None]
 
 
 class TestExtendedRun:
@@ -535,14 +545,20 @@ class TestExtendedRun:
             assert traj.values.tobytes() == fresh.values.tobytes()
             assert traj.times.tobytes() == fresh.times.tobytes()
 
-    def test_handed_out_trajectory_is_not_overwritten(self):
+    @pytest.mark.parametrize("ks", [100.0, 182.02], ids=["stable", "diverges-at-30"])
+    def test_handed_out_trajectory_is_not_overwritten(self, ks):
+        # a trajectory is a view of the record, also when the run stops
+        # short of its reserved rows, and the next advance writes new arrays
         topo = lattice_topology(3, 3, {0})
-        params = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
+        params = DsrParams(ks, 0.5, 0.01, STEP_TO_ONE)
         run = dsr_run(topo, [params], np.zeros(9))
         first = run.advance(20).trajectory()
         kept = first.values.copy()
-        run.advance(40)
+        second = run.advance(40).trajectory()
         assert first.values.tobytes() == kept.tobytes()
+        assert len(second.values) == (31 if ks > 100.0 else 41)
+        assert np.shares_memory(second.values, run._values)
+        assert not np.shares_memory(first.values, run._values)
 
     def test_cannot_go_back(self):
         topo = lattice_topology(3, 3, {0})

@@ -21,7 +21,7 @@ from dsrnet.dsr_core import (
     simulate,
 )
 from dsrnet.flocking import FlockParams, _sensing_pairs, kinematic_step, run_maneuver
-from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog
+from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog, write_trajectory_csv
 from dsrnet.topology import NetworkTopology, build_lattice
 
 TURN = dict(initial_heading=-np.pi / 4, target_heading=np.pi / 2)
@@ -194,15 +194,17 @@ class TestRunManeuver:
         assert np.all(flock.headings[:6] == 0.2)  # step k reads step k's source
         assert np.all(flock.headings[6:, 0] > 0.2)
 
-    def test_trajectory_is_a_trajectory_of_headings(self):
+    def test_trajectory_is_a_trajectory_of_headings(self, tmp_path):
         params = flock_params(0.96, n_steps=12)
         flock = run_maneuver(graph(build_lattice(4, 4, 1.0)), params)
         assert isinstance(flock, Trajectory)
         assert flock.headings is flock.values
         assert flock.params is params
         assert flock.n_agents == 16
-        thin = flock.decimate(5)
-        assert np.array_equal(thin.values, flock.headings[[0, 5, 10, 12]])
+        write_trajectory_csv(flock, tmp_path / "t.csv", 5)
+        rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == pytest.approx([0.0, 0.05, 0.1, 0.12])
+        assert np.abs(rows[:, 1:] - flock.headings[[0, 5, 10, 12]]).max() < 1e-8
 
 
 def _preset_flock(name, **changes):

@@ -22,6 +22,10 @@ from dsrnet.harness import (
     ConfigError,
     ExperimentConfig,
     _DEFAULTS,
+    _auto_stride,
+    _confirmed_run,
+    _info_metrics,
+    _resolve_topology,
     _unused_keys,
     _validate,
     config_text,
@@ -235,12 +239,35 @@ class TestTrajectoryCsv:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 8
 
-    def test_decimate_keeps_first_and_last_rows(self):
-        traj = self.make_trajectory(11, 2)
-        thin = traj.decimate(4)
-        assert thin.times.tolist() == pytest.approx([0.0, 0.04, 0.08, 0.10])
-        assert np.array_equal(thin.values[0], traj.values[0])
-        assert np.array_equal(thin.values[-1], traj.values[-1])
+    @pytest.mark.parametrize(
+        "rows, stride, kept",
+        [(11, 4, [0, 4, 8, 10]), (9, 4, [0, 4, 8]), (1, 3, [0]), (2, 5, [0, 1]), (5, 1, None)],
+    )
+    def test_stride_keeps_first_and_last_rows(self, tmp_path, rows, stride, kept):
+        traj = self.make_trajectory(rows, 2)
+        write_trajectory_csv(traj, tmp_path / "t.csv", stride)
+        lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        kept = list(range(rows)) if kept is None else kept
+        assert [line.split(",")[0] for line in lines] == ["%.9g" % traj.times[k] for k in kept]
+        assert lines[-1] == ",".join("%.9g" % v for v in [traj.times[-1], *traj.values[-1]])
+
+    @pytest.mark.parametrize("rows, agents, stride", [(2000, 9, 7), (41, 300, 4), (3, 5000, 2)])
+    def test_stride_rows_are_the_kept_rows_written_whole(self, tmp_path, rows, agents, stride):
+        # the rows gathered a block at a time give the bytes of writing the
+        # kept rows, values[keep], as a trajectory of their own
+        rng = np.random.default_rng(agents)
+        values = rng.standard_normal((rows, agents)) * 10.0 ** rng.integers(-6, 7, agents)
+        traj = Trajectory(np.arange(rows) * 0.01, values, None, (0,))
+        keep = np.unique(np.append(np.arange(0, rows, stride), rows - 1))
+        write_trajectory_csv(traj, tmp_path / "strided.csv", stride)
+        kept = Trajectory(traj.times[keep], values[keep], None, (0,))
+        write_trajectory_csv(kept, tmp_path / "kept.csv")
+        assert (tmp_path / "strided.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
+    def test_stride_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="stride"):
+            write_trajectory_csv(self.make_trajectory(3, 2), tmp_path / "t.csv", 0)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestRunPreset:
@@ -401,6 +428,28 @@ class TestConfirmedRun:
         for name in names:
             assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
+    def test_metrics_and_csv_read_the_record_in_bounded_blocks(self, tmp_path):
+        # a 2,001 x 1,600 record (25.6 MB): the metrics reduce it, and the
+        # CSV gathers its stride rows, a small block at a time, with no
+        # temporary that grows with the record
+        cfg = parse_config(
+            "experiment = lattice-info\nrows = 40\ncols = 40\nks = 100\nbeta = 0.96\n"
+            "n_steps = 2000\nmax_steps = 2000\n"
+        )
+        topology, leader = _resolve_topology(cfg)
+        traj, settled, _ = _confirmed_run(cfg, topology, 2000, 2000)
+        assert traj.values.shape == (2001, 1600)
+        tracemalloc.start()
+        try:
+            report = _info_metrics(cfg, topology, leader, traj, settled)
+            write_trajectory_csv(traj, tmp_path / "t.csv", _auto_stride(len(traj.values)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert len(report.per_agent_delay) == 1600
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 1001
+
 
 # Agents 1 m apart with a 0.9 m sensing radius: no agent has a neighbor.
 _SPACED_OUT = "rows = 5\ncols = 5\nleader = 6\nsensing_radius = 0.9\n"
@@ -503,14 +552,14 @@ class TestCli:
         written = []
         original = harness.write_trajectory_csv
 
-        def recorded(traj, path):
-            written.append((Path(path).name, traj.values.shape))
-            original(traj, path)
+        def recorded(traj, path, *stride):
+            written.append((Path(path).name, traj.values.shape, *stride))
+            original(traj, path, *stride)
 
         monkeypatch.setattr(harness, "write_trajectory_csv", recorded)
         cfg = parse_config("experiment = flocking\nrows = 5\ncols = 5\nleader = 6\nn_steps = 6\n")
         paths, _ = run_config(cfg, tmp_path)
-        assert written == [("radial_acceleration.csv", (5, 25)), ("trajectory.csv", (7, 25))]
+        assert written == [("radial_acceleration.csv", (5, 25)), ("trajectory.csv", (7, 25), 1)]
         assert len(paths["radial_acceleration"].read_text().splitlines()) == 6
 
     def test_two_step_flocking_run_gives_undefined_lags(self, tmp_path, capsys):
