@@ -25,23 +25,16 @@ from .analysis import (
 )
 from .continuum import (
     ContinuumParams,
-    SecondOrderState,
-    diffusion_step,
     predicted_wave_speed,
-    second_order_step,
     simulate_diffusion,
     simulate_second_order,
 )
 from .dsr_core import (
     DIVERGENCE_LIMIT,
-    DiscrepancyOperator,
     DsrParams,
-    InfoState,
     IsolatedAgentError,
     StepSource,
     Trajectory,
-    detect_divergence,
-    dsr_step,
     simulate,
 )
 from .flocking import FlockParams, FlockTrajectory, kinematic_step, run_maneuver

@@ -194,18 +194,16 @@ class DiscrepancyOperator:
     neighborhood; for leaders the external source joins the average as one
     additional member, so the discrepancy is ``values - A @ values -
     pull(source_value)``, with A the per-edge ``weights`` over the
-    topology's own CSR. Rows of non-leader agents with empty neighborhoods
-    are reported in ``isolated`` (``has_isolated`` tells whether there are
-    any) and return a discrepancy of zero, leaving the caller to decide
-    between raising and coasting. The reference of the single steps
-    ``dsr_step`` and ``second_order_step``; a run weighs graphs in BlockRun.
+    topology's own CSR, on every row. Non-leader agents with empty
+    neighborhoods are flagged in ``isolated``, for the single steps
+    ``dsr_step`` and ``second_order_step`` to raise on; a run weighs graphs
+    in BlockRun.
     """
 
     def __init__(self, topology: NetworkTopology):
         self.weights, self._source_weight, self.isolated = _weights(
             topology.indptr, topology.leader_ids
         )
-        self.has_isolated = bool(self.isolated.any())
         self._csr = topology.indptr, topology.indices, self.weights
 
     def pull(self, source_value: float) -> np.ndarray:
@@ -213,10 +211,7 @@ class DiscrepancyOperator:
         return self._source_weight * source_value
 
     def __call__(self, values: np.ndarray, source_value: float) -> np.ndarray:
-        delta = _discrepancy(*self._csr, self.pull(source_value), values, np.empty(len(values)))
-        if self.has_isolated:
-            delta[self.isolated] = 0.0
-        return delta
+        return _discrepancy(*self._csr, self.pull(source_value), values, np.empty(len(values)))
 
 
 class _StepNoise:
@@ -277,32 +272,24 @@ def dsr_step(
     seed: int | None = None,
     *,
     operator: DiscrepancyOperator | None = None,
-    isolated: str = "error",
 ) -> InfoState:
     """Advance every agent one synchronous update.
 
-    ``isolated`` selects what happens to a non-leader with an empty
-    neighborhood: ``"error"`` raises, ``"coast"`` lets it keep only its
-    reinforcement term for the step (the tests' per-step flocking oracle,
-    where neighborhoods churn). ``operator`` may pass a precomputed
-    DiscrepancyOperator when the topology is reused across many steps.
+    Raises IsolatedAgentError for a non-leader with an empty neighborhood,
+    as a run does. ``operator`` may pass a precomputed DiscrepancyOperator
+    when the topology is reused across many steps.
     """
     op = operator if operator is not None else DiscrepancyOperator(topology)
-    if isolated == "error":
-        _require_connected(op.isolated)
-    elif isolated != "coast":
-        raise ValueError("isolated must be 'error' or 'coast'")
-
+    _require_connected(op.isolated)
     noise = _step_noise(params, seed)
     delta = op(state.current, params.source.value(state.step))
     if noise is not None:
         delta += noise(state.step, state.current.size)
     new_values = np.empty(state.current.shape)
     ksdt = params.alignment_strength * params.update_interval
-    coast = op.isolated if op.has_isolated else None
     _dsr_update(
         state.current, state.previous, delta, new_values, np.empty_like(delta),
-        ksdt, params.dsr_gain, coast,
+        ksdt, params.dsr_gain,
     )
     return InfoState(current=new_values, previous=state.current, step=state.step + 1)
 

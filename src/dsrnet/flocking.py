@@ -73,7 +73,7 @@ def kinematic_step(
 def _sensing_pairs(positions, radius: float):
     """Yield the CSR ``(indptr, indices)`` of the sensing graph at each row of
     ``positions``, reading a row only when its graph is requested, and the same
-    tuple again while the kept candidate pairs stay the same.
+    tuple again while the kept pairs stay the same, across candidate rebuilds too.
 
     Pairs are filtered from candidates within ``radius + skin`` at an anchor
     row. With d_i an agent's displacement since then and d the mean, a pair's
@@ -83,7 +83,7 @@ def _sensing_pairs(positions, radius: float):
     their rounding is relative to themselves and to the distance travelled
     since the anchor, which the margin covers.
     """
-    skin, anchor = _SKIN * radius, None
+    skin, anchor, graph = _SKIN * radius, None, None
     for pos in positions:
         if anchor is not None:
             moved = pos - anchor
@@ -97,7 +97,9 @@ def _sensing_pairs(positions, radius: float):
         keep = pairs_within(pos, rows, candidates.indices, radius)
         if kept != (kept := keep.tobytes()):  # else the last step's graph again
             at = np.flatnonzero(keep)  # row i starts after the pairs kept before indptr[i]
-            graph = np.searchsorted(at, candidates.indptr), candidates.indices[at]
+            new = np.searchsorted(at, candidates.indptr), candidates.indices[at]
+            if graph is None or not all(map(np.array_equal, new, graph)):
+                graph = new
         yield graph
 
 

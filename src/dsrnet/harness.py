@@ -409,8 +409,10 @@ def _cell(value) -> str:
 
 
 # Values a matrix CSV formats together, in whole rows and at least one. A
-# block holds about 100 bytes of numpy temporaries per value, so this keeps
-# the writer's peak near half a megabyte unless a single row is longer.
+# block holds about 100 bytes of numpy temporaries per value, near half a
+# megabyte unless a single row is longer. The worst case measured is a block
+# mostly in csvfmt's "%.9g" fallback: formatting it peaked 1.73 MiB above
+# the memory before it (tracemalloc; 40x40 lattice-info, 2,000 steps, stride 2).
 _BLOCK_VALUES = 2**12
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dsrnet import dsr_core
 from dsrnet.continuum import (
     ContinuumParams,
     SecondOrderState,
@@ -17,7 +18,6 @@ from dsrnet.continuum import (
 )
 from dsrnet.dsr_core import (
     _MAX_BLOCK_STEPS,
-    DIVERGENCE_LIMIT,
     DiscrepancyOperator,
     DsrParams,
     InfoState,
@@ -27,6 +27,8 @@ from dsrnet.dsr_core import (
     dsr_step,
 )
 from dsrnet.topology import NetworkTopology, build_lattice
+
+import per_agent
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 
@@ -231,49 +233,34 @@ class TestSimulators:
 B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
 
 
-def stepped_run(advance, state, arrays, n_steps, record_every, step_seconds):
-    """Reference run: ``advance`` in a plain loop, checked after every step.
-
-    ``arrays(state)`` gives the recorded values first, then any other state
-    the divergence check covers.
-    """
-    steps, rows, diverged_step = [0], [arrays(state)[0]], None
-    # the reference itself may overflow on the diverging step
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            state = advance(state)
-            if not np.abs(np.concatenate(arrays(state))).max() <= DIVERGENCE_LIMIT:
-                diverged_step = step
-            if step % record_every == 0 or step == n_steps or diverged_step:
-                steps.append(step)
-                rows.append(arrays(state)[0])
-            if diverged_step:
-                break
-    return np.array(steps) * step_seconds, np.array(rows), diverged_step
+def stepped_run(advance, state, n_steps, record_every, step_seconds):
+    """Reference run: the per-agent ``advance(k, state)`` in a plain loop from
+    ``state``, checked after every step. Keeps the values (the first list of
+    a state) at step 0, every ``record_every``-th step and the last."""
+    states, diverged_step = per_agent.run(advance, state, n_steps)
+    last = len(states) - 1
+    kept = [k for k in range(last + 1) if k % record_every == 0 or k == last]
+    return np.array(kept) * step_seconds, np.array([states[k][0] for k in kept]), diverged_step
 
 
 def second_order_reference(topo, params, initial, n_steps, record_every):
-    op = DiscrepancyOperator(topo)
+    """The wave model from ``initial`` with every rate at zero."""
+    graph, start = (topo.indptr, topo.indices), np.asarray(initial, dtype=float).tolist()
     return stepped_run(
-        lambda s: second_order_step(s, topo, params, operator=op),
-        SecondOrderState.from_initial(initial),
-        lambda s: (s.value, s.rate),
-        n_steps,
-        record_every,
-        params.integrator_step,
+        lambda k, state: per_agent.wave_step(graph, topo.leader_ids, params, *state, k),
+        (start, [0.0] * len(start)), n_steps, record_every, params.integrator_step,
     )
 
 
 def diffusion_reference(topo, params, initial, n_steps, record_every):
-    op = DiscrepancyOperator(topo)
-    return stepped_run(
-        lambda s: diffusion_step(s, topo, params, operator=op),
-        InfoState.from_initial(initial),
-        lambda s: (s.current,),
-        n_steps,
-        record_every,
-        params.update_interval,
-    )
+    """The noiseless zero-gain DSR update from an at-rest ``initial``."""
+    graph, start = (topo.indptr, topo.indices), np.asarray(initial, dtype=float).tolist()
+    params = replace(params, dsr_gain=0.0, noise_amplitude=0.0)
+
+    def advance(k, state):
+        return per_agent.dsr_step(graph, topo.leader_ids, params, *state, k), state[0]
+
+    return stepped_run(advance, (start, start), n_steps, record_every, params.update_interval)
 
 
 def assert_same_run(traj, expected):
@@ -289,9 +276,16 @@ STEP_COUNTS = [0, 1, B - 1, B, B + 1, 2 * B + 3]
 STRIDES = [1, 3, B, 80]
 
 
+def long_wave_run():
+    """3,000 steps of the wave model at fig3b_unstable's integrator step on a
+    5x5 lattice, led from one agent in from a corner."""
+    params = wave_params(100.0, 0.5, 0.01, 2.493e-4, STEP_TO_ONE)
+    return lattice_topology(5, 5, {6}), params, np.zeros(25), 3000
+
+
 class TestEngineMatchesStepLoop:
-    """Both continuum simulators against their single-step functions, bit
-    for bit, including the recorded steps and the divergence step."""
+    """Both continuum simulators against the per-agent oracle, bit for bit,
+    including the recorded steps and the divergence step."""
 
     @pytest.mark.parametrize("n_steps", STEP_COUNTS)
     @pytest.mark.parametrize("record_every", STRIDES)
@@ -368,6 +362,13 @@ class TestEngineMatchesStepLoop:
         assert np.signbit(expected[1][-1, 4])
         assert_same_run(simulate_diffusion(topo, params, initial, 5), expected)
 
+    def test_second_order_long_run(self):
+        topo, params, initial, n_steps = long_wave_run()
+        assert_same_run(
+            simulate_second_order(topo, params, initial, n_steps),
+            second_order_reference(topo, params, initial, n_steps, 1),
+        )
+
     def test_one_agent_leader_graph(self):
         topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
         params = wave_params(50.0, 0.9, 0.01, 1e-3, StepSource(0.0, 1.0, 3))
@@ -380,6 +381,24 @@ class TestEngineMatchesStepLoop:
             simulate_diffusion(topo, params.dsr, np.zeros(1), n_steps, 3),
             diffusion_reference(topo, params.dsr, np.zeros(1), n_steps, 3),
         )
+
+
+def test_oracle_catches_a_reordered_discrepancy(monkeypatch):
+    # values - (A @ values + pull) rounds differently from the engine's
+    # (values - A @ values) - pull on the leader's row; a reference that
+    # shared the engine's discrepancy function would follow the change
+    def reordered(indptr, indices, weights, pull, values, out):
+        n, product = len(indptr) - 1, np.zeros(values.shape)
+        dsr_core._sparsetools.csr_matvecs(
+            n, n, values.size // n, indptr, indices, weights, values, product
+        )
+        return np.subtract(values, product + pull, out=out)
+
+    monkeypatch.setattr(dsr_core, "_discrepancy", reordered)
+    topo, params, initial, n_steps = long_wave_run()
+    _, rows, _ = second_order_reference(topo, params, initial, n_steps, 1)
+    traj = simulate_second_order(topo, params, initial, n_steps)
+    assert traj.values.shape == rows.shape and traj.values.tobytes() != rows.tobytes()
 
 
 class TestExtendedRun:

@@ -32,6 +32,8 @@ from dsrnet.dsr_core import (
 from dsrnet.flocking import FlockParams, run_maneuver
 from dsrnet.topology import NetworkTopology, build_lattice, sample_disc
 
+import per_agent
+
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 NAN = float("nan")
 
@@ -197,21 +199,6 @@ class TestDsrStep:
             with pytest.raises(ValueError, match="a seed is required"):
                 run()
 
-    def test_coast_mode_applies_momentum_only(self):
-        positions = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]])
-        topo = NetworkTopology.build(positions, 1.2, {0})
-        params = DsrParams(50.0, 0.5, 0.01, STEP_TO_ONE, noise_amplitude=0.02)
-        state = InfoState(
-            current=np.array([0.2, 0.4, 0.9]),
-            previous=np.array([0.1, 0.4, 0.6]),
-            step=0,
-        )
-        out = dsr_step(state, topo, params, seed=3, isolated="coast")
-        # agent 2 is isolated: no alignment term, no noise, momentum only
-        assert out.current[2] == pytest.approx(0.9 + 0.5 * (0.9 - 0.6), abs=1e-15)
-        with pytest.raises(IsolatedAgentError):
-            dsr_step(state, topo, params, seed=3, isolated="error")
-
 
 class TestParamsValidation:
     def test_rejects_gain_of_one_or_more(self):
@@ -336,19 +323,18 @@ class TestSimulate:
 B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
 
 
-def stepped(topology, params, initial, n_steps, seed=None):
-    """Reference run: dsr_step in a plain loop, checked after every step."""
-    op = DiscrepancyOperator(topology)
-    state = InfoState.from_initial(initial)
-    rows = [state.current]
-    # the reference itself may overflow on the diverging step
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            state = dsr_step(state, topology, params, seed, operator=op)
-            rows.append(state.current)
-            if detect_divergence(state):
-                return np.array(rows), state.step
-    return np.array(rows), None
+def stepped(topology, params, initial, n_steps, seed=None, graph=None):
+    """Reference run: the per-agent update in a plain loop, checked after every
+    step, on ``graph(k)`` at step k if given, else on the topology's graph."""
+    graph = graph or (lambda k: (topology.indptr, topology.indices))
+    leaders = topology.leader_ids
+
+    def advance(k, state):
+        return per_agent.dsr_step(graph(k), leaders, params, *state, k, seed), state[0]
+
+    start = np.asarray(initial, dtype=float).tolist()
+    states, diverged_step = per_agent.run(advance, (start, start), n_steps)
+    return np.array([state[0] for state in states]), diverged_step
 
 
 def assert_same_run(traj, rows, diverged_step, dt):
@@ -360,7 +346,7 @@ def assert_same_run(traj, rows, diverged_step, dt):
 
 
 class TestSimulateMatchesStepLoop:
-    """The block-stepped engine against dsr_step, bit for bit."""
+    """The block-stepped engine against the per-agent oracle, bit for bit."""
 
     @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3])
     @pytest.mark.parametrize("noise", [0.0, 0.02])
@@ -402,8 +388,8 @@ class TestSimulateMatchesStepLoop:
             NetworkTopology.build(np.vstack([lattice, [spot]]), 1.2, {0})
             for spot in ([3.0, 0.0], [10.0, 10.0])
         )
-        assert not DiscrepancyOperator(near).has_isolated
-        assert DiscrepancyOperator(far).isolated.tolist() == [False] * 9 + [True]
+        assert near.degrees.min() > 0
+        assert (far.degrees == 0).tolist() == [False] * 9 + [True]
         params = DsrParams(
             100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6), noise_amplitude=0.02
         )
@@ -420,10 +406,8 @@ class TestSimulateMatchesStepLoop:
         run = dsr_run(near, [params], initial, seed=5, graph=graph)
         traj = run.advance(2 * B + 3).trajectory()
         assert len(traj.values) == 2 * B + 4 and not traj.diverged
-        state = InfoState.from_initial(initial)
-        for k, row in enumerate(traj.values[1:]):
-            state = dsr_step(state, far if k else near, params, seed=5, isolated="coast")
-            assert row.tobytes() == state.current.tobytes()
+        rows, diverged = stepped(near, params, initial, 2 * B + 3, 5, lambda k: graphs[k > 0])
+        assert diverged is None and traj.values.tobytes() == rows.tobytes()
         # agent 9 moves on step 0, then keeps only its reinforcement term
         alone = traj.values[:, 9]
         assert alone[1] != initial[9]
@@ -457,19 +441,13 @@ def test_weighs_a_fixed_graph_once_per_run(monkeypatch, model):
     assert run.step == 3 * B + 5 and len(weighed) == 1 and weighed[0] is topo.indptr
 
 
-def fresh_stream_noise(seed, step, n, amplitude):
-    """Reference: a new Philox stream and Generator for every step."""
-    bits = np.random.Philox(seed=seed, counter=(step + 1) << 64)
-    return np.random.Generator(bits).uniform(-amplitude, amplitude, size=n)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
 def test_step_noise_matches_a_fresh_stream_per_step(seed):
     noise = _StepNoise(seed, 0.025)
     # out of order and repeated, with draw sizes that leave the buffer part-used
     for step in [3, 0, 1, 399, 2**40, 1, 0]:
         for n in (9, 225, 1):
-            expected = fresh_stream_noise(seed, step, n, 0.025)
+            expected = per_agent.fresh_stream_noise(seed, step, n, 0.025)
             assert noise(step, n).tobytes() == expected.tobytes()
 
 
@@ -643,7 +621,6 @@ class TestKernelProduct:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = values - matrix @ values
             expected -= op.pull(0.37)
-            expected[op.isolated] = 0.0
             got = op(values, 0.37)
         assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 

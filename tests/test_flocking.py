@@ -10,19 +10,12 @@ from hypothesis import strategies as st
 from dsrnet import dsr_core, flocking
 from dsrnet.analysis import stability_sweep
 from dsrnet.continuum import ContinuumParams, simulate_diffusion, simulate_second_order
-from dsrnet.dsr_core import (
-    DiscrepancyOperator,
-    DsrParams,
-    InfoState,
-    StepSource,
-    Trajectory,
-    detect_divergence,
-    dsr_step,
-    simulate,
-)
+from dsrnet.dsr_core import DsrParams, StepSource, Trajectory, simulate
 from dsrnet.flocking import FlockParams, _sensing_pairs, kinematic_step, run_maneuver
 from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog, write_trajectory_csv
 from dsrnet.topology import NetworkTopology, build_lattice
+
+import per_agent
 
 TURN = dict(initial_heading=-np.pi / 4, target_heading=np.pi / 2)
 
@@ -46,23 +39,13 @@ def graph(positions, leader=0):
     return NetworkTopology.build(positions, 1.2, {leader})
 
 
-def per_step_maneuver(positions, radius, leader_ids, params, seed=None):
-    """Oracle: the maneuver as a plain per-step loop that rebuilds the
-    graph, applies one dsr_step and one kinematic_step, then checks for
-    divergence. Returns positions, headings and the divergence step."""
-    dsr = params.dsr
-    state = InfoState.from_initial(np.full(len(positions), dsr.source.initial))
-    track, headings = [np.asarray(positions, dtype=float)], [state.current]
-    for _ in range(params.n_steps):
-        topology = NetworkTopology.build(track[-1], radius, leader_ids)
-        state = dsr_step(state, topology, dsr, seed, isolated="coast")
-        headings.append(state.current)
-        track.append(
-            kinematic_step(track[-1], state.current, params.speed, dsr.update_interval)
-        )
-        if detect_divergence(state):
-            return np.array(track), np.array(headings), state.step
-    return np.array(track), np.array(headings), None
+def coasting_steps(flock, leader):
+    """The steps whose sensing graph leaves some agent other than the leader
+    without neighbors."""
+    return [
+        k for k, pos in enumerate(flock.positions)
+        if np.delete(graph(pos, leader).degrees, leader).min() == 0
+    ]
 
 
 class TestKinematicStep:
@@ -214,11 +197,11 @@ def _preset_flock(name, **changes):
 
 
 class TestManeuverMatchesPerStepLoop:
-    """run_maneuver against the per-step loop, bit for bit."""
+    """run_maneuver against the per-agent per-step loop, bit for bit."""
 
     def assert_matches(self, topology, params, seed=None):
         flock = run_maneuver(topology, params, seed)
-        positions, headings, diverged_step = per_step_maneuver(
+        positions, headings, diverged_step = per_agent.maneuver(
             topology.positions, topology.sensing_radius, topology.leader_ids,
             params, seed,
         )
@@ -242,10 +225,7 @@ class TestManeuverMatchesPerStepLoop:
         # few steps mid-run; it coasts, then the run goes on
         topology = graph(build_lattice(4, 4, 1.0), 5)
         flock = self.assert_matches(topology, flock_params(0.0, speed=20.0, n_steps=60))
-        coasting = [
-            k for k in range(len(flock.times))
-            if DiscrepancyOperator(graph(flock.positions[k], 5)).has_isolated
-        ]
+        coasting = coasting_steps(flock, 5)
         assert coasting and coasting[0] > 0 and coasting[-1] < 60
 
     def test_noisy_coasting_flock_that_diverges_mid_block(self):
@@ -254,10 +234,7 @@ class TestManeuverMatchesPerStepLoop:
         topology = graph(build_lattice(4, 4, 1.0), 5)
         params = flock_params(0.5, speed=20.0, noise=0.025, ks=200.0, n_steps=300)
         flock = self.assert_matches(topology, params, seed=3)
-        coasting = [
-            k for k in range(len(flock.times))
-            if DiscrepancyOperator(graph(flock.positions[k], 5)).has_isolated
-        ]
+        coasting = coasting_steps(flock, 5)
         assert len(coasting) == 15
         assert flock.diverged_step == 23 and 23 % dsr_core._MAX_BLOCK_STEPS
 
@@ -315,10 +292,11 @@ def test_never_builds_an_operator(monkeypatch, name):
     assert len(traj.times) == 301 and not traj.diverged
 
 
-@pytest.mark.parametrize("name, most", [("fig2_lattice", 100), ("fig2_disc_noise", 400)])
-def test_weights_only_a_new_graph(monkeypatch, name, most):
-    # the pairs stay the same on most lattice steps, and on no disc step;
-    # the run weighs its topology's own graph first, when it is built
+@pytest.mark.parametrize("name, weighings", [("fig2_lattice", 48), ("fig2_disc_noise", 401)])
+def test_weights_only_a_new_graph(monkeypatch, name, weighings):
+    # the pairs stay the same on most lattice steps, also across candidate
+    # rebuilds, and on no disc step; the run weighs its topology's own graph
+    # first, when it is built
     topology, params, seed = _preset_flock(name)
     weighed, weigh = [], dsr_core._weights
 
@@ -332,8 +310,10 @@ def test_weights_only_a_new_graph(monkeypatch, name, most):
     graphs = list(_sensing_pairs(flock.positions[:-1], topology.sensing_radius))
     new = [g for last, g in zip([None] + graphs, graphs) if g is not last]
     assert [indptr.tolist() for indptr, _ in new] == [indptr.tolist() for indptr in weighed[1:]]
-    changed = sum(a[1].tolist() != b[1].tolist() for a, b in zip(graphs, graphs[1:]))
-    assert changed + 1 <= len(weighed) - 1 <= most
+    distinct = 1 + sum(
+        not all(map(np.array_equal, a, b)) for a, b in zip(graphs, graphs[1:])
+    )
+    assert len(weighed) - 1 == distinct and len(weighed) == weighings
 
 
 @st.composite
