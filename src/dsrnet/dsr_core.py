@@ -314,10 +314,10 @@ class BlockRun:
     k % (B + 1) of a ring buffer whose slots all start as the initial state,
     so step -1 reads as an at-rest history. Every step runs on a CSR graph
     ``(indptr, indices)``: the ``topology``'s own, or what the hook
-    ``graph(k, values)`` returns for the step-k values (n, m), one object
-    while the graph is unchanged; each new object is weighed once. A
-    non-leader isolated in ``topology`` raises IsolatedAgentError here, and
-    one isolated by a later graph coasts. ``update(k, delta, scratch, gain,
+    ``graph(k, values)`` returns for the step-k values (n, m), weighed
+    whenever it differs by value from the step before's. A non-leader
+    isolated in ``topology`` raises IsolatedAgentError here, and one
+    isolated by a later graph coasts. ``update(k, delta, scratch, gain,
     prev, cur, nxt, coast)`` writes slot ``nxt`` (step k + 1) from the
     others, the step's discrepancy and its coasting mask (or None); it may
     overwrite ``delta`` and ``scratch``, and ``gain`` holds the gains of
@@ -377,7 +377,6 @@ class BlockRun:
         """Weigh ``graph`` for the steps from now on; returns what advance unpacks."""
         weights, source_weight, isolated = _weights(graph[0], self._leader_ids)
         pulls = [(source_weight * v)[:, None] for v in (self._source.initial, self._source.final)]
-        self._graph = graph
         self._terms = *graph, weights, pulls, isolated if isolated.any() else None
         return self._terms
 
@@ -409,12 +408,13 @@ class BlockRun:
                 k0, slots = self.step, self._slots
                 k1, size = min(k0 + len(slots) - 1, n_steps), len(slots)
                 delta, scratch, gain = self._delta, self._scratch, self._gain
-                graph, (indptr, indices, weights, pulls, coast) = self._graph, self._terms
+                indptr, indices, weights, pulls, coast = self._terms
                 for k in range(k0, k1):
                     cur = slots[k % size]
-                    if hook is not None and (new := hook(k, cur[0])) is not graph:
-                        graph = new
-                        indptr, indices, weights, pulls, coast = self._use(new)
+                    if hook is not None:
+                        new = hook(k, cur[0])
+                        if not all(map(np.array_equal, new, (indptr, indices))):
+                            indptr, indices, weights, pulls, coast = self._use(new)
                     _discrepancy(indptr, indices, weights, pulls[k >= switch], cur[0], delta)
                     update(k, delta, scratch, gain, slots[(k - 1) % size], cur,
                            slots[(k + 1) % size], coast)

@@ -72,8 +72,7 @@ def kinematic_step(
 
 def _sensing_pairs(positions, radius: float):
     """Yield the CSR ``(indptr, indices)`` of the sensing graph at each row of
-    ``positions``, reading a row only when its graph is requested, and the same
-    tuple again while the kept pairs stay the same, across candidate rebuilds too.
+    ``positions``, reading a row only when its graph is requested.
 
     Pairs are filtered from candidates within ``radius + skin`` at an anchor
     row. With d_i an agent's displacement since then and d the mean, a pair's
@@ -83,7 +82,7 @@ def _sensing_pairs(positions, radius: float):
     their rounding is relative to themselves and to the distance travelled
     since the anchor, which the margin covers.
     """
-    skin, anchor, graph = _SKIN * radius, None, None
+    skin, anchor = _SKIN * radius, None
     for pos in positions:
         if anchor is not None:
             moved = pos - anchor
@@ -93,14 +92,10 @@ def _sensing_pairs(positions, radius: float):
             drift += _CELL_MARGIN * (skin + np.abs(shift).max())
         if anchor is None or drift >= skin:
             anchor, candidates = pos.copy(), NetworkTopology.build(pos, radius + skin)
-            rows, kept = np.repeat(np.arange(len(pos)), candidates.degrees), None
-        keep = pairs_within(pos, rows, candidates.indices, radius)
-        if kept != (kept := keep.tobytes()):  # else the last step's graph again
-            at = np.flatnonzero(keep)  # row i starts after the pairs kept before indptr[i]
-            new = np.searchsorted(at, candidates.indptr), candidates.indices[at]
-            if graph is None or not all(map(np.array_equal, new, graph)):
-                graph = new
-        yield graph
+            rows = np.repeat(np.arange(len(pos)), candidates.degrees)
+        # row i starts after the pairs kept before indptr[i]
+        at = np.flatnonzero(pairs_within(pos, rows, candidates.indices, radius))
+        yield np.searchsorted(at, candidates.indptr), candidates.indices[at]
 
 
 def run_maneuver(
@@ -113,11 +108,11 @@ def run_maneuver(
 
     The headings step on the DSR engine (``dsr_run``), whose graph hook
     first moves the flock to step k's headings, then returns the
-    neighborhoods of those positions (one object while they hold), with the
-    same radius and leaders, bitwise as rebuilding the graph would. Agents
-    that momentarily lose every neighbor coast on their reinforcement term
-    alone until the graph heals. Requires every agent to have at least two
-    neighbors at the start, else raises IsolatedAgentError.
+    neighborhoods of those positions, with the same radius and leaders,
+    bitwise as rebuilding the graph would. Agents that momentarily lose
+    every neighbor coast on their reinforcement term alone until the graph
+    heals. Requires every agent to have at least two neighbors at the
+    start, else raises IsolatedAgentError.
     """
     if min_neighbor_count(topology) < 2:
         raise IsolatedAgentError(

@@ -15,14 +15,40 @@ operation on its own, so the equality holds where scipy's kernel is built
 without FMA contraction, as in the x86-64 wheels; aarch64 is not verified.
 Two numpy calls are shared with the engine: the Philox draw of the update
 noise, and ``np.cos`` and ``np.sin`` in the kinematic step.
+
+It also holds the one copy of two helpers that several test modules share:
+the scalar discrepancy of one agent, over numpy arrays and so equal to the
+engine's only to within rounding, and the unit lattice graph of radius 1.2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dsrnet.dsr_core import DIVERGENCE_LIMIT
-from dsrnet.topology import NetworkTopology
+from dsrnet.dsr_core import DIVERGENCE_LIMIT, IsolatedAgentError
+from dsrnet.topology import NetworkTopology, build_lattice
+
+
+def lattice_topology(rows, cols, leaders=()):
+    return NetworkTopology.build(build_lattice(rows, cols, 1.0), 1.2, leaders)
+
+
+def neighbor_discrepancy(agent, state, topology, source_value):
+    """Scalar oracle: mean of the agent's value minus each influence's.
+
+    Influences are the agent's neighbors, plus the source for a leader.
+    Raises IsolatedAgentError for a non-leader with no neighbors.
+    """
+    neighbor_ids = topology.neighbors[agent]
+    is_leader = agent in topology.leader_ids
+    count = len(neighbor_ids) + (1 if is_leader else 0)
+    if count == 0:
+        raise IsolatedAgentError(f"agent {agent} has no neighbors and no source access")
+    value = state.current[agent]
+    total = float(np.sum(value - state.current[neighbor_ids]))
+    if is_leader:
+        total += value - source_value
+    return total / count
 
 
 def fresh_stream_noise(seed, step, n, amplitude):

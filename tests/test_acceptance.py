@@ -21,7 +21,6 @@ from dsrnet.continuum import predicted_wave_speed
 from dsrnet.dsr_core import (
     DsrParams,
     InfoState,
-    IsolatedAgentError,
     StepSource,
     dsr_step,
     simulate,
@@ -30,24 +29,7 @@ from dsrnet.flocking import FlockParams, run_maneuver
 from dsrnet.harness import preset_catalog, run_preset
 from dsrnet.topology import NetworkTopology, build_lattice
 
-
-def neighbor_discrepancy(agent, state, topology, source_value):
-    """Scalar oracle: mean of the agent's value minus each influence's.
-
-    Influences are the agent's neighbors, plus the source for a leader.
-    Raises IsolatedAgentError for a non-leader with no neighbors.
-    """
-    neighbor_ids = topology.neighbors[agent]
-    is_leader = agent in topology.leader_ids
-    count = len(neighbor_ids) + (1 if is_leader else 0)
-    if count == 0:
-        raise IsolatedAgentError(f"agent {agent} has no neighbors and no source access")
-    value = state.current[agent]
-    total = float(np.sum(value - state.current[neighbor_ids]))
-    if is_leader:
-        total += value - source_value
-    return total / count
-
+from per_agent import neighbor_discrepancy
 
 LATTICE = build_lattice(15, 15, 1.0)
 FROZEN_LEADER = 16

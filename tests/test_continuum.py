@@ -26,15 +26,12 @@ from dsrnet.dsr_core import (
     dsr_run,
     dsr_step,
 )
-from dsrnet.topology import NetworkTopology, build_lattice
+from dsrnet.topology import NetworkTopology
 
 import per_agent
+from per_agent import lattice_topology
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
-
-
-def lattice_topology(rows, cols, leaders=()):
-    return NetworkTopology.build(build_lattice(rows, cols, 1.0), 1.2, leaders)
 
 
 def wave_params(ks, gain, dt, step, source):

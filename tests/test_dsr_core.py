@@ -33,36 +33,15 @@ from dsrnet.flocking import FlockParams, run_maneuver
 from dsrnet.topology import NetworkTopology, build_lattice, sample_disc
 
 import per_agent
+from per_agent import lattice_topology, neighbor_discrepancy
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 NAN = float("nan")
 
 
-def lattice_topology(rows, cols, leaders=()):
-    return NetworkTopology.build(build_lattice(rows, cols, 1.0), 1.2, leaders)
-
-
 def chain_topology(n, leaders=()):
     positions = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
     return NetworkTopology.build(positions, 1.2, leaders)
-
-
-def neighbor_discrepancy(agent, state, topology, source_value):
-    """Scalar oracle: mean of the agent's value minus each influence's.
-
-    Influences are the agent's neighbors, plus the source for a leader.
-    Raises IsolatedAgentError for a non-leader with no neighbors.
-    """
-    neighbor_ids = topology.neighbors[agent]
-    is_leader = agent in topology.leader_ids
-    count = len(neighbor_ids) + (1 if is_leader else 0)
-    if count == 0:
-        raise IsolatedAgentError(f"agent {agent} has no neighbors and no source access")
-    value = state.current[agent]
-    total = float(np.sum(value - state.current[neighbor_ids]))
-    if is_leader:
-        total += value - source_value
-    return total / count
 
 
 class TestNeighborDiscrepancy:

@@ -292,11 +292,11 @@ def test_never_builds_an_operator(monkeypatch, name):
     assert len(traj.times) == 301 and not traj.diverged
 
 
-@pytest.mark.parametrize("name, weighings", [("fig2_lattice", 48), ("fig2_disc_noise", 401)])
+@pytest.mark.parametrize("name, weighings", [("fig2_lattice", 47), ("fig2_disc_noise", 400)])
 def test_weights_only_a_new_graph(monkeypatch, name, weighings):
-    # the pairs stay the same on most lattice steps, also across candidate
-    # rebuilds, and on no disc step; the run weighs its topology's own graph
-    # first, when it is built
+    # the run weighs its topology's own graph when it is built, which is
+    # step 0's sensing graph too, then each step's graph that differs by
+    # value from the step before's: few lattice steps, every later disc step
     topology, params, seed = _preset_flock(name)
     weighed, weigh = [], dsr_core._weights
 
@@ -308,12 +308,10 @@ def test_weights_only_a_new_graph(monkeypatch, name, weighings):
     flock = run_maneuver(topology, params, seed)
     assert weighed[0] is topology.indptr
     graphs = list(_sensing_pairs(flock.positions[:-1], topology.sensing_radius))
-    new = [g for last, g in zip([None] + graphs, graphs) if g is not last]
+    assert all(map(np.array_equal, graphs[0], (topology.indptr, topology.indices)))
+    new = [g for last, g in zip(graphs, graphs[1:]) if not all(map(np.array_equal, g, last))]
     assert [indptr.tolist() for indptr, _ in new] == [indptr.tolist() for indptr in weighed[1:]]
-    distinct = 1 + sum(
-        not all(map(np.array_equal, a, b)) for a, b in zip(graphs, graphs[1:])
-    )
-    assert len(weighed) - 1 == distinct and len(weighed) == weighings
+    assert len(weighed) == 1 + len(new) == weighings
 
 
 @st.composite

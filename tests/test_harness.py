@@ -474,11 +474,22 @@ class TestCli:
         assert main(["run", "--preset", "fig9", "--out", str(tmp_path)]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
-    def test_invalid_config_reports_violations(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("experiment = lattice-info\nbeta = 3\n")
-        assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
-        assert "beta" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "config, line",
+        [
+            ("beta = 3\n", "beta: must lie in [0, 1); gains >= 1 leave the update undamped"),
+            ("rows\n", "line 2: expected 'key = value'"),
+            ("ks = abc\n", "ks: cannot parse value 'abc'"),
+            ("topology = ring\n", "topology: must be one of lattice, disc"),
+            ("rows = 0\n", "rows/cols: must be at least 1"),
+        ],
+        ids=["beta", "bare-key", "ks-unparsable", "topology", "rows"],
+    )
+    def test_invalid_config_reports_violations(self, tmp_path, capsys, config, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text("experiment = lattice-info\n" + config)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
 
     def test_run_from_config_file(self, tmp_path):
         config = tmp_path / "ok.cfg"
@@ -728,10 +739,15 @@ class TestCli:
         assert code == 2
         assert "config error: ks_values: " in capsys.readouterr().err
 
-    def test_unparsable_sweep_override_names_its_key(self, tmp_path, capsys):
-        code = main(["sweep", "--preset", "fig1b", "--ks", "abc", "--out", str(tmp_path / "s")])
+    @pytest.mark.parametrize(
+        "ks, message",
+        [("abc", "cannot parse value 'abc'"), (",", "--ks must list at least one value")],
+        ids=["abc", "no-value"],
+    )
+    def test_unparsable_sweep_override_names_its_key(self, tmp_path, capsys, ks, message):
+        code = main(["sweep", "--preset", "fig1b", "--ks", ks, "--out", str(tmp_path / "s")])
         assert code == 2
-        assert capsys.readouterr().err == "config error: ks_values: cannot parse value 'abc'\n"
+        assert capsys.readouterr().err == f"config error: ks_values: {message}\n"
 
 
 def _mostly(typical, wild):
