@@ -62,11 +62,6 @@ def _blocks(values: np.ndarray):
         yield start, values[start : start + step]
 
 
-def _row_max(values: np.ndarray, transform) -> np.ndarray:
-    """Per-row max of ``transform(values)``, evaluated block by block."""
-    return np.concatenate([transform(block).max(axis=1) for _, block in _blocks(values)])
-
-
 def settling_time(
     traj: Trajectory,
     final_value: float,
@@ -83,7 +78,9 @@ def settling_time(
     half_width = StepSource(initial_value, final_value).band(band)[1]
     if traj.diverged:
         return None
-    deviation = _row_max(traj.values, lambda block: np.abs(block - final_value))
+    deviation = np.concatenate(
+        [np.abs(block - final_value).max(axis=1) for _, block in _blocks(traj.values)]
+    )
     inside = deviation <= half_width
     if not inside[-1]:
         return None
@@ -102,8 +99,8 @@ def overshoot(traj: Trajectory, final_value: float) -> float | None:
     """
     if traj.diverged or final_value == 0:
         return None
-    sign = 1.0 if final_value > 0 else -1.0
-    excess = _row_max(traj.values, lambda block: sign * block - abs(final_value)).max()
+    values = traj.values
+    excess = values.max() - final_value if final_value > 0 else final_value - values.min()
     return max(0.0, float(excess)) / abs(final_value)
 
 
@@ -183,13 +180,17 @@ def correlation_delay(series, reference, dt: float) -> float:
     return float(best - (s.size - 1)) * dt
 
 
+def _columns(points) -> np.ndarray:
+    """Distances and delays of (distance, delay) pairs or a (k, 2) array, as
+    contiguous rows: a dot over strided columns may sum in another order."""
+    return np.array(np.asarray(points, dtype=float).reshape(-1, 2).T, order="C")
+
+
 def transfer_speed(points) -> float:
     """Distance-per-delay slope of a least-squares fit through the origin."""
-    pts = list(points)
-    if len(pts) < 2:
+    distances, delays = _columns(points)
+    if len(delays) < 2:
         raise ValueError("need at least two (distance, delay) points")
-    distances = np.asarray([p[0] for p in pts], dtype=float)
-    delays = np.asarray([p[1] for p in pts], dtype=float)
     if np.all(delays == delays[0]):
         raise InfiniteSpeedError("all delays are equal; slope is undefined")
     denom = float(delays @ delays)
@@ -204,11 +205,9 @@ def fit_scaling_exponent(points) -> float:
     The regression is of log(delay) on log(distance); its slope is inverted
     to express how far information reaches as a function of time.
     """
-    pts = list(points)
-    if len(pts) < 3:
+    distances, delays = _columns(points)
+    if len(delays) < 3:
         raise ValueError("need at least three (distance, delay) points")
-    distances = np.asarray([p[0] for p in pts], dtype=float)
-    delays = np.asarray([p[1] for p in pts], dtype=float)
     if (distances <= 0).any() or (delays <= 0).any():
         raise ValueError("distances and delays must be positive")
     with warnings.catch_warnings():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace, fields
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .dsr_core import DsrParams, IsolatedAgentError, StepSource, Trajectory, dsr
 # perfbench/tracer.py wraps these names on this module.
 from .continuum import simulate_diffusion, simulate_second_order  # noqa: F401
 from .dsr_core import simulate  # noqa: F401
-from .flocking import FlockParams, FlockTrajectory, run_maneuver
+from .flocking import FlockParams, run_maneuver
 from .topology import NetworkTopology, build_lattice, sample_disc
 
 EXPERIMENT_KINDS = (
@@ -115,7 +116,8 @@ _BOUNDS = (
      lambda v: v > 0, "must be positive"),
     (("ks", "noise", "switch_step", "n_steps", "max_steps", "seed"), lambda v: v >= 0,
      "must be nonnegative"),
-    (("n_agents", "record_every", "csv_stride"), lambda v: v >= 1, "must be at least 1"),
+    (("rows", "cols", "n_agents", "record_every", "csv_stride"), lambda v: v >= 1,
+     "must be at least 1"),
 )
 _CHOICES = {
     "experiment": EXPERIMENT_KINDS,
@@ -171,8 +173,6 @@ def _validate(cfg: ExperimentConfig) -> list[str]:
             value = getattr(cfg, key)
             if value is not None and not allowed(value):
                 bad.append(f"{key}: {message}")
-    if cfg.rows < 1 or cfg.cols < 1:
-        bad.append("rows/cols: must be at least 1")
     if cfg.topology == "disc" and cfg.leader in ("corner", "edge-midpoint"):
         bad.append("leader: disc topologies support 'center' or an agent index")
     if cfg.leader not in NAMED_LEADERS:
@@ -324,70 +324,46 @@ def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_
     return run.trajectory(), settled, steps
 
 
-def _near_cutoff(cfg: ExperimentConfig, positions: np.ndarray) -> float:
+def _correlation_delays(radial: np.ndarray, leader: int, dt: float) -> np.ndarray:
+    """Each agent's lag behind the leader's radial acceleration, NaN where
+    the lag is undefined."""
+    reference = radial[:, leader]
+    delays = np.full(radial.shape[1], np.nan)
+    for agent in range(radial.shape[1]):
+        try:
+            delays[agent] = analysis.correlation_delay(radial[:, agent], reference, dt)
+        except analysis.UndefinedCorrelationError:
+            pass
+    return delays
+
+
+def _metrics_report(cfg, topology, leader, traj, settled, delays) -> MetricsReport:
+    """The run's report. ``delays`` holds each agent's delay behind the
+    leader, or is None when the run has none; transfer speed and scaling
+    exponent are fitted over the pairs of positive, finite delay whose agent
+    lies off the leader and within ``near_fraction`` of the positions'
+    bounding-box diagonal from it."""
+    positions = topology.positions
+    pairs = np.empty((0, 2))
+    if delays is not None:
+        pairs = np.column_stack((np.hypot(*(positions - positions[leader]).T), delays))
+    distances, lags = pairs.T
     spans = positions.max(axis=0) - positions.min(axis=0)
-    return cfg.near_fraction * float(np.hypot(spans[0], spans[1]))
-
-
-def _distances_from(positions: np.ndarray, leader: int) -> np.ndarray:
-    deltas = positions - positions[leader]
-    return np.hypot(deltas[:, 0], deltas[:, 1])
-
-
-def _metrics_report(cfg, topology, traj, settled, pairs) -> MetricsReport:
-    """The run's report, with transfer speed and scaling exponent fitted
-    over the near-leader (distance, delay) pairs."""
-    cutoff = _near_cutoff(cfg, topology.positions)
-    near = [
-        (d, t)
-        for d, t in pairs
-        if np.isfinite(t) and t > 0 and 0 < d <= cutoff
-    ]
-    speed = None
-    exponent = None
-    try:
+    cutoff = cfg.near_fraction * float(np.hypot(*spans))
+    near = pairs[np.isfinite(lags) & (lags > 0) & (distances > 0) & (distances <= cutoff)]
+    speed = exponent = None
+    with suppress(ValueError):
         speed = analysis.transfer_speed(near)
-    except ValueError:
-        pass
-    try:
+    with suppress(ValueError):
         exponent = analysis.fit_scaling_exponent(near)
-    except ValueError:
-        pass
     return MetricsReport(
         settling_time=settled,
-        per_agent_delay=pairs,
+        per_agent_delay=list(map(tuple, pairs.tolist())),
         transfer_speed=speed,
         scaling_exponent=exponent,
         diverged=traj.diverged,
         overshoot=analysis.overshoot(traj, _source(cfg).final),
     )
-
-
-def _info_metrics(cfg, topology, leader, traj, settled) -> MetricsReport:
-    pairs = []
-    if not traj.diverged:
-        distances = _distances_from(topology.positions, leader)
-        delays = analysis.threshold_delay(traj, 0.1)
-        pairs = list(zip(distances.tolist(), delays.tolist()))
-    return _metrics_report(cfg, topology, traj, settled, pairs)
-
-
-def _flock_metrics(cfg, topology, leader, flock: FlockTrajectory, radial) -> MetricsReport:
-    """``radial`` is the run's radial acceleration, or None when it has
-    fewer than 3 rows or diverged."""
-    source = _source(cfg)
-    settled = analysis.settling_time(flock, source.final, initial_value=source.initial)
-    distances = _distances_from(topology.positions, leader)
-    pairs = []
-    if radial is not None:
-        reference = radial[:, leader]
-        for agent in range(flock.n_agents):
-            try:
-                lag = analysis.correlation_delay(radial[:, agent], reference, cfg.dt)
-            except analysis.UndefinedCorrelationError:
-                lag = float("nan")
-            pairs.append((float(distances[agent]), lag))
-    return _metrics_report(cfg, topology, flock, settled, pairs)
 
 
 def _write_lines(path: Path, lines):
@@ -508,11 +484,12 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
         if cfg.experiment == "flocking":
             params = FlockParams(speed=cfg.speed, dsr=_dsr_params(cfg), n_steps=steps)
             traj = run_maneuver(topology, params, cfg.seed)
-            radial = None
+            source = _source(cfg)
+            settled = analysis.settling_time(traj, source.final, initial_value=source.initial)
+            delays = None
             if traj.positions.shape[0] >= 3 and not traj.diverged:
                 radial = analysis.radial_acceleration(traj)
-            result = _flock_metrics(cfg, topology, leader, traj, radial)
-            if radial is not None:
+                delays = _correlation_delays(radial, leader, cfg.dt)
                 paths["radial_acceleration"] = out / "radial_acceleration.csv"
                 write_trajectory_csv(
                     Trajectory(traj.times[1:-1], radial, traj.params, traj.leader_ids),
@@ -520,7 +497,8 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
                 )
         else:
             traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
-            result = _info_metrics(cfg, topology, leader, traj, settled)
+            delays = None if traj.diverged else analysis.threshold_delay(traj, 0.1)
+        result = _metrics_report(cfg, topology, leader, traj, settled, delays)
 
         stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(
             traj.values.shape[0]

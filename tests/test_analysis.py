@@ -297,6 +297,34 @@ class TestFitScalingExponent:
             fit_scaling_exponent(points)
 
 
+def _random_pairs(seed, n=300):
+    rng = np.random.default_rng(seed)
+    delays = rng.uniform(0.05, 1.0, n)
+    return 40.0 * delays * rng.uniform(0.8, 1.2, n), delays
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda d, t: list(zip(d.tolist(), t.tolist())),
+        lambda d, t: np.array([d, t]).T.copy(order="C"),
+        lambda d, t: np.column_stack((d, t)),
+        lambda d, t: np.asfortranarray(np.column_stack((d, t))),
+    ],
+    ids=["pairs", "c-array", "column-stack", "fortran-array"],
+)
+def test_fits_read_every_layout_as_contiguous_columns(layout):
+    # a dot product over a strided column may sum in another order, so the
+    # fits must give the bits of the contiguous 1-D arrays whatever the
+    # layout; a few draws, since one draw may sum alike in either order
+    for seed in range(4):
+        distances, delays = _random_pairs(seed)
+        points = layout(distances, delays)
+        assert transfer_speed(points) == float(distances @ delays) / float(delays @ delays)
+        slope = np.polyfit(np.log(distances), np.log(delays), 1)[0]
+        assert fit_scaling_exponent(points) == 1.0 / slope
+
+
 class TestStabilitySweep:
     def test_verdicts_across_the_cliff(self):
         topo = NetworkTopology.build(build_lattice(7, 7, 1.0), 1.2, {0})

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dsrnet import harness
+from dsrnet import analysis, harness
 from dsrnet.cli import main
 from dsrnet.dsr_core import Trajectory
 from dsrnet.harness import (
@@ -24,7 +24,7 @@ from dsrnet.harness import (
     _DEFAULTS,
     _auto_stride,
     _confirmed_run,
-    _info_metrics,
+    _metrics_report,
     _resolve_topology,
     _unused_keys,
     _validate,
@@ -441,7 +441,8 @@ class TestConfirmedRun:
         assert traj.values.shape == (2001, 1600)
         tracemalloc.start()
         try:
-            report = _info_metrics(cfg, topology, leader, traj, settled)
+            delays = analysis.threshold_delay(traj, 0.1)
+            report = _metrics_report(cfg, topology, leader, traj, settled, delays)
             write_trajectory_csv(traj, tmp_path / "t.csv", _auto_stride(len(traj.values)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -449,6 +450,40 @@ class TestConfirmedRun:
         assert peak < 2 * 2**20
         assert len(report.per_agent_delay) == 1600
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 1001
+
+
+class TestMetricsReport:
+    def test_fits_read_only_the_near_leader_pairs_of_positive_finite_delay(self):
+        # 5x5 lattice led from its center (agent 12): the cutoff is a third of
+        # the 4*sqrt(2) m diagonal, 1.89 m, so agents at 1 m and sqrt(2) m are
+        # near and the four at 2 m are not
+        cfg = parse_config("experiment = lattice-info\nrows = 5\ncols = 5\nleader = center\n")
+        topology, leader = _resolve_topology(cfg)
+        assert leader == 12
+        distances = np.hypot(*(topology.positions - topology.positions[12]).T)
+        delays = 0.02 * distances * (1.0 + 0.1 * np.sin(np.arange(25.0)))
+        delays[12] = 0.5  # the leader, d = 0, with a delay that would count
+        delays[[7, 11, 6, 8]] = [np.nan, np.inf, 0.0, -0.01]  # near, but no delay
+        assert distances[2] == 2.0  # beyond the cutoff with a valid delay
+        traj = Trajectory(np.array([0.0, 0.01]), np.zeros((2, 25)), None, (12,))
+
+        report = _metrics_report(cfg, topology, leader, traj, None, delays)
+
+        kept = [(float(distances[i]), float(delays[i])) for i in (13, 16, 17, 18)]
+        assert report.transfer_speed == analysis.transfer_speed(kept)
+        assert report.scaling_exponent == analysis.fit_scaling_exponent(kept)
+        widened = kept + [(float(distances[2]), float(delays[2]))]
+        assert report.transfer_speed != analysis.transfer_speed(widened)
+        np.testing.assert_array_equal(report.per_agent_delay, np.column_stack((distances, delays)))
+        assert all(type(value) is float for pair in report.per_agent_delay for value in pair)
+
+    def test_a_run_without_delays_reports_no_pairs_and_no_fits(self):
+        cfg = parse_config("experiment = lattice-info\nrows = 3\ncols = 3\n")
+        topology, leader = _resolve_topology(cfg)
+        traj = Trajectory(np.array([0.0]), np.zeros((1, 9)), None, (leader,))
+        report = _metrics_report(cfg, topology, leader, traj, None, None)
+        assert report.per_agent_delay == []
+        assert report.transfer_speed is None and report.scaling_exponent is None
 
 
 # Agents 1 m apart with a 0.9 m sensing radius: no agent has a neighbor.
@@ -481,9 +516,10 @@ class TestCli:
             ("rows\n", "line 2: expected 'key = value'"),
             ("ks = abc\n", "ks: cannot parse value 'abc'"),
             ("topology = ring\n", "topology: must be one of lattice, disc"),
-            ("rows = 0\n", "rows/cols: must be at least 1"),
+            ("rows = 0\n", "rows: must be at least 1"),
+            ("cols = 0\n", "cols: must be at least 1"),
         ],
-        ids=["beta", "bare-key", "ks-unparsable", "topology", "rows"],
+        ids=["beta", "bare-key", "ks-unparsable", "topology", "rows", "cols"],
     )
     def test_invalid_config_reports_violations(self, tmp_path, capsys, config, line):
         path = tmp_path / "bad.cfg"

@@ -65,3 +65,29 @@ def test_size_sweep_times_every_kernel(tmp_path):
 def test_setup_builds_the_first_jobs_operator(tmp_path):
     report = _report(tmp_path, "child.py", "setup", "--workload", "flock_turn")
     assert set(report) == {"import_s", "t_end"}
+
+
+def test_tracer_sees_the_calls_of_a_flocks_report(tmp_path):
+    # the report calls analysis.correlation_delay and analysis.settling_time
+    # through the module, where the tracer wraps them: one lag per agent
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
+        "import tracer\n"
+        "rec = tracer.Recorder()\n"
+        "tracer.instrument(rec)\n"
+        "import dsrnet.cli\n"
+        f"args = ['run', '--preset', 'fig2_lattice', '--out', {str(tmp_path)!r}]\n"
+        "assert dsrnet.cli.main(args) == 0\n"
+        "table = rec.table()\n"
+        "names = ('analysis.correlation_delay', 'analysis.settling_time')\n"
+        "print(json.dumps({name: table[name]['calls'] for name in names}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "analysis.correlation_delay": 225,
+        "analysis.settling_time": 1,
+    }
