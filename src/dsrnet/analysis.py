@@ -108,15 +108,15 @@ def threshold_delay(traj: Trajectory, threshold: float = 0.1) -> np.ndarray:
     """Per-agent first-crossing time relative to the leader's.
 
     Crossing is the first recorded time at which an agent's value reaches
-    the threshold. Agents that never cross are marked NaN; if no leader
-    crosses, every entry is NaN.
+    the threshold: at or above it, or at or below a negative one. Agents
+    that never cross are marked NaN; if no leader crosses, every entry is NaN.
     """
     if not traj.leader_ids:
         raise ValueError("trajectory has no leader to reference")
     first_row = np.zeros(traj.n_agents, dtype=np.intp)
     pending = np.ones(traj.n_agents, dtype=bool)
     for start, block in _blocks(traj.values):
-        crossed = block >= threshold
+        crossed = block <= threshold if threshold < 0 else block >= threshold
         now = pending & crossed.any(axis=0)
         first_row[now] = start + crossed.argmax(axis=0)[now]
         pending &= ~now

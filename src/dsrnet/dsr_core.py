@@ -47,8 +47,10 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 
-# Values beyond this magnitude (or any non-finite value) flag a run as
-# diverged. Arbitrary but documented; overflow-to-inf always triggers.
+# A run is diverged at a non-finite value or one beyond this magnitude
+# times its scale: the largest of 1, |source.initial|, |source.final| and
+# the initial magnitudes, so that the verdict does not depend on units.
+# Arbitrary but documented; overflow-to-inf always triggers.
 DIVERGENCE_LIMIT = 1.0e6
 
 
@@ -295,7 +297,8 @@ def dsr_step(
 
 
 def detect_divergence(state: InfoState) -> bool:
-    """True when any value is non-finite or beyond DIVERGENCE_LIMIT."""
+    """True when any value is non-finite or beyond DIVERGENCE_LIMIT itself,
+    the limit of a run of scale 1."""
     return not np.abs(state.current).max(initial=0.0) <= DIVERGENCE_LIMIT
 
 
@@ -324,8 +327,8 @@ class BlockRun:
     the live columns.
 
     After each block of up to B steps, one max and one min per step and
-    column find the first step that is non-finite or beyond
-    DIVERGENCE_LIMIT, exactly as a check after every step would; that
+    column find the first step that is non-finite or beyond the run's limit
+    (see DIVERGENCE_LIMIT), exactly as a check after every step would; that
     column's run ends there and it leaves the state. Steps after it, up to
     the end of the block, are computed and never kept. With ``record_every``
     (one column only) the run records step 0, every ``record_every``-th step
@@ -353,6 +356,8 @@ class BlockRun:
             raise ValueError("initial values must provide one entry per agent")
         if not np.isfinite(start).all():
             raise ValueError("initial values must be finite")
+        scale = max(1.0, abs(source.initial), abs(source.final), np.abs(start).max(initial=0.0))
+        self._limit = DIVERGENCE_LIMIT * scale
         self.step, self.diverged_steps = 0, [None] * m
         self._n, self._update, self._band = n, update, band
         self._params, self.step_seconds = params, step_seconds
@@ -431,7 +436,7 @@ class BlockRun:
         flat = np.ascontiguousarray(ring.transpose(0, 3, 1, 2))
         hi = flat.max(axis=3, initial=-np.inf)[rows]
         lo = flat.min(axis=3, initial=np.inf)[rows]
-        bad = ~(np.maximum(hi, -lo) <= DIVERGENCE_LIMIT).all(axis=2)
+        bad = ~(np.maximum(hi, -lo) <= self._limit).all(axis=2)
         diverged, first = bad.any(axis=0), bad.argmax(axis=0)
         if self._band is not None:
             outside = self._outside(hi[..., 0], lo[..., 0])

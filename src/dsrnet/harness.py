@@ -497,7 +497,8 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
                 )
         else:
             traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
-            delays = None if traj.diverged else analysis.threshold_delay(traj, 0.1)
+            threshold = 0.1 * cfg.source_final or 0.1  # in the step's units and sign
+            delays = None if traj.diverged else analysis.threshold_delay(traj, threshold)
         result = _metrics_report(cfg, topology, leader, traj, settled, delays)
 
         stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(

@@ -16,39 +16,22 @@ without FMA contraction, as in the x86-64 wheels; aarch64 is not verified.
 Two numpy calls are shared with the engine: the Philox draw of the update
 noise, and ``np.cos`` and ``np.sin`` in the kinematic step.
 
-It also holds the one copy of two helpers that several test modules share:
-the scalar discrepancy of one agent, over numpy arrays and so equal to the
-engine's only to within rounding, and the unit lattice graph of radius 1.2.
+It also holds the one copy of three helpers that several test modules
+share: the unit lattice graph of radius 1.2, a recorded run of the oracle
+(``recorded_run``), and ``assert_same_run``, which holds an engine's
+trajectory to that record bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dsrnet.dsr_core import DIVERGENCE_LIMIT, IsolatedAgentError
+from dsrnet.dsr_core import DIVERGENCE_LIMIT
 from dsrnet.topology import NetworkTopology, build_lattice
 
 
 def lattice_topology(rows, cols, leaders=()):
     return NetworkTopology.build(build_lattice(rows, cols, 1.0), 1.2, leaders)
-
-
-def neighbor_discrepancy(agent, state, topology, source_value):
-    """Scalar oracle: mean of the agent's value minus each influence's.
-
-    Influences are the agent's neighbors, plus the source for a leader.
-    Raises IsolatedAgentError for a non-leader with no neighbors.
-    """
-    neighbor_ids = topology.neighbors[agent]
-    is_leader = agent in topology.leader_ids
-    count = len(neighbor_ids) + (1 if is_leader else 0)
-    if count == 0:
-        raise IsolatedAgentError(f"agent {agent} has no neighbors and no source access")
-    value = state.current[agent]
-    total = float(np.sum(value - state.current[neighbor_ids]))
-    if is_leader:
-        total += value - source_value
-    return total / count
 
 
 def fresh_stream_noise(seed, step, n, amplitude):
@@ -106,22 +89,58 @@ def wave_step(graph, leader_ids, params, values, rates, step):
     )
 
 
-def diverged(*states):
+def run_limit(source, initial):
+    """The divergence limit of a run from ``initial`` (a list) under
+    ``source``: DIVERGENCE_LIMIT times the largest of 1, the source's two
+    values and the initial magnitudes."""
+    return DIVERGENCE_LIMIT * max(1.0, abs(source.initial), abs(source.final), *map(abs, initial))
+
+
+def diverged(*states, limit=DIVERGENCE_LIMIT):
     """Whether any value of the per-agent lists is non-finite or beyond
-    DIVERGENCE_LIMIT."""
-    return not all(abs(v) <= DIVERGENCE_LIMIT for state in states for v in state)
+    ``limit``."""
+    return not all(abs(v) <= limit for state in states for v in state)
 
 
-def run(advance, state, n_steps):
-    """The states from ``state``, a tuple of per-agent lists, under
-    ``advance(k, state)`` for k = 0, 1, ... through step ``n_steps`` or the
-    first diverged step, and that step (None if none diverged)."""
-    states = [state]
-    for k in range(n_steps):
-        states.append(advance(k, states[-1]))
-        if diverged(*states[-1]):
-            return states, k + 1
-    return states, None
+def recorded_run(topology, params, initial, n_steps, record_every=1, seed=None, graphs=None):
+    """The oracle's run of ``params`` from ``initial`` on ``topology``'s graph,
+    or on ``graphs(k)`` at step k: the DSR update from an at-rest history for
+    DsrParams, the wave model with every rate at zero for ContinuumParams.
+
+    Checked after every step, and recorded as the engine records a run: step
+    0, every ``record_every``-th step, and the last or diverged step. Returns
+    the recorded times and values, and the diverged step or None.
+    """
+    graphs = graphs or (lambda k: (topology.indptr, topology.indices))
+    leaders, start = topology.leader_ids, np.asarray(initial, dtype=float).tolist()
+    if hasattr(params, "integrator_step"):
+        dsr, dt, state = params.dsr, params.integrator_step, (start, [0.0] * len(start))
+
+        def advance(k, state):
+            return wave_step(graphs(k), leaders, params, *state, k)
+    else:
+        dsr, dt, state = params, params.update_interval, (start, start)
+
+        def advance(k, state):
+            return dsr_step(graphs(k), leaders, params, *state, k, seed), state[0]
+
+    states, limit = [state], run_limit(dsr.source, start)  # no start diverges
+    while len(states) <= n_steps and not diverged(*states[-1], limit=limit):
+        states.append(advance(len(states) - 1, states[-1]))
+    last = len(states) - 1
+    kept = [k for k in range(last + 1) if k % record_every == 0 or k == last]
+    diverged_step = last if diverged(*states[-1], limit=limit) else None
+    return np.array(kept) * dt, np.array([states[k][0] for k in kept]), diverged_step
+
+
+def assert_same_run(traj, expected):
+    """``traj`` is the ``expected`` record of ``recorded_run``, bit for bit."""
+    times, rows, diverged_step = expected
+    assert traj.diverged == (diverged_step is not None)
+    assert traj.diverged_step == diverged_step
+    assert traj.values.shape == rows.shape
+    assert traj.values.tobytes() == rows.tobytes()
+    assert traj.times.tobytes() == times.tobytes()
 
 
 def kinematic_step(positions, headings, length):
@@ -133,12 +152,13 @@ def kinematic_step(positions, headings, length):
 def maneuver(positions, radius, leader_ids, params, seed=None):
     """The turn maneuver of ``params`` (FlockParams) as a plain per-step loop:
     build the sensing graph of the current positions, update every heading,
-    move every agent, then check the headings for divergence. Returns the
-    positions and headings of every step and the divergence step (or None)."""
+    move every agent, then check the headings against the run's divergence
+    limit. Returns the positions and headings of every step and the
+    divergence step (or None)."""
     dsr = params.dsr
     track = [[tuple(p) for p in np.asarray(positions, dtype=float).tolist()]]
     headings = [[dsr.source.initial] * len(track[0])]
-    previous = headings[0]
+    previous, limit = headings[0], run_limit(dsr.source, headings[0])
     for k in range(params.n_steps):
         graph = NetworkTopology.build(np.array(track[-1]), radius, leader_ids)
         current = dsr_step(
@@ -147,6 +167,6 @@ def maneuver(positions, radius, leader_ids, params, seed=None):
         previous = headings[-1]
         headings.append(current)
         track.append(kinematic_step(track[-1], current, params.speed * dsr.update_interval))
-        if diverged(current):
+        if diverged(current, limit=limit):
             return np.array(track), np.array(headings), k + 1
     return np.array(track), np.array(headings), None

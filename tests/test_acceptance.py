@@ -20,16 +20,18 @@ from dsrnet.analysis import (
 from dsrnet.continuum import predicted_wave_speed
 from dsrnet.dsr_core import (
     DsrParams,
-    InfoState,
     StepSource,
-    dsr_step,
+    _discrepancy,
+    _dsr_update,
+    _weights,
+    dsr_run,
     simulate,
 )
 from dsrnet.flocking import FlockParams, run_maneuver
 from dsrnet.harness import preset_catalog, run_preset
 from dsrnet.topology import NetworkTopology, build_lattice
 
-from per_agent import neighbor_discrepancy
+import per_agent
 
 LATTICE = build_lattice(15, 15, 1.0)
 FROZEN_LEADER = 16
@@ -280,50 +282,42 @@ def test_criterion_8_flocking_cohesion(flock_runs):
 def test_criterion_9_property_suites(preset_runs):
     checks = []
 
-    # direct update equals the rearranged two-increment recursion
+    # the engine's update of its own discrepancy equals the rearranged
+    # two-increment recursion of the oracle's discrepancy
     topology = NetworkTopology.build(build_lattice(5, 5, 1.0), 1.2, {3})
+    graph, leaders = (topology.indptr, topology.indices), topology.leader_ids
+    weights, source_weight, _ = _weights(topology.indptr, leaders)
     rng = np.random.default_rng(2718)
     worst = 0.0
     for gain in (0.3, 0.96):
-        params = DsrParams(100.0, gain, 0.01, StepSource(0.0, 0.5, 0))
         for _ in range(50):
             current = rng.uniform(-1, 1, 25)
             previous = rng.uniform(-1, 1, 25)
-            state = InfoState(current=current, previous=previous, step=0)
-            stepped = dsr_step(state, topology, params)
-            delta = np.array(
-                [neighbor_discrepancy(i, state, topology, 0.5) for i in range(25)]
-            )
+            stepped = np.empty(25)
+            engine = _discrepancy(*graph, weights, source_weight * 0.5, current, np.empty(25))
+            _dsr_update(current, previous, engine, stepped, np.empty(25), 100.0 * 0.01, gain)
+            delta = np.array(per_agent.discrepancy(graph, leaders, current.tolist(), 0.5))
             rearranged = (
                 -100.0 * delta * 0.01
                 + gain * (2 * current - previous)
                 + (1 - gain) * current
             )
-            worst = max(worst, float(np.abs(stepped.current - rearranged).max()))
+            worst = max(worst, float(np.abs(stepped - rearranged).max()))
     checks.append(("rearranged recursion to 1e-12", worst <= 1e-12, f"max {worst:.2e}"))
 
-    # zero-gain stepper equals an independently coded diffusion stepper
+    # a zero-gain run's first step equals a plain diffusion step of the
+    # oracle's discrepancy
     values = rng.uniform(0, 1, 25)
-    stepped = dsr_step(
-        InfoState.from_initial(values),
-        topology,
-        DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE),
-    )
-    plain = values.copy()
-    for i in range(25):
-        ids = topology.neighbors[i]
-        count = len(ids) + (1 if i in topology.leader_ids else 0)
-        total = float(np.sum(values[i] - values[ids]))
-        if i in topology.leader_ids:
-            total += values[i] - 1.0
-        plain[i] = values[i] - 1.0 * (total / count)
-    gap = float(np.abs(stepped.current - plain).max())
+    params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
+    stepped = dsr_run(topology, [params], values).advance(1).current[:, 0]
+    plain = values - 1.0 * np.array(per_agent.discrepancy(graph, leaders, values.tolist(), 1.0))
+    gap = float(np.abs(stepped - plain).max())
     checks.append(("zero-gain equals diffusion to 1e-15", gap <= 1e-15, f"max {gap:.2e}"))
 
     # uniform-at-source fixed point
     fixed_params = DsrParams(100.0, 0.96, 0.01, StepSource(0.7, 0.7, 0))
-    fixed = dsr_step(InfoState.from_initial(np.full(25, 0.7)), topology, fixed_params)
-    fixed_gap = float(np.abs(fixed.current - 0.7).max())
+    fixed = dsr_run(topology, [fixed_params], np.full(25, 0.7)).advance(1).current
+    fixed_gap = float(np.abs(fixed - 0.7).max())
     checks.append(
         (
             "uniform-at-source fixed point",
@@ -335,12 +329,11 @@ def test_criterion_9_property_suites(preset_runs):
     # discrepancy of a quadratic field equals the scaled Laplacian
     quad_topology = NetworkTopology.build(build_lattice(7, 7, 1.0), 1.2)
     field = quad_topology.positions[:, 0] ** 2 + quad_topology.positions[:, 1] ** 2
-    state = InfoState.from_initial(field)
+    quad_weights = _weights(quad_topology.indptr, quad_topology.leader_ids)[0]
+    quad = _discrepancy(quad_topology.indptr, quad_topology.indices, quad_weights, 0.0,
+                        field, np.empty(49))
     interior = np.flatnonzero(quad_topology.degrees == 4)
-    lap_err = max(
-        abs(neighbor_discrepancy(int(i), state, quad_topology, 0.0) + 1.0)
-        for i in interior
-    )
+    lap_err = float(np.abs(quad[interior] + 1.0).max())
     checks.append(("quadratic-field discrepancy to 1e-12", lap_err <= 1e-12, f"max {lap_err:.2e}"))
 
     # correlation delay recovers injected shifts exactly

@@ -142,6 +142,15 @@ class TestThresholdDelay:
         assert delays[0] == pytest.approx(0.0)
         assert delays[1] == pytest.approx(0.04)
 
+    def test_negative_threshold_is_crossed_from_above(self):
+        # the hand example negated: the same crossings at -0.1
+        values = np.zeros((12, 2))
+        values[5:, 0] = -0.5
+        values[9:, 1] = -0.5
+        delays = threshold_delay(make_trajectory(np.arange(12) * 0.01, values), -0.1)
+        assert delays[0] == 0.0
+        assert delays[1] == pytest.approx(0.04)
+
     def test_all_zero_trajectory_marks_everyone_absent(self):
         traj = make_trajectory(np.arange(5) * 0.01, np.zeros((5, 3)))
         assert np.isnan(threshold_delay(traj, 0.1)).all()
@@ -589,8 +598,9 @@ class TestBandMatchesRecord:
 
 
 def oracle_threshold_delay(traj, threshold):
-    """The whole-array formula: one boolean array the size of the record."""
-    crossed = traj.values >= threshold
+    """The whole-array formula: one boolean array the size of the record. A
+    negative threshold is crossed from above."""
+    crossed = traj.values <= threshold if threshold < 0 else traj.values >= threshold
     crossing_times = traj.times[crossed.argmax(axis=0)].astype(float)
     crossing_times[~crossed.any(axis=0)] = np.nan
     leader_times = crossing_times[list(traj.leader_ids)]
@@ -618,20 +628,22 @@ class TestBlockedMetricsMatchOracles:
         silent=st.floats(0.0, 1.0),
         leader_crosses=st.booleans(),
         final_value=st.sampled_from([1.0, -0.5, 2.0]),
+        threshold=st.sampled_from([0.1, -0.1]),
     )
     def test_equal_to_whole_array_formulas(
-        self, seed, rows, agents, silent, leader_crosses, final_value
+        self, seed, rows, agents, silent, leader_crosses, final_value, threshold
     ):
         rows = min(rows, max(1, 400_000 // agents))  # at most 3.2 MB
         rng = np.random.default_rng(seed)
-        # random walks that cross 0.1 at scattered rows; a share of the
-        # agents (and the leader, unless it crosses) stay below it
+        # random walks that cross the threshold at scattered rows; a share of
+        # the agents (and the leader, unless it crosses) stay on 0's side of it
         values = np.cumsum(rng.normal(0.0, 0.05, (rows, agents)), axis=0)
         never = rng.random(agents) < silent
         leaders = sorted({0, agents // 2})
         never[leaders] = not leader_crosses
-        values[:, never] = np.minimum(values[:, never], 0.0)
+        side = np.minimum if threshold > 0 else np.maximum
+        values[:, never] = side(values[:, never], 0.0)
         traj = make_trajectory(np.arange(rows) * 0.01, values, leader_ids=leaders)
-        got, expected = threshold_delay(traj, 0.1), oracle_threshold_delay(traj, 0.1)
+        got, expected = threshold_delay(traj, threshold), oracle_threshold_delay(traj, threshold)
         assert got.tobytes() == expected.tobytes()
         assert overshoot(traj, final_value) == oracle_overshoot(traj, final_value)

@@ -8,28 +8,15 @@ import pytest
 from dsrnet import dsr_core
 from dsrnet.continuum import (
     ContinuumParams,
-    SecondOrderState,
-    diffusion_step,
     predicted_wave_speed,
     second_order_run,
-    second_order_step,
     simulate_diffusion,
     simulate_second_order,
 )
-from dsrnet.dsr_core import (
-    _MAX_BLOCK_STEPS,
-    DiscrepancyOperator,
-    DsrParams,
-    InfoState,
-    IsolatedAgentError,
-    StepSource,
-    dsr_run,
-    dsr_step,
-)
+from dsrnet.dsr_core import _MAX_BLOCK_STEPS, DsrParams, IsolatedAgentError, StepSource, dsr_run
 from dsrnet.topology import NetworkTopology
 
-import per_agent
-from per_agent import lattice_topology
+from per_agent import assert_same_run, lattice_topology, recorded_run
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 
@@ -38,9 +25,14 @@ def wave_params(ks, gain, dt, step, source):
     return ContinuumParams(DsrParams(ks, gain, dt, source), step)
 
 
+def zero_gain(params):
+    """The diffusion model's DSR params: ``params`` at zero gain."""
+    return replace(params, dsr_gain=0.0)
+
+
 def zero_gain_run(topology, params, initial, record_every=1):
     """The diffusion model on the DSR engine: the zero-gain run of ``params``."""
-    return dsr_run(topology, [replace(params, dsr_gain=0.0)], initial, record_every=record_every)
+    return dsr_run(topology, [zero_gain(params)], initial, record_every=record_every)
 
 
 class TestPredictedWaveSpeed:
@@ -88,98 +80,45 @@ class TestParams:
             ContinuumParams(DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE, 0.1), 1e-4)
 
 
-class TestSecondOrderStep:
+class TestSecondOrderRun:
     def test_uniform_at_source_with_zero_rate_is_fixed_point(self):
         topo = lattice_topology(4, 4, {0})
         params = wave_params(100.0, 0.96, 0.01, 1e-4, StepSource(0.6, 0.6, 0))
-        state = SecondOrderState.from_initial(np.full(16, 0.6))
-        out = second_order_step(state, topo, params)
-        assert np.array_equal(out.value, state.value)
+        initial = np.full(16, 0.6)
+        run = second_order_run(topo, params, initial).advance(1)
+        assert np.array_equal(run.current[:, 0], initial)
         # the discrepancy of the uniform state vanishes up to rounding in
-        # the neighbor-mean weights, so the rate stays at rounding scale
-        assert np.abs(out.rate).max() <= 1e-12
-
-    def test_rate_starts_at_zero(self):
-        state = SecondOrderState.from_initial(np.arange(3.0))
-        assert np.array_equal(state.rate, np.zeros(3))
-
-    def test_value_advances_with_pre_update_rate(self):
-        topo = lattice_topology(3, 3, {0})
-        params = wave_params(100.0, 0.96, 0.01, 1e-3, STEP_TO_ONE)
-        state = SecondOrderState(value=np.zeros(9), rate=np.full(9, 2.0))
-        out = second_order_step(state, topo, params)
-        assert out.value == pytest.approx(np.full(9, 2e-3))
+        # the neighbor-mean weights, so the rate (row 1 of the state) stays
+        # at rounding scale
+        rate = run._slots[run.step % len(run._slots)][1]
+        assert np.abs(rate).max() <= 1e-12
 
     def test_isolated_agent_raises_like_the_engine(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
         topo = NetworkTopology.build(positions, 1.2, {0})
         params = wave_params(100.0, 0.96, 0.01, 1e-3, STEP_TO_ONE)
-        state = SecondOrderState.from_initial(np.zeros(3))
-        with pytest.raises(IsolatedAgentError, match="agent 2"):
-            second_order_step(state, topo, params)
-        with pytest.raises(IsolatedAgentError, match="agent 2"):
-            second_order_step(state, topo, params, operator=DiscrepancyOperator(topo))
         with pytest.raises(IsolatedAgentError, match="agent 2"):
             second_order_run(topo, params, np.zeros(3))
 
 
-class TestDiffusionStep:
+class TestDiffusionRun:
     def test_chain_hand_arithmetic(self):
         positions = np.column_stack([np.arange(3.0), np.zeros(3)])
         topo = NetworkTopology.build(positions, 1.2)
         params = DsrParams(2.0, 0.5, 0.1, StepSource(0.0, 0.0, 0))
-        state = InfoState.from_initial([0.0, 0.5, 1.0])
-        out = diffusion_step(state, topo, params)
+        out = simulate_diffusion(topo, params, [0.0, 0.5, 1.0], 1).values[1]
         # discrepancies are (-0.5, 0, 0.5); update subtracts Ks*dt times them
-        assert out.current == pytest.approx([0.1, 0.5, 0.9])
-
-    def test_zero_alignment_is_identity(self):
-        topo = lattice_topology(3, 3, {0})
-        params = DsrParams(0.0, 0.5, 0.01, STEP_TO_ONE)
-        state = InfoState.from_initial(np.linspace(0, 1, 9))
-        out = diffusion_step(state, topo, params)
-        assert np.array_equal(out.current, state.current)
+        assert out == pytest.approx([0.1, 0.5, 0.9])
 
     def test_isolated_agent_raises_like_the_engine(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
         topo = NetworkTopology.build(positions, 1.2, {0})
         params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
         with pytest.raises(IsolatedAgentError, match="agent 2"):
-            diffusion_step(InfoState.from_initial(np.zeros(3)), topo, params)
-        with pytest.raises(IsolatedAgentError, match="agent 2"):
             simulate_diffusion(topo, params, np.zeros(3), 1)
-
-    def test_zero_gain_consensus_update_keeps_signbits(self):
-        # the -0.0 input of test_diffusion_keeps_negative_zero: adding
-        # 0 * (cur - prev) = +0.0 would turn it into +0.0
-        topo = lattice_topology(3, 3, {0})
-        params = DsrParams(0.0, 0.0, 0.01, STEP_TO_ONE)
-        values = np.array([-1.0] * 4 + [-0.0] + [-1.0] * 4)
-        a = diffusion_step(InfoState.from_initial(values.copy()), topo, params)
-        b = dsr_step(InfoState.from_initial(values.copy()), topo, params)
-        assert np.signbit(a.current[4])
-        assert a.current.tobytes() == b.current.tobytes()
 
 
 class TestSimulators:
-    def test_record_stride_and_final_row(self):
-        topo = lattice_topology(3, 3, {0})
-        params = wave_params(100.0, 0.96, 0.01, 1e-4, STEP_TO_ONE)
-        traj = simulate_second_order(topo, params, np.zeros(9), 105, record_every=10)
-        assert traj.times[0] == 0.0
-        assert traj.times[1] == pytest.approx(10e-4)
-        assert traj.times[-1] == pytest.approx(105e-4)
-        assert traj.values.shape == (12, 9)
-
-    def test_divergence_truncates_and_flags(self):
-        positions = np.column_stack([np.arange(3.0), np.zeros(3)])
-        topo = NetworkTopology.build(positions, 1.2, {0})
-        params = DsrParams(100.0, 0.5, 0.1, STEP_TO_ONE)
-        traj = simulate_diffusion(topo, params, np.zeros(3), 500)
-        assert traj.diverged
-        assert traj.diverged_step is not None
-        assert traj.times[-1] == pytest.approx(traj.diverged_step * 0.1)
-
     def test_overdamped_limit_approaches_diffusion(self):
         # with a stable integrator step, shrinking the gain drives the
         # second-order trajectories onto the overdamped diffusion ones
@@ -230,45 +169,6 @@ class TestSimulators:
 B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
 
 
-def stepped_run(advance, state, n_steps, record_every, step_seconds):
-    """Reference run: the per-agent ``advance(k, state)`` in a plain loop from
-    ``state``, checked after every step. Keeps the values (the first list of
-    a state) at step 0, every ``record_every``-th step and the last."""
-    states, diverged_step = per_agent.run(advance, state, n_steps)
-    last = len(states) - 1
-    kept = [k for k in range(last + 1) if k % record_every == 0 or k == last]
-    return np.array(kept) * step_seconds, np.array([states[k][0] for k in kept]), diverged_step
-
-
-def second_order_reference(topo, params, initial, n_steps, record_every):
-    """The wave model from ``initial`` with every rate at zero."""
-    graph, start = (topo.indptr, topo.indices), np.asarray(initial, dtype=float).tolist()
-    return stepped_run(
-        lambda k, state: per_agent.wave_step(graph, topo.leader_ids, params, *state, k),
-        (start, [0.0] * len(start)), n_steps, record_every, params.integrator_step,
-    )
-
-
-def diffusion_reference(topo, params, initial, n_steps, record_every):
-    """The noiseless zero-gain DSR update from an at-rest ``initial``."""
-    graph, start = (topo.indptr, topo.indices), np.asarray(initial, dtype=float).tolist()
-    params = replace(params, dsr_gain=0.0, noise_amplitude=0.0)
-
-    def advance(k, state):
-        return per_agent.dsr_step(graph, topo.leader_ids, params, *state, k), state[0]
-
-    return stepped_run(advance, (start, start), n_steps, record_every, params.update_interval)
-
-
-def assert_same_run(traj, expected):
-    times, rows, diverged_step = expected
-    assert traj.diverged == (diverged_step is not None)
-    assert traj.diverged_step == diverged_step
-    assert traj.values.shape == rows.shape
-    assert traj.values.tobytes() == rows.tobytes()
-    assert traj.times.tobytes() == times.tobytes()
-
-
 STEP_COUNTS = [0, 1, B - 1, B, B + 1, 2 * B + 3]
 STRIDES = [1, 3, B, 80]
 
@@ -292,7 +192,7 @@ class TestEngineMatchesStepLoop:
             100.0, 0.96, 0.01, 1e-3, StepSource(0.2, 1.0, B + 6)
         )
         initial = np.linspace(-0.5, 0.5, 9)
-        expected = second_order_reference(topo, params, initial, n_steps, record_every)
+        expected = recorded_run(topo, params, initial, n_steps, record_every)
         traj = simulate_second_order(topo, params, initial, n_steps, record_every)
         assert_same_run(traj, expected)
 
@@ -302,7 +202,7 @@ class TestEngineMatchesStepLoop:
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(100.0, 0.5, 0.01, StepSource(0.2, 1.0, B + 6))
         initial = np.linspace(-0.5, 0.5, 9)
-        expected = diffusion_reference(topo, params, initial, n_steps, record_every)
+        expected = recorded_run(topo, zero_gain(params), initial, n_steps, record_every)
         traj = simulate_diffusion(topo, params, initial, n_steps, record_every)
         assert_same_run(traj, expected)
 
@@ -312,8 +212,8 @@ class TestEngineMatchesStepLoop:
         [
             (1e9, 1e-3, 1.0, 0.0, 1),  # the rate alone crosses the limit
             (100.0, 0.00835, 1.0, 0.0, 30),
-            (100.0, 0.003, 0.0, 1470.0, 64),  # last step of the first block
-            (100.0, 0.003, 0.0, 1190.0, 65),  # first step of the second block
+            (272.0, 0.003, 0.0, 1470.0, 64),  # last step of the first block
+            (266.0, 0.003, 0.0, 1190.0, 65),  # first step of the second block
             (1e300, 1e-3, 1e20, 0.0, 1),  # overflows to inf within one step
         ],
     )
@@ -325,7 +225,7 @@ class TestEngineMatchesStepLoop:
             ks, 0.96, 0.01, step_size, StepSource(0.0, source_final, 0)
         )
         initial = scale * np.linspace(-1.0, 1.0, 9)
-        expected = second_order_reference(topo, params, initial, 300, record_every)
+        expected = recorded_run(topo, params, initial, 300, record_every)
         assert expected[2] == step
         traj = simulate_second_order(topo, params, initial, 300, record_every)
         assert_same_run(traj, expected)
@@ -344,7 +244,7 @@ class TestEngineMatchesStepLoop:
     def test_diffusion_divergence_step(self, ks, source_final, step, record_every):
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(ks, 0.5, 0.01, StepSource(0.0, source_final, 0))
-        expected = diffusion_reference(topo, params, np.zeros(9), 300, record_every)
+        expected = recorded_run(topo, zero_gain(params), np.zeros(9), 300, record_every)
         assert expected[2] == step
         traj = simulate_diffusion(topo, params, np.zeros(9), 300, record_every)
         assert_same_run(traj, expected)
@@ -355,7 +255,7 @@ class TestEngineMatchesStepLoop:
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(0.0, 0.5, 0.01, STEP_TO_ONE)
         initial = np.array([-1.0] * 4 + [-0.0] + [-1.0] * 4)
-        expected = diffusion_reference(topo, params, initial, 5, 1)
+        expected = recorded_run(topo, zero_gain(params), initial, 5)
         assert np.signbit(expected[1][-1, 4])
         assert_same_run(simulate_diffusion(topo, params, initial, 5), expected)
 
@@ -363,7 +263,7 @@ class TestEngineMatchesStepLoop:
         topo, params, initial, n_steps = long_wave_run()
         assert_same_run(
             simulate_second_order(topo, params, initial, n_steps),
-            second_order_reference(topo, params, initial, n_steps, 1),
+            recorded_run(topo, params, initial, n_steps),
         )
 
     def test_one_agent_leader_graph(self):
@@ -372,11 +272,11 @@ class TestEngineMatchesStepLoop:
         n_steps = 2 * B + 3
         assert_same_run(
             simulate_second_order(topo, params, np.zeros(1), n_steps, 3),
-            second_order_reference(topo, params, np.zeros(1), n_steps, 3),
+            recorded_run(topo, params, np.zeros(1), n_steps, 3),
         )
         assert_same_run(
             simulate_diffusion(topo, params.dsr, np.zeros(1), n_steps, 3),
-            diffusion_reference(topo, params.dsr, np.zeros(1), n_steps, 3),
+            recorded_run(topo, zero_gain(params.dsr), np.zeros(1), n_steps, 3),
         )
 
 
@@ -393,7 +293,7 @@ def test_oracle_catches_a_reordered_discrepancy(monkeypatch):
 
     monkeypatch.setattr(dsr_core, "_discrepancy", reordered)
     topo, params, initial, n_steps = long_wave_run()
-    _, rows, _ = second_order_reference(topo, params, initial, n_steps, 1)
+    _, rows, _ = recorded_run(topo, params, initial, n_steps)
     traj = simulate_second_order(topo, params, initial, n_steps)
     assert traj.values.shape == rows.shape and traj.values.tobytes() != rows.tobytes()
 

@@ -19,21 +19,18 @@ from dsrnet.dsr_core import (
     _StepNoise,
     BlockRun,
     DsrParams,
-    DiscrepancyOperator,
-    InfoState,
     IsolatedAgentError,
     StepSource,
     _discrepancy,
-    detect_divergence,
+    _weights,
     dsr_run,
-    dsr_step,
     simulate,
 )
 from dsrnet.flocking import FlockParams, run_maneuver
 from dsrnet.topology import NetworkTopology, build_lattice, sample_disc
 
 import per_agent
-from per_agent import lattice_topology, neighbor_discrepancy
+from per_agent import assert_same_run, lattice_topology
 
 STEP_TO_ONE = StepSource(0.0, 1.0, 0)
 NAN = float("nan")
@@ -44,134 +41,65 @@ def chain_topology(n, leaders=()):
     return NetworkTopology.build(positions, 1.2, leaders)
 
 
-class TestNeighborDiscrepancy:
+def discrepancy(topology, values, source_value):
+    """The engine's discrepancy of ``values`` on ``topology``'s own graph."""
+    weights, source_weight, _ = _weights(topology.indptr, topology.leader_ids)
+    values = np.asarray(values, dtype=float)
+    pull = source_weight * source_value
+    return _discrepancy(topology.indptr, topology.indices, weights, pull, values,
+                        np.empty(values.shape))
+
+
+def one_step(topology, params, initial):
+    """The values after step 1 of a run from ``initial``."""
+    run = dsr_run(topology, [params], initial).advance(1)
+    assert run.step == 1
+    return run.current[:, 0]
+
+
+class TestDiscrepancy:
     def test_uniform_state_vanishes(self):
         topo = lattice_topology(3, 3)
-        state = InfoState.from_initial(np.full(9, 0.7))
-        assert neighbor_discrepancy(4, state, topo, 0.0) == 0.0
+        assert discrepancy(topo, np.full(9, 0.7), 0.0)[4] == 0.0
 
     def test_leader_counts_source_as_extra_member(self):
         # leader at 0 with two zero neighbors and a unit source:
         # (0 + 0 + (0 - 1)) / 3 = -1/3
         topo = lattice_topology(3, 3, {0})
-        state = InfoState.from_initial(np.zeros(9))
-        assert neighbor_discrepancy(0, state, topo, 1.0) == pytest.approx(-1.0 / 3.0)
+        assert discrepancy(topo, np.zeros(9), 1.0)[0] == pytest.approx(-1.0 / 3.0)
 
     def test_chain_middle_agent(self):
-        topo = chain_topology(3)
-        state = InfoState.from_initial(np.array([0.0, 0.5, 1.0]))
-        assert neighbor_discrepancy(1, state, topo, 0.0) == pytest.approx(0.0)
-        assert neighbor_discrepancy(0, state, topo, 0.0) == pytest.approx(-0.5)
-
-    def test_isolated_non_leader_raises(self):
-        positions = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0]])
-        topo = NetworkTopology.build(positions, 1.2)
-        state = InfoState.from_initial(np.zeros(3))
-        with pytest.raises(IsolatedAgentError):
-            neighbor_discrepancy(0, state, topo, 0.0)
+        delta = discrepancy(chain_topology(3), [0.0, 0.5, 1.0], 0.0)
+        assert delta[1] == pytest.approx(0.0)
+        assert delta[0] == pytest.approx(-0.5)
 
     def test_isolated_leader_uses_source_alone(self):
         positions = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0]])
         topo = NetworkTopology.build(positions, 1.2, {0})
-        state = InfoState.from_initial(np.zeros(3))
-        assert neighbor_discrepancy(0, state, topo, 1.0) == pytest.approx(-1.0)
-
-    def test_vectorized_operator_matches_scalar_loop(self):
-        topo = lattice_topology(4, 5, {7})
-        rng = np.random.default_rng(11)
-        state = InfoState.from_initial(rng.normal(size=20))
-        op = DiscrepancyOperator(topo)
-        vector = op(state.current, 0.37)
-        for agent in range(20):
-            assert vector[agent] == pytest.approx(
-                neighbor_discrepancy(agent, state, topo, 0.37), abs=1e-13
-            )
+        assert discrepancy(topo, np.zeros(3), 1.0)[0] == pytest.approx(-1.0)
 
 
-class TestDsrStep:
+class TestDsrUpdate:
     def test_zero_gains_are_identity(self):
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(0.0, 0.0, 0.01, STEP_TO_ONE)
-        state = InfoState.from_initial(np.linspace(0, 1, 9))
-        out = dsr_step(state, topo, params)
-        assert np.array_equal(out.current, state.current)
-        assert out.step == 1
+        initial = np.linspace(0, 1, 9)
+        assert np.array_equal(one_step(topo, params, initial), initial)
 
     def test_corner_leader_first_step(self):
         # leader with two zero neighbors, unit source, Ks=100, dt=0.01:
         # 0 - 100 * (-1/3) * 0.01 = 1/3
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
-        out = dsr_step(InfoState.from_initial(np.zeros(9)), topo, params)
-        assert out.current[0] == pytest.approx(1.0 / 3.0)
-        assert np.all(out.current[1:] == 0.0)
-
-    @pytest.mark.parametrize("gain", [0.3, 0.96])
-    def test_matches_rearranged_recursion_on_random_states(self, gain):
-        # independent route: solve the rearranged two-increment form
-        #   (g/dt) * [(I+ - I) - (I - I-)] + ((1-g)/dt) * (I+ - I) = -Ks * delta
-        # for I+ and compare against the direct update.
-        topo = lattice_topology(5, 5, {3})
-        params = DsrParams(87.0, gain, 0.01, StepSource(0.0, 0.4, 0))
-        rng = np.random.default_rng(101)
-        for _ in range(100):
-            current = rng.uniform(-1, 1, 25)
-            previous = rng.uniform(-1, 1, 25)
-            state = InfoState(current=current, previous=previous, step=0)
-            stepped = dsr_step(state, topo, params)
-            delta = np.array(
-                [neighbor_discrepancy(i, state, topo, 0.4) for i in range(25)]
-            )
-            rearranged = (
-                -params.alignment_strength * delta * params.update_interval
-                + gain * (2.0 * current - previous)
-                + (1.0 - gain) * current
-            )
-            assert np.abs(stepped.current - rearranged).max() <= 1e-12
-
-    def test_zero_gain_matches_plain_diffusion_stepper(self):
-        # independently coded diffusion stepper built on the raw neighbor lists
-        topo = lattice_topology(5, 5, {3})
-        params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0, 1, 25)
-        state = InfoState.from_initial(values)
-        stepped = dsr_step(state, topo, params)
-
-        plain = values.copy()
-        for i in range(25):
-            ids = topo.neighbors[i]
-            count = len(ids) + (1 if i in topo.leader_ids else 0)
-            total = float(np.sum(values[i] - values[ids]))
-            if i in topo.leader_ids:
-                total += values[i] - 1.0
-            plain[i] = values[i] - 100.0 * 0.01 * (total / count)
-        assert np.abs(stepped.current - plain).max() <= 1e-15
-
-    def test_uniform_at_source_is_fixed_point(self):
-        topo = lattice_topology(4, 4, {0})
-        params = DsrParams(100.0, 0.96, 0.01, StepSource(0.7, 0.7, 0))
-        state = InfoState.from_initial(np.full(16, 0.7))
-        out = dsr_step(state, topo, params)
-        assert np.abs(out.current - state.current).max() <= 1e-15
-
-    def test_laplacian_consistency_on_quadratic_field(self):
-        # discrepancy of I = x^2 + y^2 on a unit lattice equals -1 for every
-        # interior agent: minus (spacing^2 / 4) times the field's Laplacian.
-        topo = lattice_topology(7, 7)
-        field = topo.positions[:, 0] ** 2 + topo.positions[:, 1] ** 2
-        state = InfoState.from_initial(field)
-        interior = np.flatnonzero(topo.degrees == 4)
-        assert interior.size == 25
-        for agent in interior:
-            assert abs(neighbor_discrepancy(agent, state, topo, 0.0) + 1.0) <= 1e-12
+        out = one_step(topo, params, np.zeros(9))
+        assert out[0] == pytest.approx(1.0 / 3.0)
+        assert np.all(out[1:] == 0.0)
 
     def test_noise_requires_seed(self):
         # every entry point raises up front, so even a zero-step maneuver does
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE, noise_amplitude=0.01)
         for run in [
-            lambda: dsr_step(InfoState.from_initial(np.zeros(9)), topo, params),
             lambda: dsr_run(topo, [params], np.zeros(9)),
             lambda: run_maneuver(topo, FlockParams(5.0, params, n_steps=0)),
         ]:
@@ -226,40 +154,7 @@ class TestParamsValidation:
         assert source.value(5) == 2.0
 
 
-class TestDetectDivergence:
-    def test_in_range_values_pass(self):
-        state = InfoState.from_initial(np.array([0.0, 1.0, -0.5]))
-        assert not detect_divergence(state)
-
-    def test_nan_trips(self):
-        state = InfoState.from_initial(np.array([0.0, np.nan]))
-        assert detect_divergence(state)
-
-    def test_threshold_trips(self):
-        state = InfoState.from_initial(np.array([0.0, 1.0e7]))
-        assert detect_divergence(state)
-
-
 class TestSimulate:
-    def test_zero_steps_records_initial_row_only(self):
-        topo = lattice_topology(3, 3, {0})
-        params = DsrParams(100.0, 0.0, 0.01, STEP_TO_ONE)
-        traj = simulate(topo, params, np.zeros(9), 0)
-        assert traj.values.shape == (1, 9)
-        assert traj.times.tolist() == [0.0]
-        assert not traj.diverged
-
-    def test_divergence_truncates_and_flags(self):
-        topo = lattice_topology(5, 5, {0})
-        params = DsrParams(500.0, 0.0, 0.01, STEP_TO_ONE)  # far past the cliff
-        traj = simulate(topo, params, np.zeros(25), 2000)
-        assert traj.diverged
-        assert traj.diverged_step is not None
-        assert traj.values.shape[0] == traj.diverged_step + 1
-        assert np.abs(traj.values[-1]).max() > 1.0e6 or not np.isfinite(
-            traj.values[-1]
-        ).all()
-
     def test_isolated_agent_raises_upfront(self):
         positions = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 1.0]])
         topo = NetworkTopology.build(positions, 1.2, {1})
@@ -302,28 +197,6 @@ class TestSimulate:
 B = _MAX_BLOCK_STEPS  # the engine's block length at the small n used here
 
 
-def stepped(topology, params, initial, n_steps, seed=None, graph=None):
-    """Reference run: the per-agent update in a plain loop, checked after every
-    step, on ``graph(k)`` at step k if given, else on the topology's graph."""
-    graph = graph or (lambda k: (topology.indptr, topology.indices))
-    leaders = topology.leader_ids
-
-    def advance(k, state):
-        return per_agent.dsr_step(graph(k), leaders, params, *state, k, seed), state[0]
-
-    start = np.asarray(initial, dtype=float).tolist()
-    states, diverged_step = per_agent.run(advance, (start, start), n_steps)
-    return np.array([state[0] for state in states]), diverged_step
-
-
-def assert_same_run(traj, rows, diverged_step, dt):
-    assert traj.diverged == (diverged_step is not None)
-    assert traj.diverged_step == diverged_step
-    assert traj.values.shape == rows.shape
-    assert traj.values.tobytes() == rows.tobytes()
-    assert traj.times.tobytes() == (np.arange(len(rows)) * dt).tobytes()
-
-
 class TestSimulateMatchesStepLoop:
     """The block-stepped engine against the per-agent oracle, bit for bit."""
 
@@ -336,9 +209,8 @@ class TestSimulateMatchesStepLoop:
             100.0, 0.9, 0.01, StepSource(0.2, 1.0, B + 6), noise_amplitude=noise
         )
         initial = np.linspace(-0.5, 0.5, 9)
-        rows, diverged = stepped(topo, params, initial, n_steps, seed=5)
-        traj = simulate(topo, params, initial, n_steps, seed=5)
-        assert_same_run(traj, rows, diverged, 0.01)
+        expected = per_agent.recorded_run(topo, params, initial, n_steps, seed=5)
+        assert_same_run(simulate(topo, params, initial, n_steps, seed=5), expected)
 
     @pytest.mark.parametrize(
         "ks, source_final, step",
@@ -354,9 +226,9 @@ class TestSimulateMatchesStepLoop:
     def test_divergence_step(self, ks, source_final, step):
         topo = lattice_topology(3, 3, {0})
         params = DsrParams(ks, 0.5, 0.01, StepSource(0.0, source_final, 0))
-        rows, diverged = stepped(topo, params, np.zeros(9), 300)
-        assert diverged == step
-        assert_same_run(simulate(topo, params, np.zeros(9), 300), rows, diverged, 0.01)
+        expected = per_agent.recorded_run(topo, params, np.zeros(9), 300)
+        assert expected[2] == step
+        assert_same_run(simulate(topo, params, np.zeros(9), 300), expected)
 
     def test_hook_coasts_the_agents_it_returns(self):
         # agent 9 starts next to agent 2; from step 1 on the hook's graph puts
@@ -385,8 +257,9 @@ class TestSimulateMatchesStepLoop:
         run = dsr_run(near, [params], initial, seed=5, graph=graph)
         traj = run.advance(2 * B + 3).trajectory()
         assert len(traj.values) == 2 * B + 4 and not traj.diverged
-        rows, diverged = stepped(near, params, initial, 2 * B + 3, 5, lambda k: graphs[k > 0])
-        assert diverged is None and traj.values.tobytes() == rows.tobytes()
+        assert_same_run(traj, per_agent.recorded_run(
+            near, params, initial, 2 * B + 3, seed=5, graphs=lambda k: graphs[k > 0]
+        ))
         # agent 9 moves on step 0, then keeps only its reinforcement term
         alone = traj.values[:, 9]
         assert alone[1] != initial[9]
@@ -395,9 +268,8 @@ class TestSimulateMatchesStepLoop:
     def test_one_agent_leader_graph(self):
         topo = NetworkTopology.build(np.zeros((1, 2)), 1.2, {0})
         params = DsrParams(50.0, 0.9, 0.01, StepSource(0.0, 1.0, 3))
-        rows, diverged = stepped(topo, params, np.zeros(1), 2 * B + 3)
-        traj = simulate(topo, params, np.zeros(1), 2 * B + 3)
-        assert_same_run(traj, rows, diverged, 0.01)
+        expected = per_agent.recorded_run(topo, params, np.zeros(1), 2 * B + 3)
+        assert_same_run(simulate(topo, params, np.zeros(1), 2 * B + 3), expected)
 
 
 @pytest.mark.parametrize("model", ["dsr", "second-order"])
@@ -524,23 +396,22 @@ class TestExtendedRun:
             run.advance(5).advance(4)
 
 
-def operator_matrix(op, topo):
-    """The operator's averaging matrix as a scipy array: its weights over the
-    topology's CSR."""
+def weighed(topo):
+    """The CSR ``(indptr, indices, weights)`` of ``topo``'s own graph, its
+    source weights, and its averaging matrix as a scipy array."""
+    weights, source_weight, isolated = _weights(topo.indptr, topo.leader_ids)
     n = topo.n_agents
-    return sparse.csr_array((op.weights, topo.indices, topo.indptr), shape=(n, n))
+    matrix = sparse.csr_array((weights, topo.indices, topo.indptr), shape=(n, n))
+    return (topo.indptr, topo.indices, weights), source_weight, matrix
 
 
-def lattice_operator():
-    """A 15x15 lattice's operator and its scipy matrix."""
-    topo = lattice_topology(15, 15, {16})
-    op = DiscrepancyOperator(topo)
-    return op, operator_matrix(op, topo)
+def lattice_15x15():
+    return lattice_topology(15, 15, {16})
 
 
-def cut_disc_operator():
-    """The operator and scipy matrix of a disc graph cut down to a random
-    subset of its pairs, with one agent's row emptied."""
+def cut_disc_topology():
+    """A disc graph cut down to a random subset of its pairs, with one
+    agent's row emptied."""
     rng = np.random.default_rng(11)
     topo = NetworkTopology.build(sample_disc(80, 4.0, rng), 1.5, {0})
     keep = rng.random(topo.indices.size) < 0.6
@@ -548,9 +419,9 @@ def cut_disc_operator():
     keep[topo.indptr[lonely] : topo.indptr[lonely + 1]] = False
     kept = np.flatnonzero(keep)
     topo.indptr, topo.indices = np.searchsorted(kept, topo.indptr), topo.indices[kept]
-    op = DiscrepancyOperator(topo)
-    assert op.isolated[lonely] and topo.indptr[lonely] == topo.indptr[lonely + 1]
-    return op, operator_matrix(op, topo)
+    assert _weights(topo.indptr, topo.leader_ids)[2][lonely]
+    assert topo.indptr[lonely] == topo.indptr[lonely + 1]
+    return topo
 
 
 SPECIAL_VALUES = [-0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]
@@ -577,34 +448,23 @@ class TestKernelProduct:
 
     @pytest.mark.parametrize("columns", [None, 1, 2, 8])
     @pytest.mark.parametrize(
-        "operator", [lattice_operator, cut_disc_operator], ids=["lattice-15x15", "cut-disc"]
+        "topology", [lattice_15x15, cut_disc_topology], ids=["lattice-15x15", "cut-disc"]
     )
-    def test_bitwise_equal_to_matmul(self, operator, columns):
-        op, matrix = operator()
+    def test_bitwise_equal_to_matmul(self, topology, columns):
+        csr, source_weight, matrix = weighed(topology())
         n = matrix.shape[0]
         values = special_inputs(n, columns)
-        pull = op.pull(0.37) if columns is None else op.pull(0.37)[:, None]
+        pull = source_weight * 0.37
+        pull = pull if columns is None else pull[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             expected = values - matrix @ values - pull
             out = np.full(values.shape, 7.0)  # stale contents must not leak in
-            got = _discrepancy(*op._csr, pull, values, out)
+            got = _discrepancy(*csr, pull, values, out)
         assert np.shares_memory(got, out)
         assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
 
-    @pytest.mark.parametrize(
-        "operator", [lattice_operator, cut_disc_operator], ids=["lattice-15x15", "cut-disc"]
-    )
-    def test_call_is_the_matmul_formula(self, operator):
-        op, matrix = operator()
-        values = special_inputs(matrix.shape[0], None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = values - matrix @ values
-            expected -= op.pull(0.37)
-            got = op(values, 0.37)
-        assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
-
     def test_rejects_buffers_of_the_wrong_size(self):
-        csr = DiscrepancyOperator(lattice_topology(3, 3, {0}))._csr
+        csr = weighed(lattice_topology(3, 3, {0}))[0]
         for values, out in [
             (np.zeros(8), np.zeros(8)),
             (np.zeros(8), np.zeros(9)),
@@ -628,7 +488,7 @@ class TestKernelProduct:
             if hasattr(sparse.csr_array, name):
                 monkeypatch.setattr(sparse.csr_array, name, refuse)
         with pytest.raises(AssertionError, match="scipy's @"):
-            lattice_operator()[1] @ np.zeros(225)
+            weighed(lattice_15x15())[2] @ np.zeros(225)
         topo = lattice_topology(5, 5, {6})
         params = DsrParams(100.0, 0.96, 0.01, STEP_TO_ONE)
         assert dsr_run(topo, [params], np.zeros(25)).advance(500).step == 500
@@ -650,12 +510,13 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 assert _sparsetools is dsr_core._sparsetools is sys.modules["scipy.sparse._sparsetools"]
 topo = NetworkTopology.build(build_lattice(5, 5, 1.0), 1.2, {6})
-op = dsr_core.DiscrepancyOperator(topo)
-matrix = sparse.csr_array((op.weights, topo.indices, topo.indptr), shape=(25, 25))
-for shape, pull in [(25, op.pull(0.37)), ((25, 3), op.pull(0.37)[:, None])]:
+weights, source_weight, _ = dsr_core._weights(topo.indptr, topo.leader_ids)
+matrix = sparse.csr_array((weights, topo.indices, topo.indptr), shape=(25, 25))
+pull = source_weight * 0.37
+for shape, pull in [(25, pull), ((25, 3), pull[:, None])]:
     values = np.random.default_rng(1).normal(size=shape)
     expected = values - matrix @ values - pull
-    got = dsr_core._discrepancy(*op._csr, pull, values, np.empty(shape))
+    got = dsr_core._discrepancy(topo.indptr, topo.indices, weights, pull, values, np.empty(shape))
     assert got.tobytes() == expected.tobytes()
 """
 

@@ -43,6 +43,21 @@ beta = 0.96
 dt = 0.01
 """
 
+# a 5x5 lattice led from one agent in from a corner, Ks = 100; a run of 600 steps
+_STEP = "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nks = 100\ndt = 0.01\n"
+_STEP_RUN = _STEP + "beta = 0.96\nn_steps = 600\n"
+
+
+def _run_config(out, text, *sweep):
+    """``dsrnet run`` (or ``sweep`` with the ``sweep`` arguments) of a config
+    of ``text`` under ``out``; returns the output directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "c.cfg").write_text(text)
+    command = ["sweep", *sweep] if sweep else ["run"]
+    assert main([*command, "--config", str(out / "c.cfg"), "--out", str(out / "o")]) == 0
+    return out / "o"
+
+
 FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if "float" in str(f.type)]
 
 
@@ -527,32 +542,9 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
 
-    def test_run_from_config_file(self, tmp_path):
-        config = tmp_path / "ok.cfg"
-        config.write_text(
-            "experiment = lattice-info\nrows = 7\ncols = 7\n"
-            "ks = 100\nbeta = 0.96\ndt = 0.01\nn_steps = 400\n"
-        )
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-
     def test_sweep_command(self, tmp_path, capsys):
-        config = tmp_path / "base.cfg"
-        config.write_text(
-            "experiment = lattice-info\nrows = 7\ncols = 7\n"
-            "ks = 100\nbeta = 0\ndt = 0.01\nn_steps = 4000\n"
-        )
-        code = main(
-            [
-                "sweep",
-                "--config",
-                str(config),
-                "--ks",
-                "100,101",
-                "--out",
-                str(tmp_path / "s"),
-            ]
-        )
-        assert code == 0
+        text = "experiment = lattice-info\nrows = 7\ncols = 7\nks = 100\nbeta = 0\ndt = 0.01\n"
+        _run_config(tmp_path, text + "n_steps = 4000\n", "--ks", "100,101")
         out = capsys.readouterr().out
         assert "ks=100: stable" in out
         assert "ks=101: diverged" in out
@@ -611,12 +603,10 @@ class TestCli:
 
     def test_two_step_flocking_run_gives_undefined_lags(self, tmp_path, capsys):
         # the radial acceleration then has a single row to correlate
-        config = tmp_path / "flock.cfg"
-        config.write_text(
+        out = _run_config(
+            tmp_path,
             "experiment = flocking\nrows = 5\ncols = 5\nleader = 6\nn_steps = 2\n"
         )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert len((out / "radial_acceleration.csv").read_text().splitlines()) == 2
         delays = (out / "delays.csv").read_text().splitlines()
         assert len(delays) == 26
@@ -625,12 +615,10 @@ class TestCli:
             assert not _NON_FINITE_TEXT.search(path.read_text()), path.name
 
     def test_diffusion_runs_without_reinforcement(self, tmp_path):
-        config = tmp_path / "diffusion.cfg"
-        config.write_text(
+        out = _run_config(
+            tmp_path,
             "experiment = continuum-diffusion\nrows = 5\ncols = 5\nbeta = 0\nn_steps = 10\n"
         )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert parse_config((out / "manifest.cfg").read_text()).beta == 0.0
         json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
 
@@ -714,24 +702,20 @@ class TestCli:
         assert "config error: speed: must be 10.0 for stability-sweep" in capsys.readouterr().err
 
     def test_lattice_info_records_every_record_every_th_step(self, tmp_path):
-        config = tmp_path / "info.cfg"
-        config.write_text(
+        out = _run_config(
+            tmp_path,
             "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nn_steps = 20\n"
             "max_steps = 20\nrecord_every = 5\ncsv_stride = 1\n"
         )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0", "0.05", "0.1", "0.15", "0.2"]
 
     def test_flocking_steps_at_most_max_steps(self, tmp_path):
-        config = tmp_path / "flock.cfg"
-        config.write_text(
+        out = _run_config(
+            tmp_path,
             "experiment = flocking\nrows = 5\ncols = 5\nleader = 6\nn_steps = 30\n"
             "max_steps = 3\n"
         )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 4
         manifest = parse_config((out / "manifest.cfg").read_text())
         assert (manifest.n_steps, manifest.max_steps) == (3, 3)
@@ -759,16 +743,46 @@ class TestCli:
     def test_zero_final_value_settles_in_a_band_of_the_step(self, tmp_path):
         # a band relative to the final value would be empty here; it is
         # 2 % of the step from 1 to 0 instead
-        config = tmp_path / "release.cfg"
-        config.write_text(
+        out = _run_config(
+            tmp_path,
             "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nbeta = 0.5\n"
             "source_initial = 1\nsource_final = 0\nswitch_step = 50\nn_steps = 1000\n"
         )
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         settled = json.loads((out / "metrics.json").read_text())["settling_time_s"]
         assert settled == pytest.approx(2.44)
         assert parse_config((out / "manifest.cfg").read_text()).n_steps == 1000
+
+    @pytest.mark.parametrize("source_final", ["1e5", "1e7"])
+    def test_divergence_limit_scales_with_the_source(self, tmp_path, source_final):
+        # against a fixed limit of 1e6 the stable run of the 1e7 step would
+        # read as diverged
+        out = _run_config(tmp_path, _STEP_RUN + f"source_final = {source_final}\n")
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert not metrics["diverged"] and metrics["settling_time_s"] == 2.05
+
+    @pytest.mark.parametrize("source_final", ["-1", "2"])
+    def test_delay_threshold_is_a_tenth_of_the_step(self, tmp_path, source_final):
+        # negating or doubling the step negates or doubles every value
+        # exactly, and the threshold with it
+        unit = _run_config(tmp_path / "unit", _STEP_RUN)
+        out = _run_config(tmp_path / "other", _STEP_RUN + f"source_final = {source_final}\n")
+        for name in ("metrics.json", "delays.csv"):
+            assert (out / name).read_bytes() == (unit / name).read_bytes()
+
+    def test_sweep_verdicts_do_not_depend_on_the_step_size(self, tmp_path):
+        # at beta = 0 a step of 2**24 scales every value exactly, so the
+        # probed horizon and every verdict stay those of a unit step
+        ks = ["--ks", "50,90,99,101,105,110"]
+        outs = [
+            _run_config(tmp_path / final, _STEP + f"beta = 0\nsource_final = {final}\n", *ks)
+            for final in ("1", "16777216")
+        ]
+        assert [parse_config((o / "manifest.cfg").read_text()).n_steps for o in outs] == [906] * 2
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    def test_edge_midpoint_leader_of_a_lattice(self, tmp_path):
+        text = "experiment = lattice-info\nrows = 4\ncols = 5\nleader = edge-midpoint\nn_steps = 9\n"
+        assert "leader = 2\n" in (_run_config(tmp_path, text) / "manifest.cfg").read_text()
 
     def test_sweep_override_is_validated(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "fig1b", "--ks", "100,nan", "--out", str(tmp_path / "s")])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from dsrnet.dsr_core import DiscrepancyOperator
+from dsrnet.dsr_core import _weights
 from dsrnet.topology import (
     NetworkTopology,
     build_lattice,
@@ -260,7 +260,7 @@ class TestCsrMatchesDenseOracle:
         safe_counts = np.where(counts == 0.0, 1.0, counts)
         want = sparse.csr_matrix((1.0 / safe_counts[rows], (rows, cols)), shape=(n, n))
         got = sparse.csr_array(
-            (DiscrepancyOperator(topo).weights, topo.indices, topo.indptr), shape=(n, n)
+            (_weights(topo.indptr, topo.leader_ids)[0], topo.indices, topo.indptr), shape=(n, n)
         )
         np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(got.indices, want.indices)
@@ -272,9 +272,14 @@ class TestNetworkTopology:
         topo = NetworkTopology.build(build_lattice(25, 25, 1.0), 1.2)
         assert min_neighbor_count(topo) == 2
 
-    def test_min_neighbor_count_single_agent(self):
-        topo = NetworkTopology.build(np.array([[0.0, 0.0]]), 1.2)
-        assert min_neighbor_count(topo) == 0
+    @pytest.mark.parametrize("n", [0, 1], ids=["no-agents", "single-agent"])
+    def test_min_neighbor_count_without_neighbors(self, n):
+        assert min_neighbor_count(NetworkTopology.build(np.zeros((n, 2)), 1.2)) == 0
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 2)])
+    def test_rejects_positions_that_are_not_n_by_2(self, shape):
+        with pytest.raises(ValueError, match=r"positions must be an \(n, 2\) array"):
+            NetworkTopology.build(np.zeros(shape), 1.0)
 
     def test_min_neighbor_count_triangle(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
