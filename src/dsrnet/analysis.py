@@ -23,6 +23,9 @@ from .topology import NetworkTopology
 # times it, so that a late exit from the band cannot hide.
 CONFIRM_FACTOR = 1.5
 
+# A run has settled once every agent stays in this band (see StepSource.band).
+SETTLING_BAND = 0.02
+
 
 class UndefinedCorrelationError(ValueError):
     """Cross-correlation is undefined: a series is shorter than two samples
@@ -65,7 +68,7 @@ def _blocks(values: np.ndarray):
 def settling_time(
     traj: Trajectory,
     final_value: float,
-    band: float = 0.02,
+    band: float = SETTLING_BAND,
     initial_value: float = 0.0,
 ) -> float | None:
     """First time after which every agent stays within the tolerance band.
@@ -90,33 +93,39 @@ def settling_time(
     return float(traj.times[outside[-1] + 1])
 
 
-def overshoot(traj: Trajectory, final_value: float) -> float | None:
-    """Largest excess beyond the final value, as a fraction of it.
+def overshoot(traj: Trajectory, source: StepSource) -> float | None:
+    """Largest excess beyond the source's final value, on the far side of
+    its step, as a fraction of |final| (of the step, when final is 0, as for
+    the settling band).
 
-    Measures how far any agent overshoots the target on the far side of
-    the approach; a monotone approach scores 0. None for diverged runs or
-    a zero final value.
+    A monotone approach scores 0. None for diverged runs or a source with
+    no step.
     """
-    if traj.diverged or final_value == 0:
+    if traj.diverged or source.final == source.initial:
         return None
-    values = traj.values
-    excess = values.max() - final_value if final_value > 0 else final_value - values.min()
-    return max(0.0, float(excess)) / abs(final_value)
+    values, final = traj.values, source.final
+    excess = values.max() - final if final > source.initial else final - values.min()
+    return max(0.0, float(excess)) / source.band(1.0)[1]
 
 
-def threshold_delay(traj: Trajectory, threshold: float = 0.1) -> np.ndarray:
+def threshold_delay(traj: Trajectory, source: StepSource) -> np.ndarray:
     """Per-agent first-crossing time relative to the leader's.
 
     Crossing is the first recorded time at which an agent's value reaches
-    the threshold: at or above it, or at or below a negative one. Agents
-    that never cross are marked NaN; if no leader crosses, every entry is NaN.
+    10 % of the way from ``source.initial`` to ``source.final``: at or above
+    that level for a rising step, at or below it for a falling one. Agents
+    that never cross are marked NaN; if no leader crosses, or the source has
+    no step, every entry is NaN.
     """
     if not traj.leader_ids:
         raise ValueError("trajectory has no leader to reference")
+    if source.final == source.initial:
+        return np.full(traj.n_agents, np.nan)
+    level = source.initial + 0.1 * (source.final - source.initial)
     first_row = np.zeros(traj.n_agents, dtype=np.intp)
     pending = np.ones(traj.n_agents, dtype=bool)
     for start, block in _blocks(traj.values):
-        crossed = block <= threshold if threshold < 0 else block >= threshold
+        crossed = block >= level if source.final > source.initial else block <= level
         now = pending & crossed.any(axis=0)
         first_row[now] = start + crossed.argmax(axis=0)[now]
         pending &= ~now
@@ -254,63 +263,53 @@ def confirm_settling(run: BlockRun, steps: int, max_steps: int):
 def settling_horizon(
     topology: NetworkTopology,
     params: DsrParams,
-    initial=None,
     seed: int | None = None,
-    band: float = 0.02,
     max_steps: int = 200_000,
 ) -> int:
     """Steps needed for the run to settle, found by growing the horizon.
 
-    One unrecorded run grows from 1000 steps (or ``max_steps``, if fewer)
-    by the rule of ``confirm_settling``. Falls back to twice the divergence
-    step (at least 1000, at most ``max_steps``) for unstable parameters and
-    to the last horizon if the settling is not confirmed within ``max_steps``.
+    One unrecorded run, at rest on ``source.initial`` at step 0, grows from
+    1000 steps (or ``max_steps``, if fewer) by ``confirm_settling``'s rule. Falls back to twice the
+    divergence step (at least 1000, at most ``max_steps``) for unstable
+    parameters and to the last horizon if not confirmed by ``max_steps``.
     """
-    if initial is None:
-        initial = np.zeros(topology.n_agents)
-    run = dsr_run(
-        topology, [params], initial, seed, record_every=None, band=params.source.band(band)
-    )
+    band = params.source.band(SETTLING_BAND)
+    run = dsr_run(topology, [params], seed=seed, record_every=None, band=band)
     steps, settled, confirmed = confirm_settling(run, min(1000, max_steps), max_steps)
     if run.diverged_steps[0] is not None:
         return min(max(2 * run.diverged_steps[0], 1000), max_steps)
     return int(np.ceil(settled / params.update_interval)) if confirmed else steps
 
 
-def sweep_horizon(topology, base_params: DsrParams, initial=None, seed=None, band=0.02) -> int:
+def sweep_horizon(topology, base_params: DsrParams, seed=None) -> int:
     """Default horizon of a stability sweep: twice the settling horizon of
     the zero-gain variant of ``base_params``, covering the whole transient."""
-    probe = replace(base_params, dsr_gain=0.0)
-    return 2 * settling_horizon(topology, probe, initial, seed, band)
+    return 2 * settling_horizon(topology, replace(base_params, dsr_gain=0.0), seed)
 
 
 def stability_sweep(
     topology: NetworkTopology,
     base_params: DsrParams,
     ks_values,
-    initial=None,
     horizon_steps: int | None = None,
     seed: int | None = None,
-    band: float = 0.02,
 ) -> list[SweepResult]:
     """Stable-or-diverged verdict per alignment strength over a fixed horizon.
 
     The default horizon is that of ``sweep_horizon``. Every alignment
-    strength is one column of a single run, and each column's verdict and
-    settling time are reduced as it steps.
+    strength is one column of a single run at rest on ``source.initial`` at
+    step 0, and each column's verdict and settling time are reduced as it
+    steps.
     """
     ks_list = [float(k) for k in ks_values]
     if not ks_list:
         raise ValueError("ks_values must be nonempty")
-    if initial is None:
-        initial = np.zeros(topology.n_agents)
     if horizon_steps is None:
-        horizon_steps = sweep_horizon(topology, base_params, initial, seed, band)
+        horizon_steps = sweep_horizon(topology, base_params, seed)
     columns = [replace(base_params, alignment_strength=ks) for ks in ks_list]
-    run = dsr_run(
-        topology, columns, initial, seed, record_every=None,
-        band=base_params.source.band(band),
-    ).advance(horizon_steps)
+    band = base_params.source.band(SETTLING_BAND)
+    run = dsr_run(topology, columns, seed=seed, record_every=None, band=band)
+    run.advance(horizon_steps)
     return [
         SweepResult(alignment_strength=ks, diverged=step is not None, settling_time=settled)
         for ks, step, settled in zip(ks_list, run.diverged_steps, run.settling_times())

@@ -127,15 +127,15 @@ def diffusion_step(
 def second_order_run(
     topology: NetworkTopology,
     params: ContinuumParams,
-    initial,
+    initial=None,
     record_every: int = 1,
     band=None,
 ) -> BlockRun:
     """A resumable run of the wave-like model on the block-stepped engine.
 
-    The rate starts at zero. Same arithmetic, in the same order, as
-    :func:`second_order_step`. A ``band`` (see BlockRun) is judged on the
-    values only.
+    The values start at ``initial`` and the rates at zero (see BlockRun).
+    Same arithmetic, in the same order, as :func:`second_order_step`. A
+    ``band`` is judged on the values only.
     """
     dsr, h = params.dsr, params.integrator_step
     scale = dsr.dsr_gain * dsr.update_interval

@@ -313,9 +313,10 @@ class BlockRun:
 
     Column j is an independent run whose discrepancy is scaled by
     ``gains[j]``. The state of step k, shape ``(state_width, n, m)`` (the
-    values, then any second-order rates, which start at zero), lives in slot
-    k % (B + 1) of a ring buffer whose slots all start as the initial state,
-    so step -1 reads as an at-rest history. Every step runs on a CSR graph
+    values, ``initial`` or else ``source.initial`` for every agent, then any
+    second-order rates, which start at zero), lives in slot k % (B + 1) of a
+    ring buffer whose slots all start as the initial state, so step -1 reads
+    as an at-rest history. Every step runs on a CSR graph
     ``(indptr, indices)``: the ``topology``'s own, or what the hook
     ``graph(k, values)`` returns for the step-k values (n, m), weighed
     whenever it differs by value from the step before's. A non-leader
@@ -351,7 +352,7 @@ class BlockRun:
         self._source, self._hook = source, graph
         _require_connected(self._use((topology.indptr, topology.indices))[-1])
         n, m = topology.n_agents, len(gains)
-        start = np.array(initial, dtype=float)
+        start = np.array(np.full(n, source.initial) if initial is None else initial, float)
         if start.shape != (n,):
             raise ValueError("initial values must provide one entry per agent")
         if not np.isfinite(start).all():
@@ -498,14 +499,14 @@ class BlockRun:
 def dsr_run(
     topology: NetworkTopology,
     column_params,
-    initial,
+    initial=None,
     seed: int | None = None,
     record_every: int | None = 1,
     band=None,
     graph=None,
 ) -> BlockRun:
-    """A DSR run with one column per entry of ``column_params``, a list of
-    DsrParams that may differ only in alignment strength.
+    """A DSR run from ``initial`` (see BlockRun) with one column per entry of
+    ``column_params``, a list of DsrParams that may differ only in alignment strength.
 
     Each step's noise is drawn once and shared by every column, so each
     column is bitwise equal to the single run of its parameters. A

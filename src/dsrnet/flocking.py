@@ -129,7 +129,7 @@ def run_maneuver(
             positions[k] = kinematic_step(positions[k - 1], values[:, 0], speed, dt)
         return next(graphs)
 
-    run = dsr_run(topology, [dsr], np.full(n, dsr.source.initial), seed, graph=graph)
+    run = dsr_run(topology, [dsr], seed=seed, graph=graph)
     record = run.advance(params.n_steps).trajectory()
     last = len(record.times) - 1
     if last:

@@ -311,15 +311,15 @@ def _dsr_params(cfg: ExperimentConfig) -> DsrParams:
 
 def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_steps):
     """Record, settling time and horizon of a lattice-info or continuum run
-    grown from ``steps`` by ``analysis.confirm_settling``, judged on the band
-    over the rows the run keeps. The run is freed on return, before the
-    artifacts are written."""
-    initial, band = np.zeros(topology.n_agents), _source(cfg).band(0.02)
+    from rest on the source's initial value, grown from ``steps`` by
+    ``analysis.confirm_settling``, judged on the band over the rows it keeps.
+    The run is freed on return, before the artifacts are written."""
+    band = _source(cfg).band(analysis.SETTLING_BAND)
     if cfg.experiment == "continuum-second-order":
         params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
-        run = second_order_run(topology, params, initial, cfg.record_every, band)
+        run = second_order_run(topology, params, None, cfg.record_every, band)
     else:
-        run = dsr_run(topology, [_dsr_params(cfg)], initial, cfg.seed, cfg.record_every, band)
+        run = dsr_run(topology, [_dsr_params(cfg)], None, cfg.seed, cfg.record_every, band)
     steps, settled, _ = analysis.confirm_settling(run, steps, max_steps)
     return run.trajectory(), settled, steps
 
@@ -362,7 +362,7 @@ def _metrics_report(cfg, topology, leader, traj, settled, delays) -> MetricsRepo
         transfer_speed=speed,
         scaling_exponent=exponent,
         diverged=traj.diverged,
-        overshoot=analysis.overshoot(traj, _source(cfg).final),
+        overshoot=analysis.overshoot(traj, _source(cfg)),
     )
 
 
@@ -473,7 +473,7 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
         base, steps = _dsr_params(cfg), cfg.n_steps
         if steps is None:
             steps = analysis.sweep_horizon(topology, base, seed=cfg.seed)
-        result = analysis.stability_sweep(topology, base, cfg.ks_values, None, steps, cfg.seed)
+        result = analysis.stability_sweep(topology, base, cfg.ks_values, steps, cfg.seed)
         resolved = replace(cfg, leader=str(leader), n_steps=steps)
         paths["sweep"] = out / "sweep.csv"
         _write_lines(paths["sweep"], _sweep_lines(result))
@@ -497,8 +497,7 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
                 )
         else:
             traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
-            threshold = 0.1 * cfg.source_final or 0.1  # in the step's units and sign
-            delays = None if traj.diverged else analysis.threshold_delay(traj, threshold)
+            delays = None if traj.diverged else analysis.threshold_delay(traj, _source(cfg))
         result = _metrics_report(cfg, topology, leader, traj, settled, delays)
 
         stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(

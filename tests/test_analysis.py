@@ -115,19 +115,37 @@ class TestSettlingTime:
         assert settled == pytest.approx(3.9120, abs=2e-3)
 
 
+UNIT_STEP = StepSource(0.0, 1.0)
+
+
 class TestOvershoot:
     def test_monotone_approach_has_zero_overshoot(self):
         times = np.arange(0.0, 5.0, 0.01)
         traj = make_trajectory(times, 1.0 - np.exp(-times))
-        assert overshoot(traj, 1.0) == 0.0
+        assert overshoot(traj, UNIT_STEP) == 0.0
 
     def test_peak_beyond_final_value(self):
         traj = make_trajectory(np.arange(4) * 0.1, [0.0, 0.8, 1.12, 1.0])
-        assert overshoot(traj, 1.0) == pytest.approx(0.12)
+        assert overshoot(traj, UNIT_STEP) == pytest.approx(0.12)
 
     def test_diverged_returns_none(self):
         traj = make_trajectory([0.0], [0.0], diverged_step=0)
-        assert overshoot(traj, 1.0) is None
+        assert overshoot(traj, UNIT_STEP) is None
+
+    def test_falling_step_overshoots_below_its_final_value(self):
+        # from 2 down to 1: the dip to 0.88 is the overshoot, and the start
+        # at 2, above the final value, is not
+        traj = make_trajectory(np.arange(4) * 0.1, [2.0, 1.3, 0.88, 1.0])
+        assert overshoot(traj, StepSource(2.0, 1.0)) == pytest.approx(0.12)
+
+    def test_step_to_zero_is_a_fraction_of_the_step(self):
+        # |final| is 0, so the excess is scaled by the step, as the band is
+        traj = make_trajectory(np.arange(4) * 0.1, [4.0, 1.0, -0.2, 0.0])
+        assert overshoot(traj, StepSource(4.0, 0.0)) == pytest.approx(0.05)
+
+    def test_source_without_a_step_has_none(self):
+        traj = make_trajectory(np.arange(3) * 0.1, [1.0, 1.5, 1.0])
+        assert overshoot(traj, StepSource(1.0, 1.0)) is None
 
 
 class TestThresholdDelay:
@@ -138,35 +156,57 @@ class TestThresholdDelay:
         values[5:, 0] = 0.5
         values[9:, 1] = 0.5
         traj = make_trajectory(np.arange(steps) * 0.01, values)
-        delays = threshold_delay(traj, 0.1)
+        delays = threshold_delay(traj, UNIT_STEP)
         assert delays[0] == pytest.approx(0.0)
         assert delays[1] == pytest.approx(0.04)
 
-    def test_negative_threshold_is_crossed_from_above(self):
+    def test_falling_step_is_crossed_from_above(self):
         # the hand example negated: the same crossings at -0.1
         values = np.zeros((12, 2))
         values[5:, 0] = -0.5
         values[9:, 1] = -0.5
-        delays = threshold_delay(make_trajectory(np.arange(12) * 0.01, values), -0.1)
+        traj = make_trajectory(np.arange(12) * 0.01, values)
+        delays = threshold_delay(traj, StepSource(0.0, -1.0))
+        assert delays[0] == 0.0
+        assert delays[1] == pytest.approx(0.04)
+
+    @pytest.mark.parametrize(
+        "source, short, crossed",
+        [(StepSource(1.0, 3.0), 1.19, 1.21), (StepSource(3.0, 1.0), 2.81, 2.79)],
+        ids=["rising", "falling"],
+    )
+    def test_level_lies_a_tenth_of_the_way_from_initial_to_final(self, source, short, crossed):
+        # agents at rest on the initial value cross 10 % of the way to the
+        # final one (1.2 or 2.8); a value just short of it does not count
+        values = np.full((12, 2), source.initial)
+        values[3:] = short
+        values[5:, 0] = crossed
+        values[9:, 1] = crossed
+        delays = threshold_delay(make_trajectory(np.arange(12) * 0.01, values), source)
         assert delays[0] == 0.0
         assert delays[1] == pytest.approx(0.04)
 
     def test_all_zero_trajectory_marks_everyone_absent(self):
         traj = make_trajectory(np.arange(5) * 0.01, np.zeros((5, 3)))
-        assert np.isnan(threshold_delay(traj, 0.1)).all()
+        assert np.isnan(threshold_delay(traj, UNIT_STEP)).all()
+
+    def test_source_without_a_step_marks_everyone_absent(self):
+        # at rest on the source's value, every agent is at the step's "final"
+        traj = make_trajectory(np.arange(5) * 0.01, np.full((5, 3), 0.5))
+        assert np.isnan(threshold_delay(traj, StepSource(0.5, 0.5))).all()
 
     def test_agent_that_never_crosses_is_nan(self):
         values = np.zeros((6, 2))
         values[2:, 0] = 1.0
         traj = make_trajectory(np.arange(6) * 0.1, values)
-        delays = threshold_delay(traj, 0.1)
+        delays = threshold_delay(traj, UNIT_STEP)
         assert delays[0] == 0.0
         assert np.isnan(delays[1])
 
     def test_requires_leader(self):
         traj = make_trajectory([0.0], [[1.0]], leader_ids=())
         with pytest.raises(ValueError):
-            threshold_delay(traj)
+            threshold_delay(traj, UNIT_STEP)
 
 
 class TestRadialAcceleration:
@@ -363,18 +403,19 @@ class TestStabilitySweep:
             stability_sweep(topo, base, [])
 
 
-def oracle_settling_horizon(
-    topology, params, initial=None, seed=None, band=0.02, max_steps=200_000
-):
+def at_rest(topology, source):
+    """Every agent on the source's initial value, where a run starts."""
+    return np.full(topology.n_agents, source.initial)
+
+
+def oracle_settling_horizon(topology, params, seed=None, max_steps=200_000):
     """Reference: a recorded run from step 0 for every horizon it tries."""
-    if initial is None:
-        initial = np.zeros(topology.n_agents)
     steps = min(1000, max_steps)
     while True:
-        traj = simulate(topology, params, initial, steps, seed)
+        traj = simulate(topology, params, at_rest(topology, params.source), steps, seed)
         if traj.diverged:
             return min(max(2 * int(traj.diverged_step or steps), 1000), max_steps)
-        settled = settling_time(traj, params.source.final, band, params.source.initial)
+        settled = settling_time(traj, params.source.final, 0.02, params.source.initial)
         if settled is not None and traj.times[-1] >= 1.5 * settled:
             return int(np.ceil(settled / params.update_interval))
         if steps >= max_steps:
@@ -382,23 +423,18 @@ def oracle_settling_horizon(
         steps = min(2 * steps, max_steps)
 
 
-def oracle_stability_sweep(
-    topology, base_params, ks_values, initial=None, horizon_steps=None, seed=None,
-    band=0.02,
-):
+def oracle_stability_sweep(topology, base_params, ks_values, horizon_steps=None, seed=None):
     """Reference: one recorded run per alignment strength."""
     ks_list = [float(k) for k in ks_values]
-    if initial is None:
-        initial = np.zeros(topology.n_agents)
     if horizon_steps is None:
         probe = replace(base_params, dsr_gain=0.0)
-        horizon_steps = 2 * oracle_settling_horizon(topology, probe, initial, seed, band)
+        horizon_steps = 2 * oracle_settling_horizon(topology, probe, seed)
     results = []
+    source = base_params.source
     for ks in ks_list:
         params = replace(base_params, alignment_strength=ks)
-        traj = simulate(topology, params, initial, horizon_steps, seed)
-        source = params.source
-        settled = settling_time(traj, source.final, band, source.initial)
+        traj = simulate(topology, params, at_rest(topology, source), horizon_steps, seed)
+        settled = settling_time(traj, source.final, 0.02, source.initial)
         results.append(SweepResult(ks, traj.diverged, settled))
     return results
 
@@ -415,23 +451,21 @@ class TestSweepMatchesOracle:
     """The batched, streaming sweep against one recorded run per Ks."""
 
     @pytest.mark.parametrize(
-        "base, initial, seed",
+        "base, seed",
         [
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None),
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), None, 3),
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.3, -1.0, 37)), "random", None),
-            (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None, None),
-            (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None, None),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), 3),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.3, -1.0, 37)), None),
+            (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None),
+            (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None),
         ],
         ids=["stable", "noisy", "switch-and-initial", "reinforced", "zero-final"],
     )
     @pytest.mark.parametrize("horizon", [0, 1, B, B + 1, 900])
-    def test_verdicts_and_settling_times(self, base, initial, seed, horizon):
+    def test_verdicts_and_settling_times(self, base, seed, horizon):
         topo = lattice_with_leader(5, 6)
-        if initial == "random":
-            initial = np.random.default_rng(4).uniform(-1.0, 1.0, 25)
-        got = stability_sweep(topo, base, CLIFF_KS, initial, horizon, seed)
-        assert got == oracle_stability_sweep(topo, base, CLIFF_KS, initial, horizon, seed)
+        got = stability_sweep(topo, base, CLIFF_KS, horizon, seed)
+        assert got == oracle_stability_sweep(topo, base, CLIFF_KS, horizon, seed)
 
     @pytest.mark.parametrize("noise", [0.0, 0.002])
     def test_lone_survivor_equals_its_single_column_run(self, noise):
@@ -458,18 +492,11 @@ class TestSweepMatchesOracle:
         survivor = run([60.0]).current
         assert batched.current.tobytes() == survivor.tobytes()
 
-    def test_default_horizon_and_band(self):
+    def test_default_horizon(self):
         topo = lattice_with_leader(5)
         base = DsrParams(100.0, 0.5, 0.01, StepSource(0.0, 2.0, 5))
         ks = [20.0, 90.0, 100.0, 101.0]
-        got = stability_sweep(topo, base, ks, band=0.05)
-        assert got == oracle_stability_sweep(topo, base, ks, band=0.05)
-
-    def test_rejects_nonpositive_band(self):
-        topo = lattice_with_leader(3)
-        base = DsrParams(10.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
-        with pytest.raises(ValueError, match="band"):
-            stability_sweep(topo, base, [10.0, 1e9], horizon_steps=10, band=0.0)
+        assert stability_sweep(topo, base, ks) == oracle_stability_sweep(topo, base, ks)
 
     def test_keeps_per_ks_parameter_checks(self):
         topo = lattice_with_leader(3)
@@ -482,35 +509,33 @@ class TestSettlingHorizonMatchesOracle:
     """The resumable probe against a fresh recorded run per checkpoint."""
 
     @pytest.mark.parametrize(
-        "params, initial, seed, max_steps",
+        "params, seed, max_steps",
         [
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
-            (DsrParams(20.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
-            (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
-            (DsrParams(150.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 200_000),
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), None, 9, 8000),
-            (DsrParams(60.0, 0.0, 0.01, StepSource(0.5, -1.0, 300)), "random", None, 200_000),
-            (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 3000),
-            (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
-            (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None, None, 200_000),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 200_000),
+            (DsrParams(20.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 200_000),
+            (DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0)), None, 200_000),
+            (DsrParams(150.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 200_000),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0), 0.05), 9, 8000),
+            (DsrParams(60.0, 0.0, 0.01, StepSource(0.5, -1.0, 300)), None, 200_000),
+            (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 3000),
+            (DsrParams(1.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 500),
+            (DsrParams(100.0, 0.5, 0.01, StepSource(1.0, 0.0, 50)), None, 200_000),
             # settled at step 1077 but not confirmed by the cap: the cap is returned
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 1200),
-            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 1500),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 1200),
+            (DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 1500),
             # diverge at steps 29 and 1: the fallback stops at the cap
-            (DsrParams(150.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
-            (DsrParams(1e9, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, None, 500),
+            (DsrParams(150.0, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 500),
+            (DsrParams(1e9, 0.0, 0.01, StepSource(0.0, 1.0, 0)), None, 500),
         ],
         ids=["stable", "slow", "reinforced", "diverging", "noisy",
              "switch-and-initial", "never-settles", "max-below-first-checkpoint",
              "zero-final", "unconfirmed-at-cap-1200", "unconfirmed-at-cap-1500",
              "diverging-below-first-checkpoint", "diverging-at-once-below-cap"],
     )
-    def test_same_horizon(self, params, initial, seed, max_steps):
+    def test_same_horizon(self, params, seed, max_steps):
         topo = lattice_with_leader(7, 8)
-        if initial == "random":
-            initial = np.random.default_rng(2).uniform(-1.0, 1.0, 49)
-        expected = oracle_settling_horizon(topo, params, initial, seed, max_steps=max_steps)
-        assert settling_horizon(topo, params, initial, seed, max_steps=max_steps) == expected
+        expected = oracle_settling_horizon(topo, params, seed, max_steps)
+        assert settling_horizon(topo, params, seed, max_steps) == expected
 
     @pytest.mark.parametrize("ks", [150.0, 1e9])
     def test_diverging_fallback_never_exceeds_max_steps(self, ks):
@@ -518,15 +543,6 @@ class TestSettlingHorizonMatchesOracle:
         topo = lattice_with_leader(7, 8)
         assert settling_horizon(topo, params, max_steps=500) == 500
         assert settling_horizon(topo, params, max_steps=200_000) == 1000
-
-    def test_rejects_nonpositive_band_before_running(self):
-        topo = lattice_with_leader(3)
-        stable = DsrParams(100.0, 0.0, 0.01, StepSource(0.0, 1.0, 0))
-        with pytest.raises(ValueError, match="band"):
-            settling_horizon(topo, stable, band=0.0)
-        diverging = replace(stable, alignment_strength=1e9)
-        with pytest.raises(ValueError, match="band"):
-            settling_horizon(topo, diverging, band=0.0)
 
     def test_jumps_past_the_confirming_horizon(self, monkeypatch):
         # settles at step 6899: doubling would run to 16000, the jump to 10350
@@ -597,10 +613,12 @@ class TestBandMatchesRecord:
         assert 0.7 < run.settling_times()[0] < 0.8
 
 
-def oracle_threshold_delay(traj, threshold):
-    """The whole-array formula: one boolean array the size of the record. A
-    negative threshold is crossed from above."""
-    crossed = traj.values <= threshold if threshold < 0 else traj.values >= threshold
+def oracle_threshold_delay(traj, source):
+    """The whole-array formula: one boolean array the size of the record. The
+    level lies a tenth of the way through the step, and a falling step
+    crosses it from above."""
+    level = source.initial + 0.1 * (source.final - source.initial)
+    crossed = traj.values >= level if source.final > source.initial else traj.values <= level
     crossing_times = traj.times[crossed.argmax(axis=0)].astype(float)
     crossing_times[~crossed.any(axis=0)] = np.nan
     leader_times = crossing_times[list(traj.leader_ids)]
@@ -609,11 +627,11 @@ def oracle_threshold_delay(traj, threshold):
     return crossing_times - np.nanmin(leader_times)
 
 
-def oracle_overshoot(traj, final_value):
+def oracle_overshoot(traj, source):
     """The whole-array formula."""
-    sign = 1.0 if final_value > 0 else -1.0
-    excess = (sign * traj.values - abs(final_value)).max()
-    return max(0.0, float(excess)) / abs(final_value)
+    sign = 1.0 if source.final > source.initial else -1.0
+    excess = (sign * (traj.values - source.final)).max()
+    return max(0.0, float(excess)) / abs(source.final or source.final - source.initial)
 
 
 class TestBlockedMetricsMatchOracles:
@@ -628,10 +646,10 @@ class TestBlockedMetricsMatchOracles:
         silent=st.floats(0.0, 1.0),
         leader_crosses=st.booleans(),
         final_value=st.sampled_from([1.0, -0.5, 2.0]),
-        threshold=st.sampled_from([0.1, -0.1]),
+        step=st.sampled_from([StepSource(0.0, 1.0), StepSource(0.0, -1.0)]),
     )
     def test_equal_to_whole_array_formulas(
-        self, seed, rows, agents, silent, leader_crosses, final_value, threshold
+        self, seed, rows, agents, silent, leader_crosses, final_value, step
     ):
         rows = min(rows, max(1, 400_000 // agents))  # at most 3.2 MB
         rng = np.random.default_rng(seed)
@@ -641,9 +659,10 @@ class TestBlockedMetricsMatchOracles:
         never = rng.random(agents) < silent
         leaders = sorted({0, agents // 2})
         never[leaders] = not leader_crosses
-        side = np.minimum if threshold > 0 else np.maximum
+        side = np.minimum if step.final > 0 else np.maximum
         values[:, never] = side(values[:, never], 0.0)
         traj = make_trajectory(np.arange(rows) * 0.01, values, leader_ids=leaders)
-        got, expected = threshold_delay(traj, threshold), oracle_threshold_delay(traj, threshold)
+        got, expected = threshold_delay(traj, step), oracle_threshold_delay(traj, step)
         assert got.tobytes() == expected.tobytes()
-        assert overshoot(traj, final_value) == oracle_overshoot(traj, final_value)
+        source = StepSource(0.0, final_value)
+        assert overshoot(traj, source) == oracle_overshoot(traj, source)

@@ -168,6 +168,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(topo, params, np.zeros(4), 10)
 
+    @pytest.mark.parametrize("model", ["dsr", "second-order"])
+    def test_without_initial_values_a_run_starts_at_rest_on_the_source(self, model):
+        topo = lattice_topology(4, 4, {0})
+        params = DsrParams(100.0, 0.5, 0.01, StepSource(0.7, -2.0, 30))
+
+        def record(*initial):
+            if model == "dsr":
+                run = dsr_run(topo, [params], *initial)
+            else:
+                run = second_order_run(topo, ContinuumParams(params, 0.002), *initial)
+            return run.advance(300).trajectory().values
+
+        default = record()
+        assert (default[0] == 0.7).all()
+        assert default.tobytes() == record(np.full(16, 0.7)).tobytes()
+
     def test_noisy_runs_are_seed_deterministic(self):
         topo = lattice_topology(4, 4, {0})
         params = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE, noise_amplitude=0.02)

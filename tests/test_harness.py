@@ -26,6 +26,7 @@ from dsrnet.harness import (
     _confirmed_run,
     _metrics_report,
     _resolve_topology,
+    _source,
     _unused_keys,
     _validate,
     config_text,
@@ -456,7 +457,7 @@ class TestConfirmedRun:
         assert traj.values.shape == (2001, 1600)
         tracemalloc.start()
         try:
-            delays = analysis.threshold_delay(traj, 0.1)
+            delays = analysis.threshold_delay(traj, _source(cfg))
             report = _metrics_report(cfg, topology, leader, traj, settled, delays)
             write_trajectory_csv(traj, tmp_path / "t.csv", _auto_stride(len(traj.values)))
             _, peak = tracemalloc.get_traced_memory()
@@ -742,15 +743,48 @@ class TestCli:
 
     def test_zero_final_value_settles_in_a_band_of_the_step(self, tmp_path):
         # a band relative to the final value would be empty here; it is
-        # 2 % of the step from 1 to 0 instead
+        # 2 % of the step from 1 to 0 instead. The agents rest on 1 until
+        # the switch at 0.5 s, then settle as after the unit step (2.23 s)
         out = _run_config(
             tmp_path,
             "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nbeta = 0.5\n"
             "source_initial = 1\nsource_final = 0\nswitch_step = 50\nn_steps = 1000\n"
         )
         settled = json.loads((out / "metrics.json").read_text())["settling_time_s"]
-        assert settled == pytest.approx(2.44)
+        assert settled == pytest.approx(2.73)
         assert parse_config((out / "manifest.cfg").read_text()).n_steps == 1000
+
+    @pytest.mark.parametrize(
+        "initial, final, switch",
+        [("0.5", "1", "50"), ("1", "0", "50"), ("2", "1", "0"), ("0", "2", "50")],
+        ids=["half-step-later", "falling-to-zero", "falling", "double-step-later"],
+    )
+    def test_delays_measure_the_step_whatever_its_levels_and_switch(
+        self, tmp_path, initial, final, switch
+    ):
+        # a run starts at rest on source_initial, so the delays of any step
+        # are those of the unit step at step 0: the switch only shifts every
+        # crossing, and the levels scale and shift every value
+        base = "experiment = lattice-info\nrows = 5\ncols = 5\nleader = 6\nbeta = 0.5\n"
+        step = f"source_initial = {initial}\nsource_final = {final}\nswitch_step = {switch}\n"
+        unit = _run_config(tmp_path / "unit", base)
+        out = _run_config(tmp_path / "step", base + step)
+        assert (out / "delays.csv").read_bytes() == (unit / "delays.csv").read_bytes()
+
+    def test_falling_turn_overshoots_below_its_target(self, tmp_path):
+        # a turn from pi down to pi/2: the headings start above the target,
+        # and only their dip below it is overshoot
+        out = _run_config(
+            tmp_path,
+            "experiment = flocking\nrows = 15\ncols = 15\nleader = 16\nks = 100\n"
+            f"beta = 0.96\nspeed = 5\nn_steps = 400\ninitial_heading = {math.pi!r}\n"
+            f"target_heading = {math.pi / 2!r}\n",
+        )
+        headings = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:]
+        dip = (math.pi / 2 - headings.min()) / (math.pi / 2)
+        overshoot = json.loads((out / "metrics.json").read_text())["overshoot"]
+        assert overshoot == pytest.approx(dip, rel=1e-7)
+        assert overshoot == pytest.approx(0.02358, abs=1e-5)
 
     @pytest.mark.parametrize("source_final", ["1e5", "1e7"])
     def test_divergence_limit_scales_with_the_source(self, tmp_path, source_final):

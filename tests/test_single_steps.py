@@ -188,7 +188,7 @@ def test_never_builds_an_operator(monkeypatch, name):
     topology = graph(build_lattice(5, 5, 1.0), 6)
     dsr = DsrParams(100.0, 0.9, 0.01, StepSource(0.0, 1.0, 0))
     if name == "sweep":
-        verdicts = stability_sweep(topology, dsr, [50.0, 100.0, 1e9], None, 300)
+        verdicts = stability_sweep(topology, dsr, [50.0, 100.0, 1e9], 300)
         assert [v.diverged for v in verdicts] == [False, False, True]
         return
     runs = {
