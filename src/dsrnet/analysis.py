@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import BlockRun, DsrParams, StepSource, Trajectory, dsr_run
+from .dsr_core import SETTLING_BAND, BlockRun, DsrParams, StepSource, Trajectory, dsr_run
 from .dsr_core import simulate  # noqa: F401  (perfbench/tracer.py wraps analysis.simulate)
 from .flocking import FlockTrajectory
 from .topology import NetworkTopology
@@ -22,9 +22,6 @@ from .topology import NetworkTopology
 # A settling time counts as confirmed once the run has gone on to this many
 # times it, so that a late exit from the band cannot hide.
 CONFIRM_FACTOR = 1.5
-
-# A run has settled once every agent stays in this band (see StepSource.band).
-SETTLING_BAND = 0.02
 
 
 class UndefinedCorrelationError(ValueError):
@@ -78,7 +75,7 @@ def settling_time(
     end of the recorded trajectory. Returns None for runs that never
     satisfy it, including diverged runs.
     """
-    half_width = StepSource(initial_value, final_value).band(band)[1]
+    half_width = StepSource(initial_value, final_value).band(band)
     if traj.diverged:
         return None
     deviation = np.concatenate(
@@ -105,7 +102,7 @@ def overshoot(traj: Trajectory, source: StepSource) -> float | None:
         return None
     values, final = traj.values, source.final
     excess = values.max() - final if final > source.initial else final - values.min()
-    return max(0.0, float(excess)) / source.band(1.0)[1]
+    return max(0.0, float(excess)) / source.band(1.0)
 
 
 def threshold_delay(traj: Trajectory, source: StepSource) -> np.ndarray:
@@ -219,12 +216,16 @@ def fit_scaling_exponent(points) -> float:
         raise ValueError("need at least three (distance, delay) points")
     if (distances <= 0).any() or (delays <= 0).any():
         raise ValueError("distances and delays must be positive")
+    flat = ValueError("distances barely vary; exponent undefined")
+    log_distances = np.log(distances)
+    if np.ptp(log_distances) == 0:  # polyfit would divide by a zero column scale
+        raise flat
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.RankWarning)
         try:
-            slope = np.polyfit(np.log(distances), np.log(delays), 1)[0]
+            slope = np.polyfit(log_distances, np.log(delays), 1)[0]
         except np.exceptions.RankWarning:
-            raise ValueError("distances barely vary; exponent undefined") from None
+            raise flat from None
     if slope <= 0:
         raise ValueError("delays do not grow with distance; exponent undefined")
     return 1.0 / slope
@@ -240,17 +241,16 @@ class SweepResult:
 
 
 def confirm_settling(run: BlockRun, steps: int, max_steps: int):
-    """Advance a one-column run made with a band to ``steps`` steps and on,
-    until it diverges, reaches ``max_steps`` or runs CONFIRM_FACTOR times the
-    settling time its band reports (None while unsettled): one step past
-    that multiple once there is one, else twice as far. Returns the last
-    horizon, the settling time (None if diverged) and whether it was
-    confirmed."""
+    """Advance a one-column run to ``steps`` steps and on, until it diverges,
+    reaches ``max_steps`` or runs CONFIRM_FACTOR times its settling time in
+    steps (None while unsettled): one step past that multiple once there is
+    one, else twice as far. Returns the last horizon, the settling time
+    (None if diverged) and whether it was confirmed."""
     while True:
         if run.advance(steps).diverged_steps[0] is not None:
             return steps, None, False
         settled = run.settling_times()[0]
-        if settled is not None and steps * run.step_seconds >= CONFIRM_FACTOR * settled - 1e-12:
+        if settled is not None and steps >= CONFIRM_FACTOR * settled / run.step_seconds - 1e-9:
             return steps, settled, True
         if steps >= max_steps:
             return steps, settled, False
@@ -273,8 +273,7 @@ def settling_horizon(
     divergence step (at least 1000, at most ``max_steps``) for unstable
     parameters and to the last horizon if not confirmed by ``max_steps``.
     """
-    band = params.source.band(SETTLING_BAND)
-    run = dsr_run(topology, [params], seed=seed, record_every=None, band=band)
+    run = dsr_run(topology, [params], seed=seed, record_every=None)
     steps, settled, confirmed = confirm_settling(run, min(1000, max_steps), max_steps)
     if run.diverged_steps[0] is not None:
         return min(max(2 * run.diverged_steps[0], 1000), max_steps)
@@ -307,8 +306,7 @@ def stability_sweep(
     if horizon_steps is None:
         horizon_steps = sweep_horizon(topology, base_params, seed)
     columns = [replace(base_params, alignment_strength=ks) for ks in ks_list]
-    band = base_params.source.band(SETTLING_BAND)
-    run = dsr_run(topology, columns, seed=seed, record_every=None, band=band)
+    run = dsr_run(topology, columns, seed=seed, record_every=None)
     run.advance(horizon_steps)
     return [
         SweepResult(alignment_strength=ks, diverged=step is not None, settling_time=settled)

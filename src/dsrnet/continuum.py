@@ -129,13 +129,12 @@ def second_order_run(
     params: ContinuumParams,
     initial=None,
     record_every: int = 1,
-    band=None,
 ) -> BlockRun:
     """A resumable run of the wave-like model on the block-stepped engine.
 
     The values start at ``initial`` and the rates at zero (see BlockRun).
-    Same arithmetic, in the same order, as :func:`second_order_step`. A
-    ``band`` is judged on the values only.
+    Same arithmetic, in the same order, as :func:`second_order_step`. The
+    settling band is judged on the values only.
     """
     dsr, h = params.dsr, params.integrator_step
     scale = dsr.dsr_gain * dsr.update_interval
@@ -153,7 +152,7 @@ def second_order_run(
     drive = (dsr.alignment_strength / scale) * h
     return BlockRun(
         topology, dsr.source, initial, update, [drive], params=params,
-        step_seconds=h, state_width=2, record_every=record_every, band=band,
+        step_seconds=h, state_width=2, record_every=record_every,
     )
 
 

@@ -53,6 +53,9 @@ _sparsetools = _load_sparsetools()
 # Arbitrary but documented; overflow-to-inf always triggers.
 DIVERGENCE_LIMIT = 1.0e6
 
+# A run has settled once every agent stays in this band (see StepSource.band).
+SETTLING_BAND = 0.02
+
 
 class IsolatedAgentError(ValueError):
     """A non-leader agent has no neighbors, so its discrepancy is undefined."""
@@ -77,12 +80,12 @@ class StepSource:
     def value(self, step: int) -> float:
         return self.final if step >= self.switch_step else self.initial
 
-    def band(self, fraction: float) -> tuple[float, float]:
-        """Settling band ``(final, half_width)``: ``fraction`` of |final|, or of
-        |final - initial| when final is 0 and a relative band would be empty."""
+    def band(self, fraction: float) -> float:
+        """Half-width of the settling band around ``final``: ``fraction`` of |final|,
+        or of |final - initial| when final is 0 and a relative band would be empty."""
         if not fraction > 0:
             raise ValueError("band must be positive")
-        return self.final, fraction * abs(self.final or self.final - self.initial)
+        return fraction * abs(self.final or self.final - self.initial)
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,15 @@ class InfoState:
 
 @dataclass
 class Trajectory:
-    """Step-major record of a run: row k holds every agent's value at t_k."""
+    """Step-major record of a run: row k holds every agent's value at t_k.
+    ``settling_time`` is the run's verdict (see BlockRun.settling_times)."""
 
     times: np.ndarray
     values: np.ndarray
     params: object
     leader_ids: tuple[int, ...]
     diverged_step: int | None = None
+    settling_time: float | None = None
 
     @property
     def diverged(self) -> bool:
@@ -333,16 +338,16 @@ class BlockRun:
     column's run ends there and it leaves the state. Steps after it, up to
     the end of the block, are computed and never kept. With ``record_every``
     (one column only) the run records step 0, every ``record_every``-th step
-    and the last or diverged step. With ``band = (target, half_width)`` it
-    tracks, per column, whether a value of the first state row lies further
-    than ``half_width`` from the target at the current step, and the last
-    such step among those it keeps whatever comes next: every step of an
-    unrecorded run, the stride steps of a recorded one.
+    and the last or diverged step. It tracks, per column, whether a value
+    of the first state row lies outside the settling band
+    ``source.band(SETTLING_BAND)`` around ``source.final`` at the current
+    step, and the last such step among those it keeps whatever comes next:
+    every step of an unrecorded run, the stride steps of a recorded one.
     """
 
     def __init__(
         self, topology, source, initial, update, gains, *, params,
-        step_seconds, state_width=1, record_every=None, band=None, graph=None,
+        step_seconds, state_width=1, record_every=None, graph=None,
     ):
         if record_every is not None and record_every < 1:
             raise ValueError("record_every must be at least 1")
@@ -360,17 +365,16 @@ class BlockRun:
         scale = max(1.0, abs(source.initial), abs(source.final), np.abs(start).max(initial=0.0))
         self._limit = DIVERGENCE_LIMIT * scale
         self.step, self.diverged_steps = 0, [None] * m
-        self._n, self._update, self._band = n, update, band
+        self._n, self._update = n, update
         self._params, self.step_seconds = params, step_seconds
         block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
         ring = np.zeros((block + 1, state_width, n, m))
         ring[:, 0] = start[:, None]
         self._set_columns(ring, np.arange(m), np.array(gains, dtype=float))
-        if band is not None:
-            self._tolerance = band[1]
-            outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
-            self._last_outside = np.full(m, 0 if outside else -1)
-            self._outside_now = np.full(m, outside)
+        self._tolerance = source.band(SETTLING_BAND)
+        outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
+        self._last_outside = np.full(m, 0 if outside else -1)
+        self._outside_now = np.full(m, outside)
         self._record_every, self._filled = record_every, 1
         self._values, self._kept = start[None, :], np.zeros(1, dtype=np.int64)
 
@@ -394,7 +398,7 @@ class BlockRun:
 
     def _outside(self, hi, lo):
         # rounding is monotone and symmetric: this is max |value - target|
-        target = self._band[0]
+        target = self._source.final
         return ~(np.maximum(hi - target, target - lo) <= self._tolerance)
 
     def advance(self, n_steps: int) -> "BlockRun":
@@ -439,14 +443,13 @@ class BlockRun:
         lo = flat.min(axis=3, initial=np.inf)[rows]
         bad = ~(np.maximum(hi, -lo) <= self._limit).all(axis=2)
         diverged, first = bad.any(axis=0), bad.argmax(axis=0)
-        if self._band is not None:
-            outside = self._outside(hi[..., 0], lo[..., 0])
-            self._outside_now[self.columns] = outside[-1]
-            if self._record_every is not None:
-                outside &= (steps % self._record_every == 0)[:, None]
-            seen = outside.any(axis=0)
-            latest = steps[len(steps) - 1 - outside[::-1].argmax(axis=0)]
-            self._last_outside[self.columns[seen]] = latest[seen]
+        outside = self._outside(hi[..., 0], lo[..., 0])
+        self._outside_now[self.columns] = outside[-1]
+        if self._record_every is not None:
+            outside &= (steps % self._record_every == 0)[:, None]
+        seen = outside.any(axis=0)
+        latest = steps[len(steps) - 1 - outside[::-1].argmax(axis=0)]
+        self._last_outside[self.columns[seen]] = latest[seen]
         if self._record_every is not None:
             kept = steps[: first[0] + 1] if diverged[0] else steps
             keep = kept % self._record_every == 0
@@ -475,12 +478,12 @@ class BlockRun:
         self._values, self._kept = values, kept
 
     def trajectory(self) -> Trajectory:
-        """The record so far of a run made with ``record_every``: a view of
-        the run's arrays, which the run never writes again."""
+        """The record so far of a run made with ``record_every``, and its verdict:
+        a view of the run's arrays, which the run never writes again."""
         filled = self._filled
         return Trajectory(
             self._kept[:filled] * self.step_seconds, self._values[:filled], self._params,
-            self._leader_ids, self.diverged_steps[0],
+            self._leader_ids, self.diverged_steps[0], self.settling_times()[0],
         )
 
     def settling_times(self) -> list[float | None]:
@@ -502,11 +505,10 @@ def dsr_run(
     initial=None,
     seed: int | None = None,
     record_every: int | None = 1,
-    band=None,
     graph=None,
 ) -> BlockRun:
-    """A DSR run from ``initial`` (see BlockRun) with one column per entry of
-    ``column_params``, a list of DsrParams that may differ only in alignment strength.
+    """A DSR run from ``initial``, judged on its source's band (see BlockRun), with one
+    column per entry of ``column_params``, DsrParams that may differ only in alignment strength.
 
     Each step's noise is drawn once and shared by every column, so each
     column is bitwise equal to the single run of its parameters. A
@@ -530,7 +532,7 @@ def dsr_run(
         topology, params.source, initial, update,
         [p.alignment_strength * p.update_interval for p in column_params],
         params=params, step_seconds=params.update_interval,
-        record_every=record_every, band=band, graph=graph,
+        record_every=record_every, graph=graph,
     )
 
 

@@ -136,5 +136,5 @@ def run_maneuver(
         positions[last] = kinematic_step(positions[last - 1], record.values[last], speed, dt)
     return FlockTrajectory(
         record.times, record.values, params, record.leader_ids,
-        record.diverged_step, positions=positions[: last + 1],
+        record.diverged_step, record.settling_time, positions=positions[: last + 1],
     )

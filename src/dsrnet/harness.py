@@ -310,18 +310,17 @@ def _dsr_params(cfg: ExperimentConfig) -> DsrParams:
 
 
 def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_steps):
-    """Record, settling time and horizon of a lattice-info or continuum run
-    from rest on the source's initial value, grown from ``steps`` by
-    ``analysis.confirm_settling``, judged on the band over the rows it keeps.
-    The run is freed on return, before the artifacts are written."""
-    band = _source(cfg).band(analysis.SETTLING_BAND)
+    """Record (with its settling time) and horizon of a lattice-info or
+    continuum run from rest on the source's initial value, grown from
+    ``steps`` by ``analysis.confirm_settling``. The run is freed on return,
+    before the artifacts are written."""
     if cfg.experiment == "continuum-second-order":
         params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
-        run = second_order_run(topology, params, None, cfg.record_every, band)
+        run = second_order_run(topology, params, None, cfg.record_every)
     else:
-        run = dsr_run(topology, [_dsr_params(cfg)], None, cfg.seed, cfg.record_every, band)
-    steps, settled, _ = analysis.confirm_settling(run, steps, max_steps)
-    return run.trajectory(), settled, steps
+        run = dsr_run(topology, [_dsr_params(cfg)], None, cfg.seed, cfg.record_every)
+    steps, _, _ = analysis.confirm_settling(run, steps, max_steps)
+    return run.trajectory(), steps
 
 
 def _correlation_delays(radial: np.ndarray, leader: int, dt: float) -> np.ndarray:
@@ -337,7 +336,7 @@ def _correlation_delays(radial: np.ndarray, leader: int, dt: float) -> np.ndarra
     return delays
 
 
-def _metrics_report(cfg, topology, leader, traj, settled, delays) -> MetricsReport:
+def _metrics_report(cfg, topology, leader, traj, delays) -> MetricsReport:
     """The run's report. ``delays`` holds each agent's delay behind the
     leader, or is None when the run has none; transfer speed and scaling
     exponent are fitted over the pairs of positive, finite delay whose agent
@@ -357,7 +356,7 @@ def _metrics_report(cfg, topology, leader, traj, settled, delays) -> MetricsRepo
     with suppress(ValueError):
         exponent = analysis.fit_scaling_exponent(near)
     return MetricsReport(
-        settling_time=settled,
+        settling_time=traj.settling_time,
         per_agent_delay=list(map(tuple, pairs.tolist())),
         transfer_speed=speed,
         scaling_exponent=exponent,
@@ -484,8 +483,6 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
         if cfg.experiment == "flocking":
             params = FlockParams(speed=cfg.speed, dsr=_dsr_params(cfg), n_steps=steps)
             traj = run_maneuver(topology, params, cfg.seed)
-            source = _source(cfg)
-            settled = analysis.settling_time(traj, source.final, initial_value=source.initial)
             delays = None
             if traj.positions.shape[0] >= 3 and not traj.diverged:
                 radial = analysis.radial_acceleration(traj)
@@ -496,9 +493,9 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
                     paths["radial_acceleration"],
                 )
         else:
-            traj, settled, steps = _confirmed_run(cfg, topology, steps, max_steps)
+            traj, steps = _confirmed_run(cfg, topology, steps, max_steps)
             delays = None if traj.diverged else analysis.threshold_delay(traj, _source(cfg))
-        result = _metrics_report(cfg, topology, leader, traj, settled, delays)
+        result = _metrics_report(cfg, topology, leader, traj, delays)
 
         stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(
             traj.values.shape[0]

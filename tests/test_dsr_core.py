@@ -366,7 +366,7 @@ class TestBatchedColumns:
 
         run = BlockRun(
             topo, STEP_TO_ONE, np.ones(9), update, [1.0], params=None,
-            step_seconds=0.01, state_width=2, record_every=record_every, band=(1.0, 0.02),
+            step_seconds=0.01, state_width=2, record_every=record_every,
         )
         assert run.advance(B + 5).settling_times() == [0.0]
         assert run.advance(3 * B).diverged_steps == [2 * B + 1]

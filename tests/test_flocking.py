@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrnet import dsr_core
+from dsrnet.analysis import settling_time
 from dsrnet.dsr_core import DsrParams, StepSource, Trajectory
 from dsrnet.flocking import FlockParams, _sensing_pairs, kinematic_step, run_maneuver
 from dsrnet.harness import _dsr_params, _resolve_topology, preset_catalog, write_trajectory_csv
@@ -256,6 +257,28 @@ class TestManeuverMatchesPerStepLoop:
     def test_two_coincident_lattices(self):
         positions = np.concatenate([build_lattice(4, 4, 1.0)] * 2)
         self.assert_matches(graph(positions), flock_params(0.96))
+
+
+@pytest.mark.parametrize(
+    "flock, expected",
+    [
+        (_preset_flock("fig2_lattice"), 1.89),
+        (_preset_flock("fig2_disc_noise"), None),
+        (_preset_flock("fig2_lattice", speed=50.0), None),  # diverges at step 116
+        # no reinforcement, slow enough that the flock stays together
+        ((graph(build_lattice(3, 3, 1.0)), flock_params(0.0, speed=1.0, n_steps=400), None), 1.69),
+    ],
+    ids=["fig2_lattice", "fig2_disc_noise", "diverging", "no-reinforcement"],
+)
+def test_settling_time_is_that_of_its_record(flock, expected):
+    topology, params, seed = flock
+    traj = run_maneuver(topology, params, seed)
+    source = params.dsr.source
+    record = settling_time(traj, source.final, initial_value=source.initial)
+    assert (traj.settling_time is None) == (expected is None) == (record is None)
+    if expected is not None:
+        assert traj.settling_time == pytest.approx(expected)
+        assert np.float64(traj.settling_time).tobytes() == np.float64(record).tobytes()
 
 
 @pytest.mark.parametrize("name, weighings", [("fig2_lattice", 47), ("fig2_disc_noise", 400)])

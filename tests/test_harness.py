@@ -413,6 +413,20 @@ class TestConfirmedRun:
         for name, path in first.items():
             assert path.read_bytes() == second[name].read_bytes(), name
 
+    def test_horizon_does_not_depend_on_the_units_of_dt(self, tmp_path):
+        # one run in steps (Ks * dt = 1) at two time scales: both settle at
+        # step 172 and grow to one step past 1.5 times that
+        lines = []
+        for scale in ("dt = 0.01\nks = 100\n", "dt = 1e-20\nks = 1e20\n"):
+            text = (
+                "experiment = lattice-info\nrows = 15\ncols = 15\nleader = 16\n"
+                "beta = 0.96\nn_steps = 200\n" + scale
+            )
+            paths, _ = run_config(parse_config(text), tmp_path / str(len(lines)))
+            assert parse_config(paths["manifest"].read_text()).n_steps == 259
+            lines.append(len(paths["trajectory"].read_text().splitlines()))
+        assert lines == [1 + 260, 1 + 260]
+
     def test_zero_horizon_still_grows_to_max_steps(self, tmp_path):
         # a horizon of 0 steps used to double to 0 forever
         text = "experiment = lattice-info\nrows = 3\ncols = 3\nn_steps = 0\nmax_steps = 8\n"
@@ -453,12 +467,12 @@ class TestConfirmedRun:
             "n_steps = 2000\nmax_steps = 2000\n"
         )
         topology, leader = _resolve_topology(cfg)
-        traj, settled, _ = _confirmed_run(cfg, topology, 2000, 2000)
+        traj, _ = _confirmed_run(cfg, topology, 2000, 2000)
         assert traj.values.shape == (2001, 1600)
         tracemalloc.start()
         try:
             delays = analysis.threshold_delay(traj, _source(cfg))
-            report = _metrics_report(cfg, topology, leader, traj, settled, delays)
+            report = _metrics_report(cfg, topology, leader, traj, delays)
             write_trajectory_csv(traj, tmp_path / "t.csv", _auto_stride(len(traj.values)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -483,7 +497,7 @@ class TestMetricsReport:
         assert distances[2] == 2.0  # beyond the cutoff with a valid delay
         traj = Trajectory(np.array([0.0, 0.01]), np.zeros((2, 25)), None, (12,))
 
-        report = _metrics_report(cfg, topology, leader, traj, None, delays)
+        report = _metrics_report(cfg, topology, leader, traj, delays)
 
         kept = [(float(distances[i]), float(delays[i])) for i in (13, 16, 17, 18)]
         assert report.transfer_speed == analysis.transfer_speed(kept)
@@ -497,7 +511,7 @@ class TestMetricsReport:
         cfg = parse_config("experiment = lattice-info\nrows = 3\ncols = 3\n")
         topology, leader = _resolve_topology(cfg)
         traj = Trajectory(np.array([0.0]), np.zeros((1, 9)), None, (leader,))
-        report = _metrics_report(cfg, topology, leader, traj, None, None)
+        report = _metrics_report(cfg, topology, leader, traj, None)
         assert report.per_agent_delay == []
         assert report.transfer_speed is None and report.scaling_exponent is None
 
@@ -520,6 +534,18 @@ class TestCli:
 
     def test_expected_divergence_exits_zero(self, tmp_path):
         assert main(["run", "--preset", "fig1_unstable", "--out", str(tmp_path)]) == 0
+
+    def test_a_fit_over_equal_distances_calls_no_lapack(self, tmp_path, capfd):
+        # every near pair of a 3x3 lattice led from its centre lies at 1 m,
+        # where a log-log fit is undefined; LAPACK reports its errors on stdout
+        out = _run_config(
+            tmp_path,
+            "experiment = lattice-info\nrows = 3\ncols = 3\nleader = center\nbeta = 0.5\n"
+            "n_steps = 300\nnear_fraction = 0.4\n",
+        )
+        captured = capfd.readouterr()
+        assert captured.err == "" and "DLASCL" not in captured.out
+        assert json.loads((out / "metrics.json").read_text())["scaling_exponent"] is None
 
     def test_unknown_preset_fails(self, tmp_path, capsys):
         assert main(["run", "--preset", "fig9", "--out", str(tmp_path)]) == 2
