@@ -282,8 +282,10 @@ def settling_horizon(
 
 def sweep_horizon(topology, base_params: DsrParams, seed=None) -> int:
     """Default horizon of a stability sweep: twice the settling horizon of
-    the zero-gain variant of ``base_params``, covering the whole transient."""
-    return 2 * settling_horizon(topology, replace(base_params, dsr_gain=0.0), seed)
+    the zero-gain variant of ``base_params``, covering the whole transient,
+    and at least 1000 steps, as for diverging runs: a run that starts
+    settled would otherwise take no step at all."""
+    return max(2 * settling_horizon(topology, replace(base_params, dsr_gain=0.0), seed), 1000)
 
 
 def stability_sweep(

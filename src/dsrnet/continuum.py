@@ -150,9 +150,13 @@ def second_order_run(
         np.subtract(new_rate, delta, out=new_rate)
 
     drive = (dsr.alignment_strength / scale) * h
+    chains = (
+        ("v'", ((1.0, "x"), (h, "r"))),
+        ("r'", ((1.0, "r"), (-damping, "r"), ("-gain", "D"))),
+    )
     return BlockRun(
         topology, dsr.source, initial, update, [drive], params=params,
-        step_seconds=h, state_width=2, record_every=record_every,
+        step_seconds=h, state_width=2, record_every=record_every, chains=chains,
     )
 
 

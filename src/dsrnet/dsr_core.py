@@ -47,6 +47,22 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 
+
+def _check_chaining():
+    """Raise unless scipy's ``csr_matvec``, given one array as its input and
+    its output, reads the rows it wrote earlier in the same call: a block of
+    the fixed-graph path (see BlockRun) is one such call."""
+    rows = np.array([1.0, 0.0, 0.0])
+    index = np.array([0, 0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32)
+    _sparsetools.csr_matvec(3, 3, *index, np.array([2.0, 1.0]), rows, rows)
+    if rows[2] != 2.0:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')}'s csr_matvec does not chain rows in place")
+
+
+_check_chaining()
+
 # A run is diverged at a non-finite value or one beyond this magnitude
 # times its scale: the largest of 1, |source.initial|, |source.final| and
 # the initial magnitudes, so that the verdict does not depend on units.
@@ -312,16 +328,86 @@ def detect_divergence(state: InfoState) -> bool:
 _MAX_BLOCK_STEPS = 64
 _BLOCK_VALUES = 1 << 18
 
+# A run on a fixed graph with fewer than this many agents times columns takes
+# each block in one call of scipy's CSR kernel (see BlockRun), whose matrix
+# holds at most _KERNEL_ENTRIES entries (1.5 MiB with int32 indices). The
+# kernel's scalar loop costs several times numpy's vectorized ufuncs per
+# value, so larger runs step on those; the crossover was measured on a
+# lattice (see ROADMAP.md).
+_KERNEL_VALUES = 700
+_KERNEL_ENTRIES = 1 << 17
+
+
+class _KernelBlock:
+    """Up to ``steps`` steps of every column in one call of scipy's CSR kernel.
+
+    The kernel's one array, its input and its output, holds an area of rows
+    per step and column, in step-major order: the step's pull and any noise
+    (filled in before the call), then the neighbour sums S, the discrepancy
+    D and one row group per chain (see BlockRun), the last ``width`` of
+    which are the next state. Two areas come first, whose tails hold the
+    values one step back and the current state. The kernel writes each row
+    before it reads a later one, so every row reads rows already written:
+    its sum runs from +0.0 in S and from -0.0 elsewhere, term by term and
+    left to right, rounding as numpy's calls do.
+    """
+
+    def __init__(self, graph, pulls, width, chains, gains, steps, noise):
+        indptr, indices, weights = graph
+        n, m = len(indptr) - 1, len(gains)
+        inputs = ["pull", "noise"] if noise is not None else ["pull"]
+        names = inputs + ["S", "D"] + [name for name, _ in chains]
+        stride = len(names) * n
+        span, tail = m * stride, stride - width * n
+        # operand offsets from the start of the step's own area
+        at = {name: g * n for g, name in enumerate(names)}
+        at.update(x=tail - span, r=tail - span + n, prev=tail - 2 * span)
+        rows = [[(1.0, "x"), (-1.0, "S")] + [(-1.0, "pull"), (1.0, "noise")][: len(inputs)]]
+        rows += [terms for _, terms in chains]
+        # one step of one column, row by row: S in CSR order, then D and the
+        # chains, each row's terms in order; NaN stands for minus the gain
+        coef = [weights]
+        coef += [np.tile([np.nan if c == "-gain" else c for c, _ in r], n) for r in rows]
+        offset = [at["x"] + indices]
+        offset += [(np.arange(n)[:, None] + [at[name] for _, name in r]).ravel() for r in rows]
+        counts = [np.zeros(len(inputs) * n, int), np.diff(indptr)]
+        counts += [np.full(n, len(r)) for r in rows]
+        coef = np.concatenate(coef)
+        offset, counts = (np.concatenate(c).astype(np.int32) for c in (offset, counts))
+        # every step and column, in step-major order
+        area = np.arange(steps * m, dtype=np.int32)[:, None]
+        self._indices = ((area + 2 * m) * stride + offset).ravel()
+        data = np.where(np.isnan(coef), -np.asarray(gains, dtype=float)[:, None], coef)
+        self._data = np.tile(data.ravel(), steps)
+        ends = (coef.size * area + np.cumsum(counts, dtype=np.int32)).ravel()
+        self._indptr = np.concatenate([np.zeros(2 * span + 1, np.int32), ends])
+        self._values = np.zeros((steps + 2) * span)
+        self._areas = self._values.reshape(steps + 2, m, len(names), n)
+        self.states = self._areas[:, :, -width:]  # (slot, column, state row, agent)
+        self._pulls, self._noise, self._sums = np.stack(pulls)[..., 0], noise, len(inputs)
+
+    def __call__(self, k0, steps, switch):
+        """Steps k0 + 1 to k0 + ``steps``, from the states in slots 0 and 1."""
+        new, n = self._areas[2 : steps + 2], self._areas.shape[3]
+        new[:, :, 0] = self._pulls[(np.arange(k0, k0 + steps) >= switch).astype(int)][:, None]
+        for i in range(steps if self._noise is not None else 0):
+            new[i, :, 1] = self._noise(k0 + i, n)
+        new[:, :, self._sums] = 0.0
+        new[:, :, self._sums + 1 :] = -0.0
+        rows, z = self._areas[: steps + 2].size, self._values
+        _sparsetools.csr_matvec(rows, rows, self._indptr, self._indices, self._data, z, z)
+
 
 class BlockRun:
     """A run of m columns, stepped in blocks and resumable.
 
     Column j is an independent run whose discrepancy is scaled by
-    ``gains[j]``. The state of step k, shape ``(state_width, n, m)`` (the
+    ``gains[j]``. A block of B steps from step k0 reads the states of steps
+    k0 - 1 and k0 in slots 0 and 1 of its buffer and writes step k0 + i in
+    slot i + 1; its last two then move to slots 0 and 1. A state (the
     values, ``initial`` or else ``source.initial`` for every agent, then any
-    second-order rates, which start at zero), lives in slot k % (B + 1) of a
-    ring buffer whose slots all start as the initial state, so step -1 reads
-    as an at-rest history. Every step runs on a CSR graph
+    second-order rates, which start at zero) starts in both, so step -1
+    reads as an at-rest history. Every step runs on a CSR graph
     ``(indptr, indices)``: the ``topology``'s own, or what the hook
     ``graph(k, values)`` returns for the step-k values (n, m), weighed
     whenever it differs by value from the step before's. A non-leader
@@ -330,7 +416,19 @@ class BlockRun:
     prev, cur, nxt, coast)`` writes slot ``nxt`` (step k + 1) from the
     others, the step's discrepancy and its coasting mask (or None); it may
     overwrite ``delta`` and ``scratch``, and ``gain`` holds the gains of
-    the live columns.
+    the live columns. ``noise(k, n)``, if given, is step k's noise, added to
+    every column's discrepancy before ``update`` reads it.
+
+    ``chains`` may restate ``update`` as rows, each a ``(name, terms)`` pair
+    whose value is the sum of its ``(coefficient, operand)`` terms taken left
+    to right from -0.0. An operand is ``x`` or ``r`` (the state rows of step
+    k), ``prev`` (the values of step k - 1), ``D`` (the discrepancy) or a row
+    named before; the coefficient ``"-gain"`` is minus the column's gain, and
+    the last ``state_width`` rows are the state of step k + 1. A run with
+    ``chains``, no hook and fewer than _KERNEL_VALUES agents times columns
+    takes each block in one call of scipy's CSR kernel (_KernelBlock); every
+    other run calls ``update`` at every step. Both give the same bits where
+    the kernel is built without FMA contraction.
 
     After each block of up to B steps, one max and one min per step and
     column find the first step that is non-finite or beyond the run's limit
@@ -347,14 +445,14 @@ class BlockRun:
 
     def __init__(
         self, topology, source, initial, update, gains, *, params,
-        step_seconds, state_width=1, record_every=None, graph=None,
+        step_seconds, state_width=1, record_every=None, graph=None, noise=None, chains=None,
     ):
         if record_every is not None and record_every < 1:
             raise ValueError("record_every must be at least 1")
         if record_every is not None and len(gains) != 1:
             raise ValueError("only a single-column run can be recorded")
         self._leader_ids = tuple(sorted(topology.leader_ids))
-        self._source, self._hook = source, graph
+        self._source, self._hook, self._noise = source, graph, noise
         _require_connected(self._use((topology.indptr, topology.indices))[-1])
         n, m = topology.n_agents, len(gains)
         start = np.array(np.full(n, source.initial) if initial is None else initial, float)
@@ -368,9 +466,16 @@ class BlockRun:
         self._n, self._update = n, update
         self._params, self.step_seconds = params, step_seconds
         block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
-        ring = np.zeros((block + 1, state_width, n, m))
-        ring[:, 0] = start[:, None]
-        self._set_columns(ring, np.arange(m), np.array(gains, dtype=float))
+        if chains is not None and graph is None and n * m < _KERNEL_VALUES:
+            entries = topology.indices.size + n * (3 + (noise is not None))
+            entries += n * sum(len(terms) for _, terms in chains)
+            block = min(block, max(1, _KERNEL_ENTRIES // max(1, m * entries)))
+        else:
+            chains = None
+        self._chains, self._block = chains, block
+        history = np.zeros((2, m, state_width, n))
+        history[:, :, 0] = start
+        self._set_columns(history, np.arange(m), np.array(gains, dtype=float))
         self._tolerance = source.band(SETTLING_BAND)
         outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
         self._last_outside = np.full(m, 0 if outside else -1)
@@ -378,10 +483,23 @@ class BlockRun:
         self._record_every, self._filled = record_every, 1
         self._values, self._kept = start[None, :], np.zeros(1, dtype=np.int64)
 
-    def _set_columns(self, ring, columns, gain):
-        self._ring, self.columns, self._gain = ring, columns, gain
-        self._slots = [tuple(slot) for slot in ring]
-        self._delta, self._scratch = np.empty(ring.shape[2:]), np.empty(ring.shape[2:])
+    def _set_columns(self, history, columns, gain):
+        """Buffers for the live ``columns``, whose states at the step before
+        and the current one are ``history``, (2, column, state row, agent)."""
+        self.columns, self._gain = columns, gain
+        _, m, width, n = history.shape
+        if self._chains is not None:
+            *graph, pulls, _ = self._terms
+            self._kernel = _KernelBlock(
+                graph, pulls, width, self._chains, gain, self._block, self._noise
+            )
+            self._states = self._kernel.states
+        else:
+            ring = np.empty((self._block + 2, width, n, m))
+            self._slots = [tuple(slot) for slot in ring]
+            self._states = ring.transpose(0, 3, 1, 2)
+            self._delta, self._scratch = np.empty((n, m)), np.empty((n, m))
+        self._states[:2] = history
 
     def _use(self, graph):
         """Weigh ``graph`` for the steps from now on; returns what advance unpacks."""
@@ -391,10 +509,16 @@ class BlockRun:
         return self._terms
 
     @property
+    def state(self) -> np.ndarray:
+        """The state at the current step, ``(state_width, n, live columns)``:
+        the values, then any second-order rates."""
+        return self._states[1].transpose(1, 2, 0)
+
+    @property
     def current(self) -> np.ndarray:
         """Values at the current step, one column per entry of ``columns``
         (the indices of the columns that have not diverged)."""
-        return self._slots[self.step % len(self._slots)][0]
+        return self.state[0]
 
     def _outside(self, hi, lo):
         # rounding is monotone and symmetric: this is max |value - target|
@@ -411,36 +535,46 @@ class BlockRun:
             return self
         if self._record_every is not None:
             self._reserve(n_steps)
-        hook, update, switch = self._hook, self._update, self._source.switch_step
         # steps after a diverged one may overflow; they are never kept
         with np.errstate(over="ignore", invalid="ignore"):
             while self.step < n_steps and self.columns.size:
-                k0, slots = self.step, self._slots
-                k1, size = min(k0 + len(slots) - 1, n_steps), len(slots)
-                delta, scratch, gain = self._delta, self._scratch, self._gain
-                indptr, indices, weights, pulls, coast = self._terms
-                for k in range(k0, k1):
-                    cur = slots[k % size]
-                    if hook is not None:
-                        new = hook(k, cur[0])
-                        if not all(map(np.array_equal, new, (indptr, indices))):
-                            indptr, indices, weights, pulls, coast = self._use(new)
-                    _discrepancy(indptr, indices, weights, pulls[k >= switch], cur[0], delta)
-                    update(k, delta, scratch, gain, slots[(k - 1) % size], cur,
-                           slots[(k + 1) % size], coast)
+                k0 = self.step
+                k1 = min(k0 + self._block, n_steps)
+                if self._chains is not None:
+                    self._kernel(k0, k1 - k0, self._source.switch_step)
+                else:
+                    self._each_step(k0, k1)
                 self.step = k1
                 self._check(np.arange(k0 + 1, k1 + 1), k1 == n_steps)
         return self
 
+    def _each_step(self, k0, k1):
+        """Steps k0 + 1 to k1 into slots 2 on, one ``update`` call each."""
+        hook, update, noise, n = self._hook, self._update, self._noise, self._n
+        slots, delta, scratch, gain = self._slots, self._delta, self._scratch, self._gain
+        indptr, indices, weights, pulls, coast = self._terms
+        switch = self._source.switch_step
+        for i, k in enumerate(range(k0, k1)):
+            cur = slots[i + 1]
+            if hook is not None:
+                new = hook(k, cur[0])
+                if not all(map(np.array_equal, new, (indptr, indices))):
+                    indptr, indices, weights, pulls, coast = self._use(new)
+            _discrepancy(indptr, indices, weights, pulls[k >= switch], cur[0], delta)
+            if noise is not None:
+                np.add(delta, noise(k, n)[:, None], out=delta)
+            update(k, delta, scratch, gain, slots[i], cur, slots[i + 2], coast)
+
     def _check(self, steps, last):
         """Divergence, band and record bookkeeping after one block."""
-        ring, size = self._ring, len(self._ring)
-        rows = steps % size
-        # one contiguous run of n values per slot, column and state row for
-        # fast reductions; hi and lo are (step, column, state row)
-        flat = np.ascontiguousarray(ring.transpose(0, 3, 1, 2))
-        hi = flat.max(axis=3, initial=-np.inf)[rows]
-        lo = flat.min(axis=3, initial=np.inf)[rows]
+        states, size = self._states, len(steps)
+        # reductions over contiguous runs of n values (a copy for several
+        # columns of the per-step path); hi and lo are (step, column, state row)
+        block = states[2 : size + 2]
+        if block.strides[3] != block.itemsize:
+            block = np.ascontiguousarray(block)
+        hi = block.max(axis=3, initial=-np.inf)
+        lo = block.min(axis=3, initial=np.inf)
         bad = ~(np.maximum(hi, -lo) <= self._limit).all(axis=2)
         diverged, first = bad.any(axis=0), bad.argmax(axis=0)
         outside = self._outside(hi[..., 0], lo[..., 0])
@@ -457,15 +591,14 @@ class BlockRun:
             kept = kept[keep]
             filled = self._filled
             self._kept[filled : filled + kept.size] = kept
-            self._values[filled : filled + kept.size] = ring[kept % size, 0, :, 0]
+            self._values[filled : filled + kept.size] = states[kept - steps[0] + 2, 0, 0]
             self._filled += kept.size
+        states[:2] = states[size : size + 2]
         if diverged.any():
             for j in np.flatnonzero(diverged):
                 self.diverged_steps[self.columns[j]] = int(steps[first[j]])
             live = ~diverged
-            self._set_columns(
-                np.ascontiguousarray(ring[..., live]), self.columns[live], self._gain[live]
-            )
+            self._set_columns(states[:2, live], self.columns[live], self._gain[live])
 
     def _reserve(self, n_steps):
         """Fresh record arrays up to ``n_steps``, so that a trajectory handed
@@ -520,19 +653,21 @@ def dsr_run(
     for other in column_params:
         if replace(other, alignment_strength=params.alignment_strength) != params:
             raise ValueError("columns may differ only in alignment strength")
-    noise = _step_noise(params, seed)
     beta = params.dsr_gain
 
     def update(k, delta, scratch, gain, prev, cur, nxt, coast):
-        if noise is not None:
-            np.add(delta, noise(k, delta.shape[0])[:, None], out=delta)
         _dsr_update(cur[0], prev[0], delta, nxt[0], scratch, gain, beta, coast)
 
+    # _dsr_update as chains: x - gain * D + beta * (x - prev), without the
+    # last term at beta = 0
+    step = ((1.0, "x"), ("-gain", "D"))
+    chains = ((("M", ((1.0, "x"), (-1.0, "prev"))), ("x'", step + ((beta, "M"),)))
+              if beta else (("x'", step),))
     return BlockRun(
         topology, params.source, initial, update,
         [p.alignment_strength * p.update_interval for p in column_params],
-        params=params, step_seconds=params.update_interval,
-        record_every=record_every, graph=graph,
+        params=params, step_seconds=params.update_interval, record_every=record_every,
+        graph=graph, noise=_step_noise(params, seed), chains=chains,
     )
 
 

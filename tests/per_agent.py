@@ -10,9 +10,12 @@ increment.
 The arithmetic follows the engine's order, one rounding at a time, so runs
 compare bit for bit. Each row's sum of w * x_j runs left to right from 0.0
 over the CSR row, neighbours ascending, as scipy's ``csr_matvec`` and
-``csr_matvecs`` accumulate it. Python floats are IEEE doubles and round each
-operation on its own, so the equality holds where scipy's kernel is built
-without FMA contraction, as in the x86-64 wheels; aarch64 is not verified.
+``csr_matvecs`` accumulate it. Small fixed-graph runs do their whole update
+inside that kernel too, one block of steps per call, reading rows the
+kernel wrote earlier in the same call. Python floats are IEEE doubles and
+round each operation on its own, so the equality holds where scipy's kernel
+is built without FMA contraction, as in the x86-64 wheels; aarch64 is not
+verified.
 Two numpy calls are shared with the engine: the Philox draw of the update
 noise, and ``np.cos`` and ``np.sin`` in the kinematic step.
 

@@ -90,7 +90,7 @@ class TestSecondOrderRun:
         # the discrepancy of the uniform state vanishes up to rounding in
         # the neighbor-mean weights, so the rate (row 1 of the state) stays
         # at rounding scale
-        rate = run._slots[run.step % len(run._slots)][1]
+        rate = run.state[1]
         assert np.abs(rate).max() <= 1e-12
 
     def test_isolated_agent_raises_like_the_engine(self):
@@ -292,6 +292,8 @@ def test_oracle_catches_a_reordered_discrepancy(monkeypatch):
         return np.subtract(values, product + pull, out=out)
 
     monkeypatch.setattr(dsr_core, "_discrepancy", reordered)
+    # the per-step path, the one that calls _discrepancy
+    monkeypatch.setattr(dsr_core, "_KERNEL_VALUES", 0)
     topo, params, initial, n_steps = long_wave_run()
     _, rows, _ = recorded_run(topo, params, initial, n_steps)
     traj = simulate_second_order(topo, params, initial, n_steps)

@@ -568,3 +568,48 @@ class TestKernelLoading:
         code = "import importlib.machinery\nimport numpy\n"
         code += "importlib.machinery.EXTENSION_SUFFIXES.clear()\n" + KERNEL_CHECK
         assert fresh_python(code) == ["True"]
+
+
+# Checked in a fresh interpreter, on the kernel module dsr_core loads: the
+# fixed-graph block path (dsr_core._KernelBlock) passes one array as the
+# kernel's input and output, and restates numpy's arithmetic one rounding
+# at a time
+CHAINING_CHECK = """
+import numpy as np
+from dsrnet import dsr_core
+kernel = dsr_core._sparsetools.csr_matvec
+for index in (np.int32, np.int64):
+    # row 1 reads row 0 and row 2 reads row 1, both written in this call
+    rows = np.array([1.5, 0.0, 0.0])
+    kernel(3, 3, np.array([0, 0, 1, 2], index), np.array([0, 1], index),
+           np.array([2.0, 3.0]), rows, rows)
+    assert rows.tolist() == [1.5, 3.0, 9.0], rows
+    # -0.0 + 1 * c + b * a: the product 1 - 2**-60 rounds to 1 before the sum
+    a, b = 1 + 2**-30, 1 - 2**-30
+    rows = np.array([-1.0, a, -0.0])
+    kernel(3, 3, np.array([0, 0, 0, 2], index), np.array([0, 1], index),
+           np.array([1.0, b]), rows, rows)
+    print(repr(float(rows[2])))
+"""
+
+
+class TestKernelContract:
+    """What the block path needs of scipy's csr_matvec."""
+
+    def test_rows_chain_in_place_and_each_product_rounds_before_its_sum(self):
+        assert fresh_python(CHAINING_CHECK) == ["0.0", "0.0"]
+
+    def test_import_names_the_scipy_whose_kernel_copies_its_input(self):
+        code = (
+            "import importlib.metadata\n"
+            "from scipy.sparse import _sparsetools as kernel\n"
+            "matvec = kernel.csr_matvec\n"
+            "kernel.csr_matvec = lambda *args: matvec(*args[:5], args[5].copy(), args[6])\n"
+            "try:\n"
+            "    import dsrnet.dsr_core\n"
+            "except ImportError as err:\n"
+            "    version = importlib.metadata.version('scipy')\n"
+            "    print(str(err) == f\"scipy {version}'s csr_matvec does not chain rows\"\n"
+            "          ' in place')\n"
+        )
+        assert fresh_python(code) == ["True"]

@@ -1,0 +1,155 @@
+"""Both stepping paths of the engine against the per-agent oracle, bit for bit.
+
+A run on a fixed graph with few agents times columns takes each block in one
+call of scipy's CSR kernel; every other run calls its update at every step.
+Each drawn run goes through ``dsr_run`` or ``second_order_run`` on the path
+the engine picks for it (the kernel, at these sizes) and again with the
+crossover at 0, which forces the per-step path. Every recorded row, every
+live column's state and every divergence step must equal the oracle's.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dsrnet import dsr_core
+from dsrnet.continuum import ContinuumParams, second_order_run
+from dsrnet.dsr_core import DIVERGENCE_LIMIT, DsrParams, StepSource, dsr_run
+from dsrnet.topology import NetworkTopology
+
+import per_agent
+
+
+@st.composite
+def topologies(draw):
+    """1 to 30 agents on a random CSR graph, each row ascending: every
+    non-leader senses at least one other agent, and a leader may sense none."""
+    n = draw(st.integers(1, 30))
+    leaders = draw(st.sets(st.integers(0, n - 1), min_size=1 if n == 1 else 0, max_size=n))
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        rows.append(sorted(draw(st.sets(
+            st.sampled_from(others) if others else st.nothing(),
+            min_size=0 if i in leaders else 1, max_size=min(len(others), 6),
+        ))))
+    topo = NetworkTopology.build(np.zeros((n, 2)), 1.0, leaders)
+    topo.indptr = np.cumsum([0] + [len(row) for row in rows])
+    topo.indices = np.array([j for row in rows for j in row], dtype=np.int64)
+    return topo
+
+
+VALUES = [0.0, -0.0, 0.25, -0.7, 1.0, 3.0, -DIVERGENCE_LIMIT, 0.999 * DIVERGENCE_LIMIT]
+SOURCE_VALUES = [0.0, -0.0, 1.0, -1.0, -2.5, 40.0]
+# stable, at the edge of the stability cliff, beyond it, and overflowing
+KS = [0.0, 50.0, 100.0, 182.02, 400.0, 1e300]
+
+
+@st.composite
+def runs(draw):
+    """A model, its parameters per column, a start, a stride, a seed and the
+    horizons of successive ``advance`` calls."""
+    topo = draw(topologies())
+    n = topo.n_agents
+    source = StepSource(
+        draw(st.sampled_from(SOURCE_VALUES)), draw(st.sampled_from(SOURCE_VALUES)),
+        draw(st.integers(0, 80)),
+    )
+    initial = np.array(draw(st.one_of(
+        st.lists(st.sampled_from(VALUES), min_size=n, max_size=n),
+        st.sampled_from(VALUES).map(lambda value: [value] * n),
+    )))
+    horizons = sorted(draw(st.lists(st.integers(0, 140), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        beta = draw(st.sampled_from([0.5, 0.96]))
+        step = draw(st.sampled_from([1e-3, 2.6e-4]))
+        dsr = DsrParams(draw(st.sampled_from(KS[:5] + [2e4])), beta, 0.01, source)
+        every = draw(st.integers(1, 9))
+        return "wave", topo, [ContinuumParams(dsr, step)], initial, every, None, horizons
+    beta = draw(st.sampled_from([0.0, 0.5, 0.96]))
+    noise = draw(st.sampled_from([0.0, 0.02, 0.5]))
+    base = DsrParams(100.0, beta, 0.01, source, noise)
+    ks = draw(st.lists(st.sampled_from(KS), min_size=1, max_size=4))
+    columns = [replace(base, alignment_strength=k) for k in ks]
+    every = draw(st.integers(1, 9)) if len(columns) == 1 else None
+    return "dsr", topo, columns, initial, every, draw(st.integers(0, 2**32)), horizons
+
+
+def check_run(path, model, topo, columns, initial, every, seed, horizons):
+    """Run the case on ``path`` through each horizon in turn, and hold every
+    recorded row (one column) or every live column's state and divergence
+    step (several) to the oracle's."""
+    steps = []
+
+    def discrepancy(*args):
+        steps.append(1)
+        return real(*args)
+
+    real = dsr_core._discrepancy
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsr_core, "_discrepancy", discrepancy)
+        if path == "per-step":
+            patch.setattr(dsr_core, "_KERNEL_VALUES", 0)
+        if model == "wave":
+            run = second_order_run(topo, columns[0], initial, every)
+        else:
+            run = dsr_run(topo, columns, initial, seed, every)
+        for horizon in horizons:
+            run.advance(horizon)
+            for j, params in enumerate(columns):
+                expected = per_agent.recorded_run(topo, params, initial, horizon, every or 1, seed)
+                if every is not None:
+                    per_agent.assert_same_run(run.trajectory(), expected)
+                    continue
+                assert run.diverged_steps[j] == expected[2]
+                if expected[2] is None:
+                    live = list(run.columns).index(j)
+                    assert run.current[:, live].tobytes() == expected[1][-1].tobytes()
+    # the kernel path never calls _discrepancy; the per-step path once a step
+    assert (len(steps) > 0) == (path == "per-step" and run.step > 0)
+
+
+@pytest.mark.parametrize("path", ["kernel", "per-step"])
+@settings(max_examples=150, deadline=None)
+@given(runs())
+def test_each_path_equals_the_oracle(path, case):
+    check_run(path, *case)
+
+
+@pytest.mark.parametrize("path", ["kernel", "per-step"])
+@pytest.mark.parametrize("model", ["dsr", "wave"])
+def test_a_run_of_no_agents(path, model):
+    topo = NetworkTopology.build(np.zeros((0, 2)), 1.0)
+    params = DsrParams(100.0, 0.5, 0.01, StepSource(0.0, 1.0, 3))
+    if model == "wave":
+        params = ContinuumParams(params, 1e-3)
+    check_run(path, model, topo, [params], np.zeros(0), 1, None, [0, 5, 70])
+
+
+def signed_zero_topology():
+    """Leader 0 senses no one; 1 - 2 - 3 is a chain; leader 4 senses 3."""
+    topo = NetworkTopology.build(np.zeros((5, 2)), 1.0, {0, 4})
+    topo.indptr = np.array([0, 0, 1, 3, 4, 5])
+    topo.indices = np.array([2, 1, 3, 2, 3])
+    return topo
+
+
+@pytest.mark.parametrize("path", ["kernel", "per-step"])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "source", [StepSource(0.0, -0.0, 2), StepSource(-0.0, 0.0, 2), StepSource(-1.0, 0.0, 3)]
+)
+@pytest.mark.parametrize("ks", [0.0, 100.0])
+def test_signed_zeros(path, beta, source, ks):
+    # each row's sum starts from +0.0 (S) or -0.0 (the rest): x - 0.0 is x
+    # for x = -0.0, and a non-leader's pull 0 * v is -0.0 for v < 0
+    topo, initial = signed_zero_topology(), np.array([-0.0, -0.0, 0.0, -0.0, -0.0])
+    params = DsrParams(ks, beta, 0.01, source)
+    check_run(path, "dsr", topo, [params], initial, 1, None, [1, 3, 70])
+    if beta:
+        check_run(path, "wave", topo, [ContinuumParams(params, 1e-3)], initial, 1, None, [70])

@@ -370,16 +370,31 @@ class TestRunPreset:
 
 
     def test_sweep_csv_bytes(self, tmp_path):
-        # Ks = 50 is stable but does not settle within the probed horizon;
-        # an unsettled and a diverged column both leave the settling cell empty
+        # Ks = 40 is stable but does not settle within the probed horizon
+        # of 1000 steps; an unsettled and a diverged column both leave the
+        # settling cell empty
         config = tmp_path / "sweep.cfg"
         config.write_text(
             "experiment = stability-sweep\nrows = 5\ncols = 5\nleader = 6\n"
-            "ks_values = 50,100,1e9\n"
+            "ks_values = 40,100,1e9\n"
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "sweep.csv").read_bytes() == (
-            b"ks,verdict,settling_time_s\n50,stable,\n100,stable,4.53\n1e+09,diverged,\n"
+            b"ks,verdict,settling_time_s\n40,stable,\n100,stable,4.53\n1e+09,diverged,\n"
+        )
+
+    def test_sweep_of_a_run_that_starts_settled_takes_steps(self, tmp_path):
+        # every agent starts on the source's value, so the zero-gain probe
+        # settles at step 0; the horizon's floor still lets Ks = 500 diverge
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "experiment = stability-sweep\nrows = 3\ncols = 3\nleader = 0\n"
+            "source_initial = 1\nks_values = 1,500\n"
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert parse_config((tmp_path / "o" / "manifest.cfg").read_text()).n_steps == 1000
+        assert (tmp_path / "o" / "sweep.csv").read_bytes() == (
+            b"ks,verdict,settling_time_s\n1,stable,0\n500,diverged,\n"
         )
 
 class TestConfirmedRun:
@@ -831,13 +846,14 @@ class TestCli:
 
     def test_sweep_verdicts_do_not_depend_on_the_step_size(self, tmp_path):
         # at beta = 0 a step of 2**24 scales every value exactly, so the
-        # probed horizon and every verdict stay those of a unit step
+        # probed horizon (twice 453 steps, raised to the 1000-step floor) and
+        # every verdict stay those of a unit step
         ks = ["--ks", "50,90,99,101,105,110"]
         outs = [
             _run_config(tmp_path / final, _STEP + f"beta = 0\nsource_final = {final}\n", *ks)
             for final in ("1", "16777216")
         ]
-        assert [parse_config((o / "manifest.cfg").read_text()).n_steps for o in outs] == [906] * 2
+        assert [parse_config((o / "manifest.cfg").read_text()).n_steps for o in outs] == [1000] * 2
         assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
     def test_edge_midpoint_leader_of_a_lattice(self, tmp_path):
