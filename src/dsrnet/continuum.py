@@ -139,24 +139,14 @@ def second_order_run(
     dsr, h = params.dsr, params.integrator_step
     scale = dsr.dsr_gain * dsr.update_interval
     damping = ((1.0 - dsr.dsr_gain) / scale) * h
-
-    def update(k, delta, scratch, gain, prev, cur, nxt, _coast):
-        (value, rate), (new_value, new_rate) = cur, nxt
-        np.multiply(h, rate, out=scratch)
-        np.add(value, scratch, out=new_value)
-        np.multiply(damping, rate, out=scratch)
-        np.subtract(rate, scratch, out=new_rate)
-        np.multiply(gain, delta, out=delta)
-        np.subtract(new_rate, delta, out=new_rate)
-
     drive = (dsr.alignment_strength / scale) * h
     chains = (
         ("v'", ((1.0, "x"), (h, "r"))),
         ("r'", ((1.0, "r"), (-damping, "r"), ("-gain", "D"))),
     )
     return BlockRun(
-        topology, dsr.source, initial, update, [drive], params=params,
-        step_seconds=h, state_width=2, record_every=record_every, chains=chains,
+        topology, dsr.source, initial, chains, [drive], params=params,
+        step_seconds=h, state_width=2, record_every=record_every,
     )
 
 

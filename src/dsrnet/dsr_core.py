@@ -49,19 +49,16 @@ _sparsetools = _load_sparsetools()
 
 
 def _check_chaining():
-    """Raise unless scipy's ``csr_matvec``, given one array as its input and
-    its output, reads the rows it wrote earlier in the same call: a block of
-    the fixed-graph path (see BlockRun) is one such call."""
-    rows = np.array([1.0, 0.0, 0.0])
-    index = np.array([0, 0, 1, 2], dtype=np.int32), np.array([0, 1], dtype=np.int32)
-    _sparsetools.csr_matvec(3, 3, *index, np.array([2.0, 1.0]), rows, rows)
-    if rows[2] != 2.0:
-        from importlib.metadata import version
+    """Whether scipy's ``csr_matvec``, given one array as its input and output,
+    reads the rows it wrote earlier in the same call (as a block of BlockRun's
+    kernel path does) and rounds each product before adding it: -0.0 + 1 *
+    (-1) + b * a is 0.0, where a fused multiply-add gives -2**-60."""
+    a, b = 1 + 2**-30, 1 - 2**-30
+    rows = np.array([1.0, 0.0, 0.0, -1.0, a, -0.0])
+    index = np.array([0, 0, 1, 2, 2, 2, 4], np.int32), np.array([0, 1, 3, 4], np.int32)
+    _sparsetools.csr_matvec(6, 6, *index, np.array([2.0, 1.0, 1.0, b]), rows, rows)
+    return rows[2] == 2.0 and rows[5] == 0.0
 
-        raise ImportError(f"scipy {version('scipy')}'s csr_matvec does not chain rows in place")
-
-
-_check_chaining()
 
 # A run is diverged at a non-finite value or one beyond this magnitude
 # times its scale: the largest of 1, |source.initial|, |source.final| and
@@ -267,22 +264,19 @@ def _step_noise(params: DsrParams, seed: int | None) -> _StepNoise | None:
     return _StepNoise(seed, params.noise_amplitude)
 
 
-def _dsr_update(cur, prev, delta, out, momentum, ksdt, beta, coast=None):
+def _dsr_update(cur, prev, delta, out, momentum, ksdt, beta):
     """Write ``(cur - ksdt * delta) + beta * (cur - prev)`` into ``out``.
 
     At ``beta == 0`` the reinforcement term is skipped, so the update is
     exactly the diffusion step ``cur - ksdt * delta``: adding
     ``0 * (cur - prev)`` would turn -0.0 into +0.0 and inf into nan.
     Overwrites ``delta`` and ``momentum``. Reads ``prev`` before writing
-    ``out``, so the two may share memory. Agents in the ``coast`` mask get
-    no alignment term.
+    ``out``, so the two may share memory.
     """
     if beta:
         np.subtract(cur, prev, out=momentum)
         np.multiply(beta, momentum, out=momentum)
     np.multiply(ksdt, delta, out=delta)
-    if coast is not None:
-        delta[coast] = 0.0
     np.subtract(cur, delta, out=out)
     if beta:
         np.add(out, momentum, out=out)
@@ -332,9 +326,9 @@ _BLOCK_VALUES = 1 << 18
 # each block in one call of scipy's CSR kernel (see BlockRun), whose matrix
 # holds at most _KERNEL_ENTRIES entries (1.5 MiB with int32 indices). The
 # kernel's scalar loop costs several times numpy's vectorized ufuncs per
-# value, so larger runs step on those; the crossover was measured on a
-# lattice (see ROADMAP.md).
-_KERNEL_VALUES = 700
+# value, so larger runs step on those (the crossover was measured on a
+# lattice, see ROADMAP.md), as every run does where _check_chaining fails.
+_KERNEL_VALUES = 700 if _check_chaining() else 0
 _KERNEL_ENTRIES = 1 << 17
 
 
@@ -398,6 +392,37 @@ class _KernelBlock:
         _sparsetools.csr_matvec(rows, rows, self._indptr, self._indices, self._data, z, z)
 
 
+def _plan(chains, minus_gain, rows, prev, cur, nxt):
+    """One step of ``chains`` (see BlockRun) as numpy calls ``(f, a, b, out)``
+    from ring slots ``prev`` and ``cur`` into ``nxt``, rounding as a kernel
+    row: a sum starts from its first term of coefficient 1 (-0.0 + x is x);
+    a coefficient of 1 or -1 is an add or a subtract, any other a multiply,
+    into its operand if that is one of ``rows`` (D, the named rows) read by
+    no other term and else into ``rows["scratch"]``, and an add."""
+    reads = [operand for _, terms in chains for _, operand in terms]
+    own = {name for name in rows if name != "scratch" and reads.count(name) == 1}
+    names = [name for name, _ in chains[len(chains) - len(nxt) :]]
+    rows = {**rows, **dict(zip(("x", "r"), cur)), "prev": prev[0], **dict(zip(names, nxt))}
+    plan = []
+    for name, terms in chains:
+        out, total = rows[name], None
+        for c, operand in terms:
+            term = rows[operand]
+            if total is None and c == 1.0:
+                total = term
+                continue
+            if c not in (1.0, -1.0):
+                product = term if operand in own else rows["scratch"]
+                plan.append((np.multiply, minus_gain if c == "-gain" else c, term, product))
+                c, term = 1.0, product
+            total = -0.0 if total is None else total
+            plan.append((np.add if c == 1.0 else np.subtract, total, term, out))
+            total = out
+        if total is not out:
+            plan.append((np.add, -0.0, total, out))
+    return plan
+
+
 class BlockRun:
     """A run of m columns, stepped in blocks and resumable.
 
@@ -412,22 +437,18 @@ class BlockRun:
     ``graph(k, values)`` returns for the step-k values (n, m), weighed
     whenever it differs by value from the step before's. A non-leader
     isolated in ``topology`` raises IsolatedAgentError here, and one
-    isolated by a later graph coasts. ``update(k, delta, scratch, gain,
-    prev, cur, nxt, coast)`` writes slot ``nxt`` (step k + 1) from the
-    others, the step's discrepancy and its coasting mask (or None); it may
-    overwrite ``delta`` and ``scratch``, and ``gain`` holds the gains of
-    the live columns. ``noise(k, n)``, if given, is step k's noise, added to
-    every column's discrepancy before ``update`` reads it.
+    isolated by a later graph coasts: its discrepancy is 0. ``noise(k, n)``,
+    if given, is step k's noise, added to every column's discrepancy.
 
-    ``chains`` may restate ``update`` as rows, each a ``(name, terms)`` pair
-    whose value is the sum of its ``(coefficient, operand)`` terms taken left
-    to right from -0.0. An operand is ``x`` or ``r`` (the state rows of step
+    ``chains`` state the update as rows, each a ``(name, terms)`` pair whose
+    value is the sum of its ``(coefficient, operand)`` terms taken left to
+    right from -0.0. An operand is ``x`` or ``r`` (the state rows of step
     k), ``prev`` (the values of step k - 1), ``D`` (the discrepancy) or a row
     named before; the coefficient ``"-gain"`` is minus the column's gain, and
-    the last ``state_width`` rows are the state of step k + 1. A run with
-    ``chains``, no hook and fewer than _KERNEL_VALUES agents times columns
-    takes each block in one call of scipy's CSR kernel (_KernelBlock); every
-    other run calls ``update`` at every step. Both give the same bits where
+    the last ``state_width`` rows are the state of step k + 1. A run with no
+    hook and fewer than _KERNEL_VALUES agents times columns takes each block
+    in one call of scipy's CSR kernel (_KernelBlock); every other run makes
+    the numpy calls of _plan at every step. Both give the same bits where
     the kernel is built without FMA contraction.
 
     After each block of up to B steps, one max and one min per step and
@@ -444,8 +465,8 @@ class BlockRun:
     """
 
     def __init__(
-        self, topology, source, initial, update, gains, *, params,
-        step_seconds, state_width=1, record_every=None, graph=None, noise=None, chains=None,
+        self, topology, source, initial, chains, gains, *, params,
+        step_seconds, state_width=1, record_every=None, graph=None, noise=None,
     ):
         if record_every is not None and record_every < 1:
             raise ValueError("record_every must be at least 1")
@@ -463,15 +484,13 @@ class BlockRun:
         scale = max(1.0, abs(source.initial), abs(source.final), np.abs(start).max(initial=0.0))
         self._limit = DIVERGENCE_LIMIT * scale
         self.step, self.diverged_steps = 0, [None] * m
-        self._n, self._update = n, update
-        self._params, self.step_seconds = params, step_seconds
+        self._n, self._params, self.step_seconds = n, params, step_seconds
         block = min(_MAX_BLOCK_STEPS, max(1, _BLOCK_VALUES // max(1, state_width * n * m)))
-        if chains is not None and graph is None and n * m < _KERNEL_VALUES:
+        self._on_kernel = graph is None and n * m < _KERNEL_VALUES
+        if self._on_kernel:
             entries = topology.indices.size + n * (3 + (noise is not None))
             entries += n * sum(len(terms) for _, terms in chains)
             block = min(block, max(1, _KERNEL_ENTRIES // max(1, m * entries)))
-        else:
-            chains = None
         self._chains, self._block = chains, block
         history = np.zeros((2, m, state_width, n))
         history[:, :, 0] = start
@@ -488,7 +507,7 @@ class BlockRun:
         and the current one are ``history``, (2, column, state row, agent)."""
         self.columns, self._gain = columns, gain
         _, m, width, n = history.shape
-        if self._chains is not None:
+        if self._on_kernel:
             *graph, pulls, _ = self._terms
             self._kernel = _KernelBlock(
                 graph, pulls, width, self._chains, gain, self._block, self._noise
@@ -496,9 +515,12 @@ class BlockRun:
             self._states = self._kernel.states
         else:
             ring = np.empty((self._block + 2, width, n, m))
-            self._slots = [tuple(slot) for slot in ring]
+            self._slots = slots = [tuple(slot) for slot in ring]
             self._states = ring.transpose(0, 3, 1, 2)
-            self._delta, self._scratch = np.empty((n, m)), np.empty((n, m))
+            named = ["scratch", "D"] + [name for name, _ in self._chains[:-width]]
+            rows = {name: np.empty((n, m)) for name in named}
+            self._delta, chains = rows["D"], self._chains
+            self._plans = [_plan(chains, -gain, rows, *s) for s in zip(slots, slots[1:], slots[2:])]
         self._states[:2] = history
 
     def _use(self, graph):
@@ -540,7 +562,7 @@ class BlockRun:
             while self.step < n_steps and self.columns.size:
                 k0 = self.step
                 k1 = min(k0 + self._block, n_steps)
-                if self._chains is not None:
+                if self._on_kernel:
                     self._kernel(k0, k1 - k0, self._source.switch_step)
                 else:
                     self._each_step(k0, k1)
@@ -549,21 +571,23 @@ class BlockRun:
         return self
 
     def _each_step(self, k0, k1):
-        """Steps k0 + 1 to k1 into slots 2 on, one ``update`` call each."""
-        hook, update, noise, n = self._hook, self._update, self._noise, self._n
-        slots, delta, scratch, gain = self._slots, self._delta, self._scratch, self._gain
+        """Steps k0 + 1 to k1 into slots 2 on, one plan of _plan each."""
+        hook, noise, n, slots, plans = self._hook, self._noise, self._n, self._slots, self._plans
         indptr, indices, weights, pulls, coast = self._terms
-        switch = self._source.switch_step
+        delta, switch = self._delta, self._source.switch_step
         for i, k in enumerate(range(k0, k1)):
-            cur = slots[i + 1]
+            values = slots[i + 1][0]
             if hook is not None:
-                new = hook(k, cur[0])
+                new = hook(k, values)
                 if not all(map(np.array_equal, new, (indptr, indices))):
                     indptr, indices, weights, pulls, coast = self._use(new)
-            _discrepancy(indptr, indices, weights, pulls[k >= switch], cur[0], delta)
+            _discrepancy(indptr, indices, weights, pulls[k >= switch], values, delta)
             if noise is not None:
                 np.add(delta, noise(k, n)[:, None], out=delta)
-            update(k, delta, scratch, gain, slots[i], cur, slots[i + 2], coast)
+            if coast is not None:
+                delta[coast] = 0.0
+            for f, a, b, out in plans[i]:
+                f(a, b, out)
 
     def _check(self, steps, last):
         """Divergence, band and record bookkeeping after one block."""
@@ -654,20 +678,15 @@ def dsr_run(
         if replace(other, alignment_strength=params.alignment_strength) != params:
             raise ValueError("columns may differ only in alignment strength")
     beta = params.dsr_gain
-
-    def update(k, delta, scratch, gain, prev, cur, nxt, coast):
-        _dsr_update(cur[0], prev[0], delta, nxt[0], scratch, gain, beta, coast)
-
-    # _dsr_update as chains: x - gain * D + beta * (x - prev), without the
-    # last term at beta = 0
+    # x - gain * D + beta * (x - prev), without the last term at beta = 0
     step = ((1.0, "x"), ("-gain", "D"))
     chains = ((("M", ((1.0, "x"), (-1.0, "prev"))), ("x'", step + ((beta, "M"),)))
               if beta else (("x'", step),))
     return BlockRun(
-        topology, params.source, initial, update,
+        topology, params.source, initial, chains,
         [p.alignment_strength * p.update_interval for p in column_params],
         params=params, step_seconds=params.update_interval, record_every=record_every,
-        graph=graph, noise=_step_noise(params, seed), chains=chains,
+        graph=graph, noise=_step_noise(params, seed),
     )
 
 

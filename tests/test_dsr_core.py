@@ -354,18 +354,20 @@ class TestBatchedColumns:
         with pytest.raises(ValueError, match="single-column"):
             dsr_run(topo, [base, replace(base, alignment_strength=9.0)], np.zeros(9))
 
+    @pytest.mark.parametrize("path", ["kernel", "per-step"])
     @pytest.mark.parametrize("record_every", [None, 1, 3])
-    def test_two_row_band_reads_only_the_value_row(self, record_every):
-        # the values sit on the target from step 0 while the second row lies
-        # far outside the band; that row still ends the run when it blows up
+    def test_two_row_band_reads_only_the_value_row(self, monkeypatch, path, record_every):
+        # the values sit on the target from step 0 while the second row, from
+        # 0, doubles and adds 2**(19 - 2B) every step: it lies far outside
+        # the band, and still ends the run when it first passes the limit
+        # 1e6, at 2**20 - 2**(19 - 2B) on step 2B + 1
         topo = lattice_topology(3, 3, {0})
-
-        def update(k, delta, scratch, gain, prev, cur, nxt, coast):
-            nxt[0][...] = cur[0]
-            nxt[1][...] = np.inf if k == 2 * B else 50.0
-
+        double = ((1.0, "r"), (1.0, "r"), (2.0 ** (19 - 2 * B), "x"))
+        chains = (("v'", ((1.0, "x"),)), ("r'", double))
+        if path == "per-step":
+            monkeypatch.setattr(dsr_core, "_KERNEL_VALUES", 0)
         run = BlockRun(
-            topo, STEP_TO_ONE, np.ones(9), update, [1.0], params=None,
+            topo, STEP_TO_ONE, np.ones(9), chains, [1.0], params=None,
             step_seconds=0.01, state_width=2, record_every=record_every,
         )
         assert run.advance(B + 5).settling_times() == [0.0]
@@ -593,23 +595,50 @@ for index in (np.int32, np.int64):
 """
 
 
+# Checked in a fresh interpreter: dsr_core imports while scipy's kernel is
+# the stub named ``stub``, which fails one half of the import probe, and a
+# small run after it, on the real kernel again, equals the oracle's
+PROBE_FAILURE = """
+import sys
+from fractions import Fraction
+import numpy as np
+from scipy.sparse import _sparsetools as kernel
+matvec = kernel.csr_matvec
+
+def copies(*args):
+    matvec(*args[:5], args[5].copy(), args[6])
+
+def fuses(n_row, n_col, indptr, indices, data, x, y):
+    for i in range(n_row):
+        for jj in range(indptr[i], indptr[i + 1]):
+            y[i] = float(Fraction(y[i]) + Fraction(data[jj]) * Fraction(x[indices[jj]]))
+
+kernel.csr_matvec = {stub}
+from dsrnet import dsr_core
+kernel.csr_matvec = matvec
+print(dsr_core._KERNEL_VALUES)
+sys.path.insert(0, {tests!r})
+import per_agent
+topo = per_agent.lattice_topology(3, 3, {{0}})
+params = dsr_core.DsrParams(100.0, 0.5, 0.01, dsr_core.StepSource(0.0, 1.0, 3), 0.02)
+run = dsr_core.dsr_run(topo, [params], seed=5).advance(70)
+per_agent.assert_same_run(
+    run.trajectory(), per_agent.recorded_run(topo, params, np.zeros(9), 70, seed=5)
+)
+print("same")
+"""
+
+
 class TestKernelContract:
     """What the block path needs of scipy's csr_matvec."""
 
     def test_rows_chain_in_place_and_each_product_rounds_before_its_sum(self):
         assert fresh_python(CHAINING_CHECK) == ["0.0", "0.0"]
 
-    def test_import_names_the_scipy_whose_kernel_copies_its_input(self):
-        code = (
-            "import importlib.metadata\n"
-            "from scipy.sparse import _sparsetools as kernel\n"
-            "matvec = kernel.csr_matvec\n"
-            "kernel.csr_matvec = lambda *args: matvec(*args[:5], args[5].copy(), args[6])\n"
-            "try:\n"
-            "    import dsrnet.dsr_core\n"
-            "except ImportError as err:\n"
-            "    version = importlib.metadata.version('scipy')\n"
-            "    print(str(err) == f\"scipy {version}'s csr_matvec does not chain rows\"\n"
-            "          ' in place')\n"
-        )
-        assert fresh_python(code) == ["True"]
+    @pytest.mark.parametrize("stub", ["copies", "fuses"])
+    def test_a_kernel_that_fails_the_import_probe_leaves_every_run_on_numpy(self, stub):
+        # ``copies`` reads a copy of its input, so its rows do not chain;
+        # ``fuses`` rounds each multiply-add once, as an FMA does
+        code = PROBE_FAILURE.format(tests=str(Path(__file__).parent), stub=stub)
+        assert fresh_python(code) == ["0", "same"]
+

@@ -1,11 +1,13 @@
 """Both stepping paths of the engine against the per-agent oracle, bit for bit.
 
 A run on a fixed graph with few agents times columns takes each block in one
-call of scipy's CSR kernel; every other run calls its update at every step.
-Each drawn run goes through ``dsr_run`` or ``second_order_run`` on the path
-the engine picks for it (the kernel, at these sizes) and again with the
-crossover at 0, which forces the per-step path. Every recorded row, every
-live column's state and every divergence step must equal the oracle's.
+call of scipy's CSR kernel; every other run makes the numpy calls of its
+model's chains at every step. Each drawn run goes through ``dsr_run`` or
+``second_order_run`` on the path the engine picks for it (the kernel, at
+these sizes) and again with the crossover at 0, which forces the per-step
+path. Runs with a graph hook, which coast the agents a step's graph
+isolates, take the per-step path. Every recorded row, every live column's
+state and every divergence step must equal the oracle's.
 """
 
 from __future__ import annotations
@@ -80,10 +82,11 @@ def runs(draw):
     return "dsr", topo, columns, initial, every, draw(st.integers(0, 2**32)), horizons
 
 
-def check_run(path, model, topo, columns, initial, every, seed, horizons):
+def check_run(path, model, topo, columns, initial, every, seed, horizons, graphs=None):
     """Run the case on ``path`` through each horizon in turn, and hold every
     recorded row (one column) or every live column's state and divergence
-    step (several) to the oracle's."""
+    step (several) to the oracle's; a DSR run steps on ``graphs(k)``, if
+    given, through the graph hook."""
     steps = []
 
     def discrepancy(*args):
@@ -98,11 +101,14 @@ def check_run(path, model, topo, columns, initial, every, seed, horizons):
         if model == "wave":
             run = second_order_run(topo, columns[0], initial, every)
         else:
-            run = dsr_run(topo, columns, initial, seed, every)
+            hook = graphs and (lambda k, values: graphs(k))
+            run = dsr_run(topo, columns, initial, seed, every, hook)
         for horizon in horizons:
             run.advance(horizon)
             for j, params in enumerate(columns):
-                expected = per_agent.recorded_run(topo, params, initial, horizon, every or 1, seed)
+                expected = per_agent.recorded_run(
+                    topo, params, initial, horizon, every or 1, seed, graphs
+                )
                 if every is not None:
                     per_agent.assert_same_run(run.trajectory(), expected)
                     continue
@@ -153,3 +159,36 @@ def test_signed_zeros(path, beta, source, ks):
     check_run(path, "dsr", topo, [params], initial, 1, None, [1, 3, 70])
     if beta:
         check_run(path, "wave", topo, [ContinuumParams(params, 1e-3)], initial, 1, None, [70])
+
+
+@st.composite
+def coasting_runs(draw):
+    """A DSR case of ``runs`` with a per-step graph: the topology's own at
+    step 0, then drawn in turn from it and variants in which some agents
+    sense no one, so that non-leaders coast and reconnect."""
+    case = draw(runs().filter(lambda case: case[0] == "dsr"))
+    n, indptr, indices = case[1].n_agents, case[1].indptr, case[1].indices
+    degrees, variants = np.diff(indptr), [(indptr, indices)]
+    for alone in draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=3)):
+        keep = np.array([i not in alone for i in range(n)], dtype=bool)
+        variants.append((np.cumsum([0, *degrees * keep]), indices[np.repeat(keep, degrees)]))
+    turns = draw(st.lists(st.integers(0, len(variants) - 1), min_size=1, max_size=12))
+    return case + (lambda k: variants[turns[(k - 1) % len(turns)] if k else 0],)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coasting_runs())
+def test_a_hook_that_isolates_and_reconnects_agents_equals_the_oracle(case):
+    check_run("per-step", *case)
+
+
+@pytest.mark.parametrize("path", ["kernel", "per-step"])
+def test_a_value_exactly_at_the_limit_is_not_diverged(path):
+    # x' = x - 11 x from 1 gives (-10)**k, exactly: step 6 is 1e6, the
+    # run's limit, and step 7 the first beyond it
+    topo = NetworkTopology.build(np.zeros((1, 2)), 1.0, {0})
+    params = DsrParams(11.0, 0.0, 1.0, StepSource(0.0, 0.0))
+    expected = per_agent.recorded_run(topo, params, [1.0], 20)
+    assert expected[1][6].tolist() == [1e6] and expected[2] == 7
+    check_run(path, "dsr", topo, [params], np.ones(1), 1, None, [6, 20])
+    check_run(path, "dsr", topo, [params] * 2, np.ones(1), None, None, [6, 20])

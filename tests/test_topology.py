@@ -186,6 +186,15 @@ class TestComputeNeighbors:
         assert topo.neighbors[0].tolist() == [1]
         assert topo.neighbors[1].tolist() == [0]
 
+    def test_cells_a_little_wider_than_the_radius_keep_a_pair_at_it(self):
+        # agents 2 and 3, exactly one radius apart, sit at cell coordinates
+        # 1.9999999999999998 and 3.0 in cells one radius wide: two cells
+        # apart, so such cells would drop the pair
+        positions = build_lattice(1, 4, 0.5) + [0.001, 0.0]
+        assert dense_adjacency(positions, 0.5)[2, 3]
+        topo = NetworkTopology.build(positions, 0.5)
+        assert [ids.tolist() for ids in topo.neighbors] == [[1], [0, 2], [1, 3], [2]]
+
     def test_coincident_agents_are_neighbors(self):
         pos = np.array([[1.0, 1.0], [5.0, 5.0], [1.0, 1.0]])
         want = brute_force_neighbors(pos.tolist(), 0.5)
