@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dsr_core import SETTLING_BAND, BlockRun, DsrParams, StepSource, Trajectory, dsr_run
+from .dsr_core import DELAY_LEVEL, SETTLING_BAND, BlockRun, DsrParams, StepSource, Trajectory
+from .dsr_core import dsr_run
 from .dsr_core import simulate  # noqa: F401  (perfbench/tracer.py wraps analysis.simulate)
 from .flocking import FlockTrajectory
 from .topology import NetworkTopology
@@ -90,35 +91,54 @@ def settling_time(
     return float(traj.times[outside[-1] + 1])
 
 
-def overshoot(traj: Trajectory, source: StepSource) -> float | None:
+def step_overshoot(extremes: tuple[float, float] | None, source: StepSource) -> float | None:
     """Largest excess beyond the source's final value, on the far side of
     its step, as a fraction of |final| (of the step, when final is 0, as for
-    the settling band).
+    the settling band), from a run's least and greatest value.
 
-    A monotone approach scores 0. None for diverged runs or a source with
-    no step.
+    A monotone approach scores 0. None for a diverged run (no extremes) or
+    a source with no step.
     """
-    if traj.diverged or source.final == source.initial:
+    if extremes is None or source.final == source.initial:
         return None
-    values, final = traj.values, source.final
-    excess = values.max() - final if final > source.initial else final - values.min()
+    (low, high), final = extremes, source.final
+    excess = high - final if final > source.initial else final - low
     return max(0.0, float(excess)) / source.band(1.0)
+
+
+def overshoot(traj: Trajectory, source: StepSource) -> float | None:
+    """``step_overshoot`` over a whole record; None for a diverged run. A
+    run reduces its extremes as it steps (``Trajectory.extremes``), so this
+    is the record-based reference that tests compare them with."""
+    extremes = None if traj.diverged else (traj.values.min(), traj.values.max())
+    return step_overshoot(extremes, source)
+
+
+def delays_behind_leader(crossing_times: np.ndarray, leader_ids) -> np.ndarray:
+    """Each agent's crossing time less the earliest of the leaders'; every
+    entry NaN when no leader crossed."""
+    leader_times = crossing_times[list(leader_ids)]
+    if np.isnan(leader_times).all():
+        return np.full(len(crossing_times), np.nan)
+    return crossing_times - np.nanmin(leader_times)
 
 
 def threshold_delay(traj: Trajectory, source: StepSource) -> np.ndarray:
     """Per-agent first-crossing time relative to the leader's.
 
     Crossing is the first recorded time at which an agent's value reaches
-    10 % of the way from ``source.initial`` to ``source.final``: at or above
-    that level for a rising step, at or below it for a falling one. Agents
-    that never cross are marked NaN; if no leader crosses, or the source has
-    no step, every entry is NaN.
+    ``source.level(DELAY_LEVEL)``, 10 % of the way from ``source.initial``
+    to ``source.final``: at or above that level for a rising step, at or
+    below it for a falling one. Agents that never cross are marked NaN; if
+    no leader crosses, or the source has no step, every entry is NaN. A
+    run reduces its crossings as it steps (``Trajectory.crossing_times``),
+    so this is the record-based reference that tests compare them with.
     """
     if not traj.leader_ids:
         raise ValueError("trajectory has no leader to reference")
     if source.final == source.initial:
         return np.full(traj.n_agents, np.nan)
-    level = source.initial + 0.1 * (source.final - source.initial)
+    level = source.level(DELAY_LEVEL)
     first_row = np.zeros(traj.n_agents, dtype=np.intp)
     pending = np.ones(traj.n_agents, dtype=bool)
     for start, block in _blocks(traj.values):
@@ -130,10 +150,7 @@ def threshold_delay(traj: Trajectory, source: StepSource) -> np.ndarray:
             break
     crossing_times = traj.times[first_row].astype(float)
     crossing_times[pending] = np.nan
-    leader_times = crossing_times[list(traj.leader_ids)]
-    if np.isnan(leader_times).all():
-        return np.full(traj.n_agents, np.nan)
-    return crossing_times - np.nanmin(leader_times)
+    return delays_behind_leader(crossing_times, traj.leader_ids)
 
 
 def radial_acceleration(flock: FlockTrajectory) -> np.ndarray:

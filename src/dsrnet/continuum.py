@@ -129,12 +129,14 @@ def second_order_run(
     params: ContinuumParams,
     initial=None,
     record_every: int = 1,
+    **record,
 ) -> BlockRun:
     """A resumable run of the wave-like model on the block-stepped engine.
 
     The values start at ``initial`` and the rates at zero (see BlockRun).
     Same arithmetic, in the same order, as :func:`second_order_step`. The
-    settling band is judged on the values only.
+    settling band, the extremes and the crossings are judged on the values
+    only. ``record`` may give BlockRun's ``store`` and ``crossings``.
     """
     dsr, h = params.dsr, params.integrator_step
     scale = dsr.dsr_gain * dsr.update_interval
@@ -146,7 +148,7 @@ def second_order_run(
     )
     return BlockRun(
         topology, dsr.source, initial, chains, [drive], params=params,
-        step_seconds=h, state_width=2, record_every=record_every,
+        step_seconds=h, state_width=2, record_every=record_every, **record,
     )
 
 

@@ -69,6 +69,10 @@ DIVERGENCE_LIMIT = 1.0e6
 # A run has settled once every agent stays in this band (see StepSource.band).
 SETTLING_BAND = 0.02
 
+# An agent has responded once its value reaches this fraction of the way
+# through the source's step (see StepSource.level).
+DELAY_LEVEL = 0.1
+
 
 class IsolatedAgentError(ValueError):
     """A non-leader agent has no neighbors, so its discrepancy is undefined."""
@@ -99,6 +103,10 @@ class StepSource:
         if not fraction > 0:
             raise ValueError("band must be positive")
         return fraction * abs(self.final or self.final - self.initial)
+
+    def level(self, fraction: float) -> float:
+        """The value ``fraction`` of the way from ``initial`` to ``final``."""
+        return self.initial + fraction * (self.final - self.initial)
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,10 @@ class InfoState:
 @dataclass
 class Trajectory:
     """Step-major record of a run: row k holds every agent's value at t_k.
-    ``settling_time`` is the run's verdict (see BlockRun.settling_times)."""
+    ``settling_time`` is the run's verdict (see BlockRun.settling_times);
+    ``crossing_times`` (NaN for an agent that never crossed) and ``extremes``
+    (None for a diverged run) are what the run reduced over the steps it
+    judged (see BlockRun), which may be more than the record holds."""
 
     times: np.ndarray
     values: np.ndarray
@@ -159,6 +170,8 @@ class Trajectory:
     leader_ids: tuple[int, ...]
     diverged_step: int | None = None
     settling_time: float | None = None
+    crossing_times: np.ndarray | None = None
+    extremes: tuple[float, float] | None = None
 
     @property
     def diverged(self) -> bool:
@@ -423,6 +436,39 @@ def _plan(chains, minus_gain, rows, prev, cur, nxt):
     return plan
 
 
+class _Record:
+    """The rows a recorded BlockRun stores on multiples of ``every``: step 0,
+    the multiples and the last step, while the run's horizon is at most
+    ``horizon`` (None for any)."""
+
+    def __init__(self, every, horizon, start):
+        self.every, self.horizon = every, horizon
+        self.values, self.filled = start[None, :], 1
+
+    def reserve(self, step, n_steps):
+        """Moves to fresh arrays up to ``n_steps`` from ``step``, dropping a
+        last row off the multiples, so that a trajectory handed out earlier is
+        never written again; returns the record."""
+        filled = self.filled - (step % self.every != 0)
+        values = np.empty((1 + -(-n_steps // self.every), self.values.shape[1]))
+        values[:filled] = self.values[:filled]
+        self.values, self.filled = values, filled
+        return self
+
+    def store(self, states, k0, end, forced):
+        """The rows of steps k0 + 1 to ``end`` on the multiples (step k lies
+        in slot k - k0 + 1 of ``states``), then step ``end`` when ``forced``."""
+        m, filled = self.every, self.filled
+        first = (k0 // m + 1) * m
+        rows = states[first - k0 + 1 : end - k0 + 2 : m, 0, 0]
+        self.values[filled : filled + len(rows)] = rows
+        filled += len(rows)
+        if forced and end % m:
+            self.values[filled] = states[end - k0 + 1, 0, 0]
+            filled += 1
+        self.filled = filled
+
+
 class BlockRun:
     """A run of m columns, stepped in blocks and resumable.
 
@@ -456,22 +502,39 @@ class BlockRun:
     (see DIVERGENCE_LIMIT), exactly as a check after every step would; that
     column's run ends there and it leaves the state. Steps after it, up to
     the end of the block, are computed and never kept. With ``record_every``
-    (one column only) the run records step 0, every ``record_every``-th step
+    (one column only) the run judges step 0, every ``record_every``-th step
     and the last or diverged step. It tracks, per column, whether a value
     of the first state row lies outside the settling band
     ``source.band(SETTLING_BAND)`` around ``source.final`` at the current
-    step, and the last such step among those it keeps whatever comes next:
+    step, and the last such step among those it judges whatever comes next:
     every step of an unrecorded run, the stride steps of a recorded one.
+    Over the same steps a recorded run reduces the least and greatest value
+    and, with ``crossings``, each agent's first step at or past
+    ``source.level(DELAY_LEVEL)``. The stride steps of a block are found by
+    arithmetic, and a block that holds none reduces nothing. A last step off
+    the stride counts only while the run ends there, as for the band.
+
+    What a recorded run stores is apart from what it judges. ``store`` maps
+    multiples of ``record_every`` to horizons (None for any): the record of
+    a multiple holds step 0, the steps on that multiple and the last step,
+    and an ``advance`` past its horizon drops it. By default the run stores
+    every step it judges.
     """
 
     def __init__(
-        self, topology, source, initial, chains, gains, *, params,
-        step_seconds, state_width=1, record_every=None, graph=None, noise=None,
+        self, topology, source, initial, chains, gains, *, params, step_seconds,
+        state_width=1, record_every=None, store=None, crossings=False, graph=None, noise=None,
     ):
         if record_every is not None and record_every < 1:
             raise ValueError("record_every must be at least 1")
         if record_every is not None and len(gains) != 1:
             raise ValueError("only a single-column run can be recorded")
+        if store is None:
+            store = {} if record_every is None else {record_every: None}
+        if any(record_every is None or m < 1 or m % record_every for m in store):
+            raise ValueError("a run stores only on multiples of its record_every")
+        if crossings and record_every is None:
+            raise ValueError("only a recorded run reduces crossings")
         self._leader_ids = tuple(sorted(topology.leader_ids))
         self._source, self._hook, self._noise = source, graph, noise
         _require_connected(self._use((topology.indptr, topology.indices))[-1])
@@ -499,8 +562,17 @@ class BlockRun:
         outside = self._outside(start.max(initial=-np.inf), start.min(initial=np.inf))
         self._last_outside = np.full(m, 0 if outside else -1)
         self._outside_now = np.full(m, outside)
-        self._record_every, self._filled = record_every, 1
-        self._values, self._kept = start[None, :], np.zeros(1, dtype=np.int64)
+        self._record_every = record_every
+        self._records = {m: _Record(m, horizon, start) for m, horizon in store.items()}
+        self._extremes = start.min(initial=np.inf), start.max(initial=-np.inf)
+        # each agent's crossing step (NaN until it crosses) and those pending
+        self._crossed = self._pending = None
+        if crossings:
+            self._rising, self._level = source.final > source.initial, source.level(DELAY_LEVEL)
+            self._crossed = np.full(n, np.nan)
+            if source.final != source.initial:
+                self._pending = ~self._past_level(start)
+                self._crossed[~self._pending] = 0
 
     def _set_columns(self, history, columns, gain):
         """Buffers for the live ``columns``, whose states at the step before
@@ -555,8 +627,7 @@ class BlockRun:
             raise ValueError("a run cannot go back to an earlier step")
         if n_steps == self.step or not self.columns.size:
             return self
-        if self._record_every is not None:
-            self._reserve(n_steps)
+        self._reserve(n_steps)
         # steps after a diverged one may overflow; they are never kept
         with np.errstate(over="ignore", invalid="ignore"):
             while self.step < n_steps and self.columns.size:
@@ -567,7 +638,7 @@ class BlockRun:
                 else:
                     self._each_step(k0, k1)
                 self.step = k1
-                self._check(np.arange(k0 + 1, k1 + 1), k1 == n_steps)
+                self._check(k0, k1, k1 == n_steps)
         return self
 
     def _each_step(self, k0, k1):
@@ -589,9 +660,10 @@ class BlockRun:
             for f, a, b, out in plans[i]:
                 f(a, b, out)
 
-    def _check(self, steps, last):
-        """Divergence, band and record bookkeeping after one block."""
-        states, size = self._states, len(steps)
+    def _check(self, k0, k1, last):
+        """Divergence, band, reductions and records after the block of steps
+        k0 + 1 to k1, in slots 2 on."""
+        states, size = self._states, k1 - k0
         # reductions over contiguous runs of n values (a copy for several
         # columns of the per-step path); hi and lo are (step, column, state row)
         block = states[2 : size + 2]
@@ -603,48 +675,90 @@ class BlockRun:
         diverged, first = bad.any(axis=0), bad.argmax(axis=0)
         outside = self._outside(hi[..., 0], lo[..., 0])
         self._outside_now[self.columns] = outside[-1]
+        # the judged steps of the block are its rows j, j + every, ...
+        every = self._record_every or 1
+        j = -(k0 + 1) % every
+        judged = outside[j::every]
+        if len(judged):
+            seen = judged.any(axis=0)
+            latest = k0 + 1 + j + every * (len(judged) - 1 - judged[::-1].argmax(axis=0))
+            self._last_outside[self.columns[seen]] = latest[seen]
         if self._record_every is not None:
-            outside &= (steps % self._record_every == 0)[:, None]
-        seen = outside.any(axis=0)
-        latest = steps[len(steps) - 1 - outside[::-1].argmax(axis=0)]
-        self._last_outside[self.columns[seen]] = latest[seen]
-        if self._record_every is not None:
-            kept = steps[: first[0] + 1] if diverged[0] else steps
-            keep = kept % self._record_every == 0
-            keep[-1] |= diverged[0] or last
-            kept = kept[keep]
-            filled = self._filled
-            self._kept[filled : filled + kept.size] = kept
-            self._values[filled : filled + kept.size] = states[kept - steps[0] + 2, 0, 0]
-            self._filled += kept.size
+            # a recorded run ends at its diverged step
+            stop = first[0] + 1 if diverged[0] else size
+            if j < stop:
+                self._reduce(states[2 + j : 2 + stop : every, 0, 0], hi[j:stop:every, 0, 0],
+                             lo[j:stop:every, 0, 0], k0 + 1 + j)
+            if j < stop or diverged[0] or last:
+                for record in self._records.values():
+                    record.store(states, k0, k0 + stop, diverged[0] or last)
         states[:2] = states[size : size + 2]
         if diverged.any():
-            for j in np.flatnonzero(diverged):
-                self.diverged_steps[self.columns[j]] = int(steps[first[j]])
+            for c in np.flatnonzero(diverged):
+                self.diverged_steps[self.columns[c]] = int(k0 + 1 + first[c])
             live = ~diverged
             self._set_columns(states[:2, live], self.columns[live], self._gain[live])
 
-    def _reserve(self, n_steps):
-        """Fresh record arrays up to ``n_steps``, so that a trajectory handed
-        out earlier is never written again."""
-        if self.step % self._record_every:
-            self._filled -= 1  # the forced last row is off the stride
-        rows, filled = 1 + -(-n_steps // self._record_every), self._filled
-        values, kept = np.empty((rows, self._n)), np.zeros(rows, dtype=np.int64)
-        values[:filled], kept[:filled] = self._values[:filled], self._kept[:filled]
-        self._values, self._kept = values, kept
+    def _past_level(self, values):
+        return values >= self._level if self._rising else values <= self._level
 
-    def trajectory(self) -> Trajectory:
-        """The record so far of a run made with ``record_every``, and its verdict:
-        a view of the run's arrays, which the run never writes again."""
-        filled = self._filled
+    def _reduce(self, values, hi, lo, step):
+        """Fold judged rows into the extremes and crossings: ``values``, whose
+        row maxima and minima are ``hi`` and ``lo``, hold the judged steps
+        from ``step`` on."""
+        low, high = self._extremes
+        self._extremes = lo.min(initial=low), hi.max(initial=high)
+        if self._pending is None:
+            return
+        crossed = self._past_level(values)
+        now = self._pending & crossed.any(axis=0)
+        # the first crossing row of only the agents that cross in this block
+        self._crossed[now] = step + self._record_every * crossed[:, now].argmax(axis=0)
+        self._pending &= ~now
+        if not self._pending.any():
+            self._pending = None
+
+    def _reserve(self, n_steps):
+        """Drop the records whose horizon ``n_steps`` passes; the others move
+        to fresh arrays up to ``n_steps``."""
+        self._records = {
+            m: record.reserve(self.step, n_steps) for m, record in self._records.items()
+            if record.horizon is None or n_steps <= record.horizon
+        }
+
+    @property
+    def stored(self) -> tuple[int, ...]:
+        """The multiples whose records the run still keeps."""
+        return tuple(self._records)
+
+    def trajectory(self, every: int | None = None) -> Trajectory:
+        """The record so far on multiples of ``every`` (``record_every`` by
+        default) of a recorded run, a view of arrays the run never writes
+        again, with the run's verdict and reductions."""
+        record = self._records[every or self._record_every]
+        last = self.diverged_steps[0]
+        last = self.step if last is None else last
+        values = record.values[: record.filled]
+        steps = np.arange(len(values)) * record.every
+        steps[-1] = last
+        # the last step counts whether or not it lies on the stride
+        row, (low, high) = values[-1], self._extremes
+        extremes = None
+        if self.diverged_steps[0] is None:
+            extremes = float(row.min(initial=low)), float(row.max(initial=high))
+        crossing_times = None
+        if self._crossed is not None:
+            crossed = self._crossed.copy()
+            if self._pending is not None:
+                crossed[self._pending & self._past_level(row)] = last
+            crossing_times = crossed * self.step_seconds
         return Trajectory(
-            self._kept[:filled] * self.step_seconds, self._values[:filled], self._params,
-            self._leader_ids, self.diverged_steps[0], self.settling_times()[0],
+            steps * self.step_seconds, values, self._params, self._leader_ids,
+            self.diverged_steps[0], self.settling_times()[0], crossing_times, extremes,
         )
 
     def settling_times(self) -> list[float | None]:
-        """Per column, the time of the first kept step from which every value
+        """Per column, the time of the first judged step from which every value
         stays inside the band through the current step; None for a column
         that diverged or is outside the band now. For a recorded run this is
         ``analysis.settling_time`` on its record, bit for bit."""
@@ -663,6 +777,7 @@ def dsr_run(
     seed: int | None = None,
     record_every: int | None = 1,
     graph=None,
+    **record,
 ) -> BlockRun:
     """A DSR run from ``initial``, judged on its source's band (see BlockRun), with one
     column per entry of ``column_params``, DsrParams that may differ only in alignment strength.
@@ -671,7 +786,8 @@ def dsr_run(
     column is bitwise equal to the single run of its parameters. A
     ``graph`` hook (see BlockRun) moves the network with the run; the noise
     is added to the discrepancy on its graph, and the agents that graph
-    isolates get no alignment term.
+    isolates get no alignment term. ``record`` may give BlockRun's ``store``
+    and ``crossings``.
     """
     params = column_params[0]
     for other in column_params:
@@ -686,7 +802,7 @@ def dsr_run(
         topology, params.source, initial, chains,
         [p.alignment_strength * p.update_interval for p in column_params],
         params=params, step_seconds=params.update_interval, record_every=record_every,
-        graph=graph, noise=_step_noise(params, seed),
+        graph=graph, noise=_step_noise(params, seed), **record,
     )
 
 

@@ -134,7 +134,4 @@ def run_maneuver(
     last = len(record.times) - 1
     if last:
         positions[last] = kinematic_step(positions[last - 1], record.values[last], speed, dt)
-    return FlockTrajectory(
-        record.times, record.values, params, record.leader_ids,
-        record.diverged_step, record.settling_time, positions=positions[: last + 1],
-    )
+    return FlockTrajectory(**dict(vars(record), params=params), positions=positions[: last + 1])

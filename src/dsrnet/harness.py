@@ -9,6 +9,10 @@ line by line through one writer; none is assembled in memory first. The
 matrix CSVs (trajectories and radial acceleration) gather their rows from
 the record and format them a block of about 2**12 values at a time with
 ``csvfmt.format_rows``, which gives the per-value "%.9g" text byte for byte.
+A lattice-info or continuum run stores only the rows trajectory.csv writes,
+replaying the run where its stride was not foreseen, and reduces its delays
+and overshoot as it steps (see ``_confirmed_run``): the artifacts are those
+of the whole record, byte for byte.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ NAMED_LEADERS = ("corner", "edge-midpoint", "center")
 
 # Rows targeted by the automatic trajectory-CSV stride.
 MAX_CSV_ROWS = 1200
+
+# n_steps and max_steps may not exceed this many steps. The largest run of
+# the ROADMAP's north star takes 4,800, and 10**9 steps of even 225 agents
+# (about 4 us a step) take over an hour. A run stores only its CSV rows, so a
+# horizon of 10**15 steps would not fail to allocate: it would step for years.
+MAX_STEPS = 10**9
 
 # Nonzero floats must lie within this factor of 1, so that the products and
 # quotients the models form from them (Ks*dt, Ks/(beta*dt)*h, speed*dt,
@@ -118,6 +128,7 @@ _BOUNDS = (
      "must be nonnegative"),
     (("rows", "cols", "n_agents", "record_every", "csv_stride"), lambda v: v >= 1,
      "must be at least 1"),
+    (("n_steps", "max_steps"), lambda v: v <= MAX_STEPS, f"must be at most {MAX_STEPS:_}"),
 )
 _CHOICES = {
     "experiment": EXPERIMENT_KINDS,
@@ -310,17 +321,40 @@ def _dsr_params(cfg: ExperimentConfig) -> DsrParams:
 
 
 def _confirmed_run(cfg: ExperimentConfig, topology: NetworkTopology, steps, max_steps):
-    """Record (with its settling time) and horizon of a lattice-info or
-    continuum run from rest on the source's initial value, grown from
-    ``steps`` by ``analysis.confirm_settling``. The run is freed on return,
-    before the artifacts are written."""
-    if cfg.experiment == "continuum-second-order":
-        params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
-        run = second_order_run(topology, params, None, cfg.record_every)
-    else:
-        run = dsr_run(topology, [_dsr_params(cfg)], None, cfg.seed, cfg.record_every)
+    """The record, horizon and CSV stride of a lattice-info or continuum run
+    from rest on the source's initial value, grown from ``steps`` by
+    ``analysis.confirm_settling``. The run judges every ``record_every``-th
+    step and reduces its delays and extremes as it steps, but its record
+    holds only the rows trajectory.csv writes (see BlockRun's ``store``):
+    those of an explicit ``csv_stride``; else those of the stride of the
+    first horizon, where a settled run stops, until the run grows past it,
+    and those of the stride of ``max_steps``, where an unsettled one stops.
+    A run whose stride is neither runs again from step 0, storing only its
+    own: every run is deterministic. The run is freed on return, before the
+    artifacts are written."""
+    every = cfg.record_every
+
+    def start(strides):
+        store = {every * stride: horizon for stride, horizon in strides.items()}
+        if cfg.experiment == "continuum-second-order":
+            params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
+            return second_order_run(topology, params, None, every, store=store, crossings=True)
+        return dsr_run(
+            topology, [_dsr_params(cfg)], None, cfg.seed, every, store=store, crossings=True
+        )
+
+    def stride(last_step):
+        return cfg.csv_stride or _auto_stride(1 + -(-last_step // every))
+
+    # where the two strides are equal (as for a csv_stride), one record serves
+    run = start({stride(steps): steps, stride(max_steps): max_steps})
     steps, _, _ = analysis.confirm_settling(run, steps, max_steps)
-    return run.trajectory(), steps
+    diverged = run.diverged_steps[0]
+    final = stride(steps if diverged is None else diverged)
+    if every * final not in run.stored:
+        del run  # freed before the replay
+        run = start({final: steps}).advance(steps)
+    return run.trajectory(every * final), steps, final
 
 
 def _correlation_delays(radial: np.ndarray, leader: int, dt: float) -> np.ndarray:
@@ -361,7 +395,7 @@ def _metrics_report(cfg, topology, leader, traj, delays) -> MetricsReport:
         transfer_speed=speed,
         scaling_exponent=exponent,
         diverged=traj.diverged,
-        overshoot=analysis.overshoot(traj, _source(cfg)),
+        overshoot=analysis.step_overshoot(traj.extremes, _source(cfg)),
     )
 
 
@@ -492,19 +526,21 @@ def _run_validated(cfg: ExperimentConfig, out: Path):
                     Trajectory(traj.times[1:-1], radial, traj.params, traj.leader_ids),
                     paths["radial_acceleration"],
                 )
+            # a flock's record holds every step, for the radial acceleration
+            stride = record_stride = cfg.csv_stride or _auto_stride(traj.values.shape[0])
         else:
-            traj, steps = _confirmed_run(cfg, topology, steps, max_steps)
-            delays = None if traj.diverged else analysis.threshold_delay(traj, _source(cfg))
+            traj, steps, stride = _confirmed_run(cfg, topology, steps, max_steps)
+            record_stride = 1  # the record holds only the CSV's rows
+            delays = None if traj.diverged else analysis.delays_behind_leader(
+                traj.crossing_times, traj.leader_ids
+            )
         result = _metrics_report(cfg, topology, leader, traj, delays)
 
-        stride = cfg.csv_stride if cfg.csv_stride is not None else _auto_stride(
-            traj.values.shape[0]
-        )
         resolved = replace(
             cfg, leader=str(leader), n_steps=steps, max_steps=max_steps, csv_stride=stride
         )
         paths["trajectory"] = out / "trajectory.csv"
-        write_trajectory_csv(traj, paths["trajectory"], stride)
+        write_trajectory_csv(traj, paths["trajectory"], record_stride)
         paths["metrics"] = out / "metrics.json"
         _write_lines(paths["metrics"], _metrics_lines(result, cfg.experiment))
         if result.per_agent_delay:

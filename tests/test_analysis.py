@@ -647,6 +647,66 @@ def oracle_overshoot(traj, source):
     return max(0.0, float(excess)) / abs(source.final or source.final - source.initial)
 
 
+class TestEngineReductionsMatchReferences:
+    """A recorded run's crossings and extremes, reduced as it steps, against
+    ``threshold_delay`` and ``overshoot`` on its whole record, and the rows
+    it stores on a multiple of its stride against that record's, bit for
+    bit after every advance."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=st.sampled_from(["dsr", "noisy-dsr", "second-order"]),
+        diverges=st.booleans(),
+        # 729 agents take the per-step path, the others the kernel block
+        side=st.sampled_from([3, 4, 27]),
+        record_every=st.integers(1, 7),
+        stride=st.integers(1, 4),
+        # rising, falling and no step
+        source=st.sampled_from([(0.0, 1.0), (1.0, -0.5), (0.3, 0.3)]),
+        switch_step=st.integers(0, 30),
+        horizons=st.lists(
+            st.tuples(st.integers(0, 40), st.booleans(), st.integers(1, 6)),
+            min_size=2, max_size=4,
+        ),
+    )
+    def test_reductions_and_stored_rows_equal_the_records(
+        self, model, diverges, side, record_every, stride, source, switch_step, horizons
+    ):
+        # the diverging models blow up at about step 30 (DSR) and 125 (second order)
+        step_source = StepSource(*source, switch_step)
+        topo = lattice_with_leader(side, side + 1)
+        kept = record_every * stride
+        record = dict(store={record_every: None, kept: None}, crossings=True)
+        if model == "second-order":
+            dsr = DsrParams(100.0, 0.5, 0.01, step_source)
+            params = ContinuumParams(dsr, 0.004 if diverges else 0.002)
+            run = second_order_run(topo, params, None, record_every, **record)
+        else:
+            noise = 0.01 if model == "noisy-dsr" else 0.0
+            params = DsrParams(182.02 if diverges else 100.0, 0.5, 0.01, step_source, noise)
+            run = dsr_run(topo, [params], None, 4, record_every, **record)
+        steps = 0
+        for multiple, on_stride, offset in horizons:
+            # on the stride, or off it by 1 to record_every - 1 steps, so that
+            # the next advance leaves a forced last row behind
+            steps += multiple * record_every + (0 if on_stride else offset % record_every)
+            traj = run.advance(steps).trajectory()
+            delays = analysis.delays_behind_leader(traj.crossing_times, traj.leader_ids)
+            assert delays.tobytes() == threshold_delay(traj, step_source).tobytes()
+            expected = overshoot(traj, step_source)
+            if traj.diverged:
+                assert expected is None and traj.extremes is None
+            else:
+                assert traj.extremes == (traj.values.min(), traj.values.max())
+                assert analysis.step_overshoot(traj.extremes, step_source) == expected
+            last = len(traj.times) - 1
+            rows = np.unique(np.append(np.arange(0, last + 1, stride), last))
+            thinned = run.trajectory(kept)
+            assert thinned.times.tobytes() == traj.times[rows].tobytes()
+            assert thinned.values.tobytes() == traj.values[rows].tobytes()
+            assert thinned.crossing_times.tobytes() == traj.crossing_times.tobytes()
+
+
 class TestBlockedMetricsMatchOracles:
     """``threshold_delay`` and ``overshoot`` reduce the record a block of at
     most 2**16 values at a time; the whole-array formulas are the oracles."""

@@ -404,8 +404,38 @@ class TestExtendedRun:
         second = run.advance(40).trajectory()
         assert first.values.tobytes() == kept.tobytes()
         assert len(second.values) == (31 if ks > 100.0 else 41)
-        assert np.shares_memory(second.values, run._values)
-        assert not np.shares_memory(first.values, run._values)
+        record = run._records[1].values
+        assert np.shares_memory(second.values, record)
+        assert not np.shares_memory(first.values, record)
+
+    def test_a_record_is_dropped_past_its_horizon(self):
+        # records on multiples of 2 (to step 10) and 6 (to any step) of a run
+        # judged every 2nd step: each holds step 0, its multiples and the last
+        topo = lattice_topology(3, 3, {0})
+        params = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
+        run = dsr_run(topo, [params], None, None, 2, store={2: 10, 6: None})
+        whole = run.advance(9).trajectory()
+        assert run.stored == (2, 6)
+        assert [round(t / 0.01) for t in whole.times] == [0, 2, 4, 6, 8, 9]
+        thinned = run.trajectory(6)
+        assert thinned.values.tobytes() == whole.values[[0, 3, 5]].tobytes()
+        assert run.advance(10).stored == (2, 6)
+        assert run.advance(11).stored == (6,)
+        assert [round(t / 0.01) for t in run.trajectory(6).times] == [0, 6, 11]
+        with pytest.raises(KeyError):
+            run.trajectory()
+
+    def test_only_a_recorded_run_stores_and_reduces(self):
+        topo = lattice_topology(3, 3, {0})
+        params = DsrParams(100.0, 0.5, 0.01, STEP_TO_ONE)
+        with pytest.raises(ValueError, match="multiples of its record_every"):
+            dsr_run(topo, [params], None, None, 2, store={3: None})
+        with pytest.raises(ValueError, match="multiples of its record_every"):
+            dsr_run(topo, [params], None, None, None, store={1: None})
+        with pytest.raises(ValueError, match="only a recorded run reduces crossings"):
+            dsr_run(topo, [params], None, None, None, crossings=True)
+        traj = dsr_run(topo, [params], None, None, 1).advance(5).trajectory()
+        assert traj.crossing_times is None and traj.extremes is not None
 
     def test_cannot_go_back(self):
         topo = lattice_topology(3, 3, {0})

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from dsrnet import analysis, harness
 from dsrnet.cli import main
-from dsrnet.dsr_core import Trajectory
+from dsrnet.continuum import ContinuumParams, second_order_run
+from dsrnet.dsr_core import Trajectory, dsr_run
 from dsrnet.harness import (
     EXPERIMENT_KINDS,
     NAMED_LEADERS,
@@ -24,6 +25,7 @@ from dsrnet.harness import (
     _DEFAULTS,
     _auto_stride,
     _confirmed_run,
+    _dsr_params,
     _metrics_report,
     _resolve_topology,
     _source,
@@ -474,27 +476,136 @@ class TestConfirmedRun:
             assert (first / name).read_bytes() == (replay / name).read_bytes(), name
 
     def test_metrics_and_csv_read_the_record_in_bounded_blocks(self, tmp_path):
-        # a 2,001 x 1,600 record (25.6 MB): the metrics reduce it, and the
-        # CSV gathers its stride rows, a small block at a time, with no
-        # temporary that grows with the record
+        # 2,001 judged steps of 1,600 agents, of which the record keeps the
+        # 1 + 1,000 CSV rows (12.8 MB): the report reads the run's reductions,
+        # and the CSV formats the record a small block at a time, with no
+        # temporary that grows with it
         cfg = parse_config(
             "experiment = lattice-info\nrows = 40\ncols = 40\nks = 100\nbeta = 0.96\n"
             "n_steps = 2000\nmax_steps = 2000\n"
         )
         topology, leader = _resolve_topology(cfg)
-        traj, _ = _confirmed_run(cfg, topology, 2000, 2000)
-        assert traj.values.shape == (2001, 1600)
+        traj, _, stride = _confirmed_run(cfg, topology, 2000, 2000)
+        assert stride == 2 and traj.values.shape == (1 + 1000, 1600)
         tracemalloc.start()
         try:
-            delays = analysis.threshold_delay(traj, _source(cfg))
+            delays = analysis.delays_behind_leader(traj.crossing_times, traj.leader_ids)
             report = _metrics_report(cfg, topology, leader, traj, delays)
-            write_trajectory_csv(traj, tmp_path / "t.csv", _auto_stride(len(traj.values)))
+            write_trajectory_csv(traj, tmp_path / "t.csv", 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert len(report.per_agent_delay) == 1600
         assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 1001
+
+
+def _whole_record_artifacts(cfg: ExperimentConfig, out: Path):
+    """The artifacts of a lattice-info or continuum ``cfg`` from the whole
+    record of its run: every judged row, the delays and the overshoot
+    rescanned from it, and trajectory.csv written at the automatic stride."""
+    out.mkdir()
+    topology, leader = _resolve_topology(cfg)
+    every, source = cfg.record_every, _source(cfg)
+    if cfg.experiment == "continuum-second-order":
+        params = ContinuumParams(_dsr_params(cfg), cfg.integrator_dt)
+        run = second_order_run(topology, params, None, every)
+    else:
+        run = dsr_run(topology, [_dsr_params(cfg)], None, cfg.seed, every)
+    n_steps = 1000 if cfg.n_steps is None else cfg.n_steps
+    max_steps = 8 * n_steps if cfg.max_steps is None else cfg.max_steps
+    steps, _, _ = analysis.confirm_settling(run, min(n_steps, max_steps), max_steps)
+    traj = run.trajectory()
+    delays = None if traj.diverged else analysis.threshold_delay(traj, source)
+    report = replace(
+        _metrics_report(cfg, topology, leader, traj, delays),
+        overshoot=analysis.overshoot(traj, source),
+    )
+    stride = cfg.csv_stride or _auto_stride(len(traj.values))
+    write_trajectory_csv(traj, out / "trajectory.csv", stride)
+    harness._write_lines(out / "metrics.json", harness._metrics_lines(report, cfg.experiment))
+    if report.per_agent_delay:
+        harness._write_lines(out / "delays.csv", harness._delay_lines(report.per_agent_delay))
+    resolved = replace(
+        cfg, leader=str(leader), n_steps=steps, max_steps=max_steps, csv_stride=stride
+    )
+    harness._write_lines(out / "manifest.cfg", harness._config_lines(resolved))
+
+
+# the lattice of every case below that names none
+_FIVE_BY_FIVE = "rows = 5\ncols = 5\nleader = 6\n"
+
+
+class TestStoredRowsAgainstTheWholeRecord:
+    """run_config stores only the rows trajectory.csv writes; its artifacts
+    against those of the whole record, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "text, strides",
+        [
+            # settles at step 77: confirmed at its first horizon, on stride 3
+            (
+                "experiment = lattice-info\nbeta = 0.9\nn_steps = 3000\n",
+                [{3: 3000, 21: 24000}],
+            ),
+            # never settles: grows to max_steps, on its stride of 3, having
+            # dropped the first horizon's rows at the first extension
+            (
+                "experiment = lattice-info\nbeta = 0.5\nnoise = 0.5\nseed = 3\n"
+                "n_steps = 700\nmax_steps = 2800\n",
+                [{1: 700, 3: 2800}],
+            ),
+            # settles at step 6,899 and is confirmed at 10,350 (stride 9):
+            # replayed from step 0
+            (
+                "experiment = lattice-info\nrows = 15\ncols = 15\nleader = 16\nbeta = 0\n"
+                "n_steps = 1000\nmax_steps = 20000\n",
+                [{1: 1000, 17: 20000}, {9: 10350}],
+            ),
+            # diverges within its first stride of 3 steps, so its stride is 1:
+            # replayed from step 0
+            (
+                "experiment = lattice-info\nks = 300\nn_steps = 3000\n",
+                [{3: 3000, 21: 24000}, {1: 3000}],
+            ),
+            # an explicit csv_stride is the one record, on multiples of 4 * 3
+            (
+                "experiment = continuum-second-order\nbeta = 0.96\nintegrator_dt = 0.001\n"
+                "record_every = 3\nn_steps = 50\ncsv_stride = 4\n",
+                [{4: 400}],
+            ),
+        ],
+        ids=["first-horizon", "max-steps", "intermediate-replay", "diverges-replay", "csv-stride"],
+    )
+    def test_artifacts_equal_the_whole_records(self, tmp_path, monkeypatch, text, strides):
+        cfg = parse_config(("" if "rows" in text else _FIVE_BY_FIVE) + text)
+        stores, written = [], []
+        for name in ("dsr_run", "second_order_run"):
+            original_run = getattr(harness, name)
+
+            def run(*args, _run=original_run, **kwargs):
+                stores.append(kwargs["store"])
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, run)
+        original = harness.write_trajectory_csv
+
+        def recorded(traj, path, *stride):
+            written.append((len(traj.values), *stride))
+            original(traj, path, *stride)
+
+        monkeypatch.setattr(harness, "write_trajectory_csv", recorded)
+        paths, _ = run_config(cfg, tmp_path / "stored")
+        _whole_record_artifacts(cfg, tmp_path / "whole")
+        every = cfg.record_every
+        assert stores == [{every * m: h for m, h in s.items()} for s in strides]
+        rows = len(paths["trajectory"].read_text().splitlines()) - 1
+        assert written == [(rows, 1)]
+        names = sorted(path.name for path in (tmp_path / "whole").iterdir())
+        assert names == sorted(path.name for path in paths.values())
+        for name in names:
+            whole = (tmp_path / "whole" / name).read_bytes()
+            assert (tmp_path / "stored" / name).read_bytes() == whole, name
 
 
 class TestMetricsReport:
@@ -615,11 +726,22 @@ class TestCli:
         assert (cfg.source_final, cfg.source_initial, cfg.noise) == (1e30, -1e-30, 0.0)
 
     def test_input_too_large_for_memory_exits_2(self, tmp_path, capsys):
-        # the record of 10**15 steps of 9 agents (64 PiB) exceeds any address space
+        # the positions of 10**36 agents: numpy's first array of 10**18
+        # entries (6.94 EiB) exceeds any address space, and no page is touched
         config = tmp_path / "big.cfg"
-        config.write_text(f"experiment = lattice-info\nrows = 3\ncols = 3\nn_steps = {10**15}\n")
+        config.write_text(f"experiment = lattice-info\nrows = {10**18}\ncols = {10**18}\n")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+    @pytest.mark.parametrize("horizon", ["n_steps", "max_steps"])
+    def test_horizon_too_long_to_run_exits_2(self, tmp_path, capsys, horizon):
+        # 10**15 steps of 9 agents would store only 1,201 rows, and step for years
+        config = tmp_path / "long.cfg"
+        config.write_text(f"experiment = lattice-info\nrows = 3\ncols = 3\n{horizon} = {10**15}\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {horizon}: must be at most 1_000_000_000" in err
+        assert parse_config(f"experiment = lattice-info\n{horizon} = {harness.MAX_STEPS}\n")
 
     def test_disc_without_agents_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
