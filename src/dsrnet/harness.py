@@ -7,7 +7,7 @@ a JSON document with fixed keys; trajectories and plot tables go to CSV
 with UNIX newlines and nine significant digits. Every artifact is written
 line by line through one writer; none is assembled in memory first. The
 matrix CSVs (trajectories and radial acceleration) gather their rows from
-the record and format them a block of about 2**12 values at a time with
+the record and format them a block of about 2**13 values at a time with
 ``csvfmt.format_rows``, which gives the per-value "%.9g" text byte for byte.
 A lattice-info or continuum run stores only the rows trajectory.csv writes,
 replaying the run where its stride was not foreseen, and reduces its delays
@@ -400,13 +400,13 @@ def _metrics_report(cfg, topology, leader, traj, delays) -> MetricsReport:
 
 
 def _write_lines(path: Path, lines):
-    """Write ``lines`` one item at a time, each followed by a UNIX newline, so
-    no artifact is ever held in memory whole. An item may hold several rows:
-    a matrix CSV comes one formatted block of rows at a time."""
-    with open(path, "w", newline="\n") as handle:
+    """Write ``lines`` one item at a time, so no artifact is ever held in
+    memory whole. An item is a line of text, written with a UNIX newline, or
+    ASCII bytes of whole lines: a matrix CSV comes one formatted block of
+    rows at a time."""
+    with open(path, "wb") as handle:
         for line in lines:
-            handle.write(line)
-            handle.write("\n")
+            handle.write((line + "\n").encode() if isinstance(line, str) else line)
 
 
 # Every number in a CSV is written as "%.9g", which gives the same text as
@@ -417,24 +417,34 @@ def _cell(value) -> str:
     return "%.9g" % value if value is not None and math.isfinite(value) else ""
 
 
-# Values a matrix CSV formats together, in whole rows and at least one. A
-# block holds about 100 bytes of numpy temporaries per value, near half a
-# megabyte unless a single row is longer. The worst case measured is a block
-# mostly in csvfmt's "%.9g" fallback: formatting it peaked 1.73 MiB above
-# the memory before it (tracemalloc; 40x40 lattice-info, 2,000 steps, stride 2).
-_BLOCK_VALUES = 2**12
+# Values a matrix CSV formats together: whole rows, or a block of a longer
+# row. Formatting holds about 60 bytes of numpy temporaries per value, about
+# 96 with the gathered rows and the text of the block before (tracemalloc, a
+# 1,201 x 225 record), near 0.8 MB; each block also costs some 50 numpy
+# calls, whatever its size. Blocks of 2**14 raised paper_presets' peak RSS
+# by 1.6 MiB.
+_BLOCK_VALUES = 2**13
 
 
 def _matrix_lines(times: np.ndarray, matrix: np.ndarray, stride: int):
     """The header line, then each formatted block of rows as one item: rows
-    0, stride, 2 * stride, ... and the last, gathered a block at a time."""
+    0, stride, 2 * stride, ... and the last, gathered a block at a time into
+    one buffer."""
     yield ",".join(["t"] + [f"agent_{i}" for i in range(matrix.shape[1])])
+    times, matrix = np.asarray(times, dtype=float), np.asarray(matrix, dtype=float)
     last = len(times) - 1
     keep = np.unique(np.append(np.arange(0, last + 1, stride), last))
-    step = max(1, _BLOCK_VALUES // (matrix.shape[1] + 1))
+    cols = matrix.shape[1] + 1
+    step = max(1, _BLOCK_VALUES // cols)
+    buffer = np.empty((min(step, len(keep)), cols))
     for start in range(0, len(keep), step):
         rows = keep[start : start + step]
-        yield format_rows(np.column_stack((times[rows], matrix[rows])))
+        block = buffer[: len(rows)]
+        np.take(times, rows, out=block[:, 0], mode="clip")
+        np.take(matrix, rows, axis=0, out=block[:, 1:], mode="clip")
+        # a row longer than a block is formatted a block of it at a time
+        for left in range(0, cols, _BLOCK_VALUES):
+            yield format_rows(block[:, left : left + _BLOCK_VALUES], left + _BLOCK_VALUES >= cols)
 
 
 def write_trajectory_csv(traj: Trajectory, path, stride: int = 1) -> None:

@@ -16,8 +16,8 @@ from dsrnet import csvfmt
 from dsrnet.csvfmt import format_rows
 
 
-def per_value(block: np.ndarray) -> str:
-    return "\n".join(",".join("%.9g" % v for v in row) for row in block.tolist())
+def per_value(block: np.ndarray) -> bytes:
+    return "".join(",".join("%.9g" % v for v in row) + "\n" for row in block.tolist()).encode()
 
 
 def assert_same_text(block):
@@ -54,10 +54,10 @@ def test_floats_around_the_fixed_range(block):
 def test_neighbours_of_every_decimal_tie():
     # doubles within 3 ulps of (D + 0.5) * 10**(e - 8), the values whose
     # ninth digit is closest to a coin toss, for exponents in and around
-    # the fixed range
+    # the fixed range and across the exponent layout's
     rng = np.random.default_rng(5)
-    for e in range(-7, 9):
-        significands = rng.integers(10**8, 10**9, 64)
+    for e in range(-300, 301):
+        significands = rng.integers(10**8, 10**9, 64 if -7 <= e <= 10 else 4)
         ties = np.array(
             [float((Decimal(int(d)) + Decimal("0.5")).scaleb(e - 8)) for d in significands]
         )
@@ -68,8 +68,8 @@ def test_neighbours_of_every_decimal_tie():
                 values = np.nextafter(values, direction)
                 shifted.append(values)
         block = np.concatenate(shifted)
-        assert_same_text(block.reshape(-1, 8))
-        assert_same_text(-block.reshape(8, -1))
+        assert_same_text(block.reshape(-1, 4))
+        assert_same_text(-block.reshape(4, -1))
 
 
 @pytest.mark.parametrize(
@@ -90,11 +90,21 @@ def test_neighbours_of_every_decimal_tie():
         (0.1, "0.1"),
         (float("nan"), "nan"),
         (float("-inf"), "-inf"),
+        (1e-5, "1e-05"),
+        (-1.5e-7, "-1.5e-07"),
+        (1.23456789e-60, "1.23456789e-60"),
+        (1e9, "1e+09"),
+        (-9.87654321e250, "-9.87654321e+250"),
+        (1.00000001e-300, "1.00000001e-300"),
+        (9.9999999996e-7, "1e-06"),  # the carry into the next exponent
+        (-9.99999999951e-100, "-1e-99"),
+        (5e-324, "4.94065646e-324"),
+        (123456789.0, "123456789"),
     ],
 )
 def test_known_text(value, text):
     assert "%.9g" % value == text
-    assert format_rows(np.array([[value, value]])) == f"{text},{text}"
+    assert format_rows(np.array([[value, value]])) == f"{text},{text}\n".encode()
 
 
 def test_single_row_and_single_column_blocks():
@@ -102,7 +112,11 @@ def test_single_row_and_single_column_blocks():
     assert_same_text(values[None, :])
     assert_same_text(values[:, None])
     assert_same_text(values[None, :1])
-    assert format_rows(values[:, None]) == "\n".join("%.9g" % v for v in values)
+    assert format_rows(values[:, None]) == "".join("%.9g\n" % v for v in values).encode()
+    # the first part of a row goes on with ',' after its last value
+    for last in (-2.5e-8, 3.25, -1e300):
+        row = np.append(values, last)[None, :]
+        assert format_rows(row, ends=False) == per_value(row)[:-1] + b","
 
 
 def test_non_contiguous_blocks():
@@ -112,14 +126,15 @@ def test_non_contiguous_blocks():
 
 
 def test_powers_of_ten_and_their_neighbours():
-    powers = 10.0 ** np.arange(-7, 10)
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
     values = [powers]
     for direction in (np.inf, -np.inf):
         shifted = powers
         for _ in range(3):
             shifted = np.nextafter(shifted, direction)
             values.append(shifted)
-    assert_same_text(np.concatenate(values).reshape(-1, 17))
+    assert_same_text(np.concatenate(values).reshape(-1, 7))
+    assert_same_text(-np.concatenate(values).reshape(7, -1))
 
 
 def test_exponent_estimate_one_off_is_corrected(monkeypatch):
@@ -133,8 +148,10 @@ def test_exponent_estimate_one_off_is_corrected(monkeypatch):
         def log10(values):
             return np.log10(values) + np.resize([-1.0, 0.0, 1.0], values.shape)
 
-    # exponents -3 to 4, so that a skewed estimate stays inside the range
-    values = np.random.default_rng(3).uniform(1.0, 10.0, (30, 8)) * 10.0 ** np.arange(-3, 5)
+    # exponents -3 to 4 and a few of the exponent layout's, so that a
+    # skewed estimate stays inside a layout
+    exponents = np.r_[-3:5, -60, -20, -6, 11, 20, 250]
+    values = np.random.default_rng(3).uniform(1.0, 10.0, (30, 14)) * 10.0**exponents
     values[::2] *= -1.0
     monkeypatch.setattr(csvfmt, "np", SkewedNumpy())
     calls = []
@@ -144,16 +161,18 @@ def test_exponent_estimate_one_off_is_corrected(monkeypatch):
 
 
 def needs_fallback(value: float) -> bool:
-    """Independently of the formatter: whether a value lies outside the
-    fixed range [1e-4, 1e6), is not finite, or has its ninth significant
-    digit within 1e-6 of a tie, where the formatter must ask "%.9g"."""
+    """Independently of the formatter: whether a value is not finite, has a
+    decimal exponent from 6 to 8 (fixed-point text wider than the fixed
+    layout) or below -300 (where 10**(8 - e) overflows a double), or has its
+    ninth significant digit within 1e-6 of a tie, where the formatter must
+    ask "%.9g"."""
     if value == 0.0:
         return False
     if not math.isfinite(value):
         return True
     exact = abs(Decimal(value))
     exponent = exact.adjusted()
-    if not -4 <= exponent <= 5:
+    if 6 <= exponent <= 8 or exponent < -300:
         return True
     scaled = exact.scaleb(8 - exponent)
     return abs(scaled - scaled.to_integral_value()) >= Decimal(0.5 - 1e-6)
@@ -165,8 +184,9 @@ def test_fallback_only_for_out_of_range_and_near_ties(monkeypatch):
     rng = np.random.default_rng(17)
     in_range = 10.0 ** rng.uniform(-4, 6, 5000) * rng.choice([-1.0, 1.0], 5000)
     outside = 10.0 ** np.concatenate([rng.uniform(-300, -4, 300), rng.uniform(6, 300, 300)])
-    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-13, 2.5, 0.125]
-    values = np.concatenate([in_range, outside, special, np.round(in_range, 3)])
+    left = 10.0 ** np.concatenate([rng.uniform(6, 9, 60), rng.uniform(-323, -300, 60)])
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-13, 2.5, 0.125, 5e-324, 1e-310]
+    values = np.concatenate([in_range, outside, left, special, np.round(in_range, 3)])
     values = np.resize(values, 10 * (values.size // 10 + 1))
     calls = []
     original = csvfmt._fallback

@@ -231,9 +231,13 @@ class TestTrajectoryCsv:
         assert path.read_text() == "\n".join([header] + rows) + "\n"
         assert all("%.9g" % v == format(v, ".9g") for v in flat.tolist())
 
-    @pytest.mark.parametrize("rows, agents", [(2000, 9), (5, 9000)])
+    @pytest.mark.parametrize(
+        "rows, agents",
+        [(2000, 9), (5, harness._BLOCK_VALUES + 808), (2, 2 * harness._BLOCK_VALUES - 1)],
+    )
     def test_rows_span_blocks(self, tmp_path, rows, agents):
-        # several rows per formatted block, and rows wider than a block
+        # several rows per formatted block, and rows wider than a block,
+        # formatted a block of a row at a time
         rng = np.random.default_rng(rows)
         values = rng.standard_normal((rows, agents)) * 10.0 ** rng.integers(-6, 7, agents)
         traj = Trajectory(np.arange(rows) * 0.01, values, None, (0,))
@@ -257,6 +261,24 @@ class TestTrajectoryCsv:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 8
 
+    def test_block_peak_stays_within_its_budget(self, tmp_path):
+        # a record of fig1b's shape, with values across the fixed and the
+        # exponent layouts: formatting peaked about 96 bytes per value of a
+        # block (the formatter's temporaries, the gathered block and the
+        # text of the block before), against about 127 for the formatter
+        # before its temporaries were reused in place
+        rng = np.random.default_rng(12)
+        values = rng.random((1201, 225)) ** 8
+        traj = Trajectory(np.arange(1201) * 0.01, values, None, (0,))
+        write_trajectory_csv(traj, tmp_path / "warm.csv")  # builds the tables
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, tmp_path / "t.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 104 * harness._BLOCK_VALUES
+
     @pytest.mark.parametrize(
         "rows, stride, kept",
         [(11, 4, [0, 4, 8, 10]), (9, 4, [0, 4, 8]), (1, 3, [0]), (2, 5, [0, 1]), (5, 1, None)],
@@ -269,7 +291,10 @@ class TestTrajectoryCsv:
         assert [line.split(",")[0] for line in lines] == ["%.9g" % traj.times[k] for k in kept]
         assert lines[-1] == ",".join("%.9g" % v for v in [traj.times[-1], *traj.values[-1]])
 
-    @pytest.mark.parametrize("rows, agents, stride", [(2000, 9, 7), (41, 300, 4), (3, 5000, 2)])
+    @pytest.mark.parametrize(
+        "rows, agents, stride",
+        [(2000, 9, 7), (41, 300, 4), (3, harness._BLOCK_VALUES + 904, 2)],
+    )
     def test_stride_rows_are_the_kept_rows_written_whole(self, tmp_path, rows, agents, stride):
         # the rows gathered a block at a time give the bytes of writing the
         # kept rows, values[keep], as a trajectory of their own
